@@ -21,7 +21,7 @@ cost and the speedup is large.  Both numbers land in
 figures.  Every query is parity-checked against the oracle (maps *and*
 node counts) before any number is recorded.
 
-Two further sections ride on the same grid:
+One further section rides on the same grid:
 
 * **symmetry, cold** — the orbit-quotiented kernel, measured only on
   the *qualifying* subset: symmetric adversary AND search-dominant
@@ -33,11 +33,6 @@ Two further sections ride on the same grid:
   setup-dominant at n=3), and records ``null`` when nothing
   qualifies.  Verdict parity is asserted per query; found maps must
   pass the independent verifier (node counts are the quotient's own).
-* **portfolio** — every grid query raced across
-  ``{bitset, fc, symmetry}`` on a 3-worker pool (first verdict wins,
-  losers cancelled).  Which kernel wins is a property of the host, so
-  the histogram is recorded as informational; the race count and
-  verdicts are deterministic and asserted.
 """
 
 from __future__ import annotations
@@ -55,14 +50,7 @@ from repro.adversaries import (
 )
 from repro.analysis import render_mapping
 from repro.core import full_affine_task, r_affine
-from repro.engine import Engine
-from repro.solver import (
-    PORTFOLIO_KERNELS,
-    BitsetKernel,
-    ForwardCheckingKernel,
-    SolveRequest,
-    SymmetryKernel,
-)
+from repro.solver import BitsetKernel, ForwardCheckingKernel, SymmetryKernel
 from repro.tasks.set_consensus import set_consensus_task
 from repro.tasks.solvability import MapSearch, verify_carried_map
 
@@ -216,22 +204,6 @@ def bench_solver():
         round(statistics.median(sym_speedups), 2) if sym_speedups else None
     )
 
-    # -- portfolio: race the kernels on a 3-worker pool -----------------
-    win_histogram = {kernel: 0 for kernel in PORTFOLIO_KERNELS}
-    portfolio_started = time.perf_counter()
-    with Engine(jobs=3) as engine:
-        raced = engine.portfolio_many(
-            [
-                SolveRequest(affine=affine, task=task)
-                for affine, task in grid
-            ]
-        )
-        races = engine.worker_stats()["races"]
-    t_portfolio = time.perf_counter() - portfolio_started
-    for (mapping, _nodes, kernel), legacy_map in zip(raced, legacy_maps):
-        assert (mapping is None) == (legacy_map is None)
-        win_histogram[kernel] += 1
-
     def _speedups(times):
         return [legacy / max(t, 1e-9) for legacy, t in zip(legacy_times, times)]
 
@@ -265,13 +237,6 @@ def bench_solver():
         },
         # Null when no candidate is search-dominant on this host.
         "median_speedup_cold_symmetry": median_speedup_cold_symmetry,
-        "t_portfolio_s": round(t_portfolio, 4),
-        "portfolio": {
-            "races": races,
-            # Which kernel wins a race is a property of the host —
-            # informational, gated only for existence.
-            "win_histogram": win_histogram,
-        },
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
@@ -288,4 +253,3 @@ def bench_solver():
     # subset; when nothing qualifies the metric is an honest null.
     if sym_speedups:
         assert report["median_speedup_cold_symmetry"] > 1.3
-    assert report["portfolio"]["races"] == len(grid)

@@ -98,7 +98,7 @@ def bounded_round_solvability(
     affine: AffineTask,
     task: Task,
     max_depth: int = 2,
-    node_budget: Optional[int] = None,
+    budget: Optional[int] = None,
 ) -> Optional[int]:
     """Smallest iteration count of ``L`` solving the task, or None.
 
@@ -109,7 +109,7 @@ def bounded_round_solvability(
     """
     current = affine
     for depth in range(1, max_depth + 1):
-        if MapSearch(current, task).search(node_budget) is not None:
+        if MapSearch(current, task).search(budget) is not None:
             return depth
         if depth < max_depth:
             current = current.compose_with(affine)

@@ -31,7 +31,6 @@ from ..solver.api import (
 from ..tasks.solvability import (
     MapSearch,
     SearchBudgetExceeded,
-    resolve_budget,
 )
 from ..tasks.task import OutputVertex, Task
 from ..topology.chromatic import ChrVertex
@@ -55,8 +54,6 @@ def certified_search(
     task: Task,
     budget: Optional[int] = None,
     kernel: str = DEFAULT_KERNEL,
-    *,
-    node_budget: Optional[int] = None,
 ) -> Tuple[Optional[Dict[ChrVertex, OutputVertex]], Cert]:
     """One FACT query with a certificate as by-product.
 
@@ -71,7 +68,6 @@ def certified_search(
     ``kernel`` selects the search kernel; non-tree-identical kernels
     are coerced so the certificate bytes never depend on the choice.
     """
-    budget = resolve_budget(budget, node_budget=node_budget)
     search = _certifying_searcher(affine, task, kernel)
     try:
         mapping = search.search(budget)
@@ -89,11 +85,8 @@ def certificate_for(
     task: Task,
     budget: Optional[int] = None,
     kernel: str = DEFAULT_KERNEL,
-    *,
-    node_budget: Optional[int] = None,
 ) -> Cert:
     """Just the certificate (the engine's ``certify`` job body)."""
-    budget = resolve_budget(budget, node_budget=node_budget)
     _, cert = certified_search(affine, task, budget, kernel)
     return cert
 
@@ -104,8 +97,6 @@ def resume_from_stub(
     task: Task,
     budget: Optional[int] = None,
     kernel: str = DEFAULT_KERNEL,
-    *,
-    node_budget: Optional[int] = None,
 ) -> Tuple[Optional[Dict[ChrVertex, OutputVertex]], int]:
     """Continue a budget-interrupted search from its stub.
 
@@ -117,7 +108,6 @@ def resume_from_stub(
     """
     from ..engine.serialize import digest
 
-    budget = resolve_budget(budget, node_budget=node_budget)
     statement = stub.get("statement", {})
     if statement.get("affine_digest") != digest(affine) or statement.get(
         "task_digest"

@@ -12,11 +12,6 @@ Commands regenerate the paper's artifacts from the terminal:
   (``--json`` emits the service response schema);
 * ``batch``      — zoo classification + E11 through the compute engine;
 * ``serve``      — run the resident query service (``repro.service``);
-* ``fleet``      — launch a sharded fleet (``repro.fleet``): a
-  consistent-hash router with admission control, N shard subprocesses
-  and cert-verifying edge replicas;
-* ``loadgen``    — drive a deterministic multi-client load mix against
-  a running service/router and report rps + latency quantiles;
 * ``query``      — issue queries against a running service;
 * ``certify``    — one certified FACT query, written as a portable
   certificate JSON file (``repro.certify``);
@@ -519,16 +514,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             for _, task in cases
             for k in range(1, 4)
         ]
-        winners: Optional[List[str]] = None
-        if getattr(args, "portfolio", False):
-            raced = engine.portfolio_many(queries)
-            solved = [(mapping, nodes) for mapping, nodes, _ in raced]
-            winners = [kernel for _, _, kernel in raced]
-        else:
-            solved = engine.solve_many(queries)
-        headers = ["affine task", "min k-set consensus", "search nodes"]
-        if winners is not None:
-            headers.append("winning kernels")
+        solved = engine.solve_many(queries)
         fact_rows = []
         for row, (name, _) in enumerate(cases):
             answers = solved[row * 3 : row * 3 + 3]
@@ -537,13 +523,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 if mapping is not None
             )
             nodes = sum(nodes for _, nodes in answers)
-            fact_row = [name, min_k, nodes]
-            if winners is not None:
-                fact_row.append(
-                    ",".join(sorted(set(winners[row * 3 : row * 3 + 3])))
-                )
-            fact_rows.append(tuple(fact_row))
-        print(render_table(headers, fact_rows))
+            fact_rows.append((name, min_k, nodes))
+        print(
+            render_table(
+                ["affine task", "min k-set consensus", "search nodes"],
+                fact_rows,
+            )
+        )
 
     if "simulate" in sections:
         from .sim import standard_grid
@@ -657,88 +643,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     asyncio.run(_serve())
     return 0
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Launch router + shard subprocesses + edge replicas; drain on
-    SIGTERM front-to-back."""
-    import asyncio
-
-    from .fleet import AdmissionController, FleetSupervisor
-
-    supervisor = FleetSupervisor(
-        shards=args.shards,
-        replicas=args.replicas,
-        host=args.host,
-        port=args.port,
-        replica_port=args.replica_port,
-        shard_options={
-            "memcache_size": args.memcache_size,
-            "jobs": args.jobs,
-            "no_cache": args.no_cache or args.cache_dir is None,
-            "cache_dir": args.cache_dir,
-            "window_ms": args.window_ms,
-            # Shards sharing one --cache-dir read warm artifacts from
-            # one mmap segment instead of deserializing per process.
-            "shared_cache": getattr(args, "shared_cache", False),
-        },
-        router_options={
-            "admission": AdmissionController(
-                max_inflight=args.max_inflight,
-                rate=args.rate,
-                burst=args.burst,
-            ),
-            "drain_grace": args.drain_grace,
-        },
-        replica_options={"drain_grace": args.drain_grace},
-    )
-    asyncio.run(supervisor.run())
-    print("repro fleet drained cleanly", flush=True)
-    return 0
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    """Drive a deterministic load mix at a service/router endpoint."""
-    from .fleet import (
-        chr_mix,
-        classify_mix,
-        fixed_service_time_mix,
-        run_load,
-    )
-
-    if args.mix == "sleep":
-        queries = fixed_service_time_mix(
-            args.count, args.sleep_ms / 1000.0, salt=args.salt
-        )
-    elif args.mix == "classify":
-        queries = classify_mix(args.count, n=args.n, seed=args.seed)
-    elif args.mix == "chr":
-        queries = chr_mix()
-    else:  # mixed
-        queries = (
-            classify_mix(max(1, args.count // 2), n=args.n, seed=args.seed)
-            + chr_mix()
-            + fixed_service_time_mix(
-                max(1, args.count // 4),
-                args.sleep_ms / 1000.0,
-                salt=args.salt,
-            )
-        )
-    report = run_load(
-        args.host,
-        args.port,
-        queries,
-        clients=args.clients,
-        cycles=args.cycles,
-        timeout=args.timeout,
-        tenant=args.tenant,
-        priority=args.priority,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
-    else:
-        print(render_mapping("loadgen:", report.to_dict()))
-    return 0 if report.errors == 0 else 1
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -1264,13 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the sections for these job kinds "
         "(e.g. --only simulate oracle)",
     )
-    batch.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="race each FACT query across the kernel portfolio "
-        "(bitset, fc, symmetry); with --jobs > 1 the lanes run on "
-        "distinct workers and losers are cancelled",
-    )
     _add_engine_options(batch)
 
     from .sim.library import PROTOCOL_NAMES
@@ -1389,123 +1286,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds in-flight requests get to finish on shutdown",
     )
     _add_engine_options(serve)
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="launch a sharded fleet: router + shards + edge replicas "
-        "(repro.fleet)",
-    )
-    fleet.add_argument("--shards", type=_positive_int, default=2)
-    fleet.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="cert-verifying edge replicas (0 = none)",
-    )
-    fleet.add_argument("--host", default="127.0.0.1")
-    fleet.add_argument(
-        "--port", type=int, default=0, help="router port (0 = ephemeral)"
-    )
-    fleet.add_argument(
-        "--replica-port",
-        type=int,
-        default=0,
-        help="first replica port (0 = ephemeral; replicas count up)",
-    )
-    fleet.add_argument(
-        "--memcache-size",
-        type=_positive_int,
-        default=256,
-        help="per-shard in-memory LRU entries",
-    )
-    fleet.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes per shard",
-    )
-    fleet.add_argument(
-        "--cache-dir",
-        default=None,
-        help="per-shard persistent artifact cache (default: none)",
-    )
-    fleet.add_argument(
-        "--no-cache", action="store_true", help="disable shard disk caches"
-    )
-    fleet.add_argument(
-        "--window-ms",
-        type=float,
-        default=2.0,
-        help="shard micro-batching window in milliseconds",
-    )
-    fleet.add_argument(
-        "--max-inflight",
-        type=_positive_int,
-        default=256,
-        help="router admission capacity (lane caps are fractions of it)",
-    )
-    fleet.add_argument(
-        "--rate",
-        type=float,
-        default=200.0,
-        help="per-tenant token refill rate (queries/second)",
-    )
-    fleet.add_argument(
-        "--burst",
-        type=float,
-        default=400.0,
-        help="per-tenant token bucket depth",
-    )
-    fleet.add_argument(
-        "--drain-grace",
-        type=float,
-        default=10.0,
-        help="seconds in-flight work gets to finish on shutdown",
-    )
-
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="drive a deterministic load mix against a running "
-        "service/router",
-    )
-    loadgen.add_argument("--host", default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, required=True)
-    loadgen.add_argument("--clients", type=_positive_int, default=8)
-    loadgen.add_argument("--cycles", type=_positive_int, default=1)
-    loadgen.add_argument(
-        "--mix",
-        choices=["sleep", "classify", "chr", "mixed"],
-        default="mixed",
-    )
-    loadgen.add_argument(
-        "--count",
-        type=_positive_int,
-        default=32,
-        help="distinct queries in the mix",
-    )
-    loadgen.add_argument(
-        "--sleep-ms",
-        type=float,
-        default=20.0,
-        help="service time of each sleep query",
-    )
-    loadgen.add_argument("--n", type=int, default=4, help="classify mix n")
-    loadgen.add_argument(
-        "--seed", type=int, default=2024, help="classify mix sampler seed"
-    )
-    loadgen.add_argument(
-        "--salt", default="loadgen", help="cache-busting salt for sleep mix"
-    )
-    loadgen.add_argument("--timeout", type=float, default=120.0)
-    loadgen.add_argument("--tenant", default=None)
-    loadgen.add_argument(
-        "--priority",
-        choices=["interactive", "batch", "sweep"],
-        default=None,
-    )
-    loadgen.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
 
     query = sub.add_parser(
         "query", help="issue one query against a running service"
@@ -1720,8 +1500,6 @@ _HANDLERS = {
     "batch": _cmd_batch,
     "export": _cmd_export,
     "serve": _cmd_serve,
-    "fleet": _cmd_fleet,
-    "loadgen": _cmd_loadgen,
     "query": _cmd_query,
     "figures": _cmd_figures,
     "classify": _cmd_classify,

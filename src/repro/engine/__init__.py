@@ -9,12 +9,12 @@ queries, and Algorithm-1 fuzz batches:
   content digests for every artifact type;
 * :mod:`~repro.engine.cache` — a content-addressed on-disk store, so an
   artifact is computed once per machine, ever;
-* :mod:`~repro.engine.executor` — sequential or process-pool batch
-  execution with deterministic result order, per-job timeouts, and
-  structured budget outcomes;
 * :mod:`~repro.engine.jobs` — typed job specs and the batch API
   (:class:`Engine` with ``run_jobs`` / ``solve_many`` /
-  ``classify_many`` / ``r_affine_many`` / ``fuzz_many``).
+  ``classify_many`` / ``r_affine_many`` / ``fuzz_many``): sequential
+  in-process or worker-pool (:mod:`repro.workers`) execution with
+  deterministic result order, per-job timeouts, and structured budget
+  outcomes.
 
 The sequential in-process path (``jobs=1``, no cache) is the default
 everywhere and stays bit-identical with calling the underlying

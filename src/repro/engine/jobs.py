@@ -2,12 +2,11 @@
 
 A :class:`JobSpec` is a pure description of one expensive computation —
 a subdivision, an ``R_A`` construction, an adversary classification, a
-FACT solvability query (plain, certificate-producing, or raced across
-the kernel portfolio), a certificate check, or one Algorithm-1 fuzz
-case.  Specs are
-canonically serializable (see :mod:`repro.engine.serialize`), which
-gives each job a content-addressed cache key and lets the executor ship
-it to worker processes without pickling closures.
+FACT solvability query (plain or certificate-producing), a certificate
+check, or one Algorithm-1 fuzz case.  Specs are canonically
+serializable (see :mod:`repro.engine.serialize`), which gives each job
+a content-addressed cache key and lets the worker pool ship it to
+worker processes without pickling closures.
 
 :class:`Engine` is the façade the rest of the library talks to:
 ``run_jobs`` executes any batch with caching, parallelism, per-job
@@ -19,6 +18,7 @@ batch shapes with typed results.
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -37,8 +37,8 @@ from ..solver.api import (
     as_solve_request,
     run_request,
 )
-from ..solver.split import PORTFOLIO_KERNELS, portfolio_requests, split_request
-from ..tasks.solvability import SearchBudgetExceeded, resolve_budget
+from ..solver.split import split_request
+from ..tasks.solvability import SearchBudgetExceeded
 from ..tasks.task import Task
 from ..topology.subdivision import iterated_subdivision
 from ..topology.chromatic import standard_simplex
@@ -80,19 +80,6 @@ def _compute_solve(payload: tuple) -> Any:
     # emits a DeprecationWarning.
     result = run_request(as_solve_request(payload))
     return result.as_pair()
-
-
-def _compute_portfolio(payload: tuple) -> Any:
-    # One solve raced across the kernel portfolio.  In a worker or on
-    # the sequential path there is nobody to race against, so the
-    # degenerate semantics run the canonical lane (the first portfolio
-    # kernel) inline; the pooled engine path intercepts this kind and
-    # races the lanes on distinct workers instead (see
-    # ``Engine._race_portfolio``).  The value is always
-    # ``(mapping, nodes, winner_kernel)``.
-    lane = portfolio_requests(as_solve_request(payload))[0]
-    result = run_request(lane)
-    return (result.mapping, result.nodes, lane.kernel)
 
 
 def _compute_certify(payload: tuple) -> Any:
@@ -192,7 +179,6 @@ JOB_KINDS: Dict[str, Callable[[tuple], Any]] = {
     "classify": _compute_classify,
     "r_affine": _compute_r_affine,
     "solve": _compute_solve,
-    "portfolio": _compute_portfolio,
     "certify": _compute_certify,
     "check": _compute_check,
     "fuzz": _compute_fuzz,
@@ -246,6 +232,52 @@ class JobResult:
 
 
 ProgressCallback = Callable[[JobResult], None]
+
+
+def _execute_sequential(
+    pending: Sequence[Tuple[int, JobSpec]],
+) -> List[JobResult]:
+    """Run every spec in the calling process, in submission order.
+
+    The bit-identical default for ``jobs=1`` and single-job batches: no
+    serialization.  ``SearchBudgetExceeded`` is not an error here: it
+    becomes a structured ``budget`` result that the engine turns into a
+    domain-split retry (see :meth:`Engine._split_retry`).
+    """
+    results = []
+    for index, spec in pending:
+        started = time.perf_counter()
+        try:
+            with obs.span("engine.compute", kind=spec.kind):
+                value = spec.run()
+            results.append(
+                JobResult(
+                    index=index,
+                    kind=spec.kind,
+                    value=value,
+                    wall_time=time.perf_counter() - started,
+                )
+            )
+        except SearchBudgetExceeded as exc:
+            results.append(
+                JobResult(
+                    index=index,
+                    kind=spec.kind,
+                    error="budget",
+                    nodes_explored=exc.nodes_explored,
+                    wall_time=time.perf_counter() - started,
+                )
+            )
+        except Exception:
+            results.append(
+                JobResult(
+                    index=index,
+                    kind=spec.kind,
+                    error=traceback.format_exc(limit=8),
+                    wall_time=time.perf_counter() - started,
+                )
+            )
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -329,74 +361,11 @@ class Engine:
         return self._pool
 
     def _execute(self, pending: List[Tuple[int, JobSpec]]) -> List[JobResult]:
-        """Dispatch one deduplicated batch: sequential or pooled.
-
-        ``portfolio`` specs are intercepted on the pooled path — even a
-        single-spec batch — and raced across workers (see
-        :meth:`_race_portfolio`); everything else keeps the historical
-        routing (in-process when it would not help to parallelize).
-        """
-        from .executor import _execute_sequential
-
-        if self.jobs <= 1:
-            return _execute_sequential(pending, self.timeout)
-        races = [item for item in pending if item[1].kind == "portfolio"]
-        rest = [item for item in pending if item[1].kind != "portfolio"]
-        results: List[JobResult] = []
-        if rest:
-            if len(rest) == 1 and not races:
-                return _execute_sequential(rest, self.timeout)
-            results.extend(self._worker_pool().run_batch(rest))
-        for index, spec in races:
-            results.append(self._race_portfolio(index, spec))
-        return results
-
-    def _race_portfolio(self, index: int, spec: JobSpec) -> JobResult:
-        """Race one solve across the kernel portfolio on the pool.
-
-        Each portfolio kernel becomes a ``solve`` lane dispatched to a
-        distinct worker; the first lane to return a verdict wins and the
-        losers are cancelled through the pool's kill-and-restart
-        machinery (:meth:`repro.workers.WorkerPool.race`).  The result
-        value is ``(mapping, nodes, winner_kernel)`` — identical in
-        shape to the sequential degenerate, but the winner (and its
-        node count) depends on which kernel finished first, so raced
-        values are witness-nondeterministic.  The solvability verdict
-        itself is kernel-independent, hence deterministic.
-
-        Budget overruns surface as ``error="budget"`` without the
-        ``solve`` split-retry (a race already *is* the retry strategy).
-        """
-        request = as_solve_request(spec.payload, warn=False)
-        lanes = portfolio_requests(request)
-        with obs.span(
-            "solver.portfolio",
-            lanes=len(lanes),
-            kernels=",".join(lane.kernel for lane in lanes),
-        ) as race_span:
-            raced = self._worker_pool().race(
-                [JobSpec("solve", (lane,)) for lane in lanes]
-            )
-            winner_kernel = lanes[raced.index].kernel
-            race_span.set_attr("winner_lane", raced.index)
-            race_span.set_attr("winner_kernel", winner_kernel)
-        if not raced.ok:
-            return JobResult(
-                index=index,
-                kind=spec.kind,
-                error=raced.error,
-                nodes_explored=raced.nodes_explored,
-                wall_time=raced.wall_time,
-            )
-        mapping, nodes = raced.value
-        return JobResult(
-            index=index,
-            kind=spec.kind,
-            value=(mapping, nodes, winner_kernel),
-            wall_time=raced.wall_time,
-            nodes_explored=nodes,
-            kernel=winner_kernel,
-        )
+        """Dispatch one deduplicated batch: in-process when there is one
+        worker or one job (parallelizing would not help), else pooled."""
+        if self.jobs <= 1 or len(pending) == 1:
+            return _execute_sequential(pending)
+        return self._worker_pool().run_batch(pending)
 
     def close(self) -> None:
         """Release the worker pool (idempotent; the engine stays usable —
@@ -421,7 +390,7 @@ class Engine:
     def run_jobs(self, specs: Sequence[JobSpec]) -> List[JobResult]:
         """Execute a batch; results are in submission order.
 
-        Cache hits never reach the executor, and identical specs in one
+        Cache hits never reach the workers, and identical specs in one
         batch are computed once: later duplicates receive the leader's
         result with ``coalesced=True`` (so CLI ``batch`` and the service
         batcher both pay for each distinct computation exactly once).
@@ -496,9 +465,6 @@ class Engine:
                         payload[0], SolveRequest
                     ):
                         result.kernel = payload[0].kernel
-                elif result.kind == "portfolio":
-                    result.nodes_explored = result.value[1]
-                    result.kernel = result.value[2]
             batch_span.set_attr("cache_hits", hits)
             batch_span.set_attr("computed", len(pending))
             batch_span.set_attr("coalesced", len(specs) - hits - len(pending))
@@ -534,18 +500,16 @@ class Engine:
             return result
 
     def _split_retry_impl(self, spec: JobSpec, failed: JobResult) -> JobResult:
-        from dataclasses import replace as dc_replace
-
         request = as_solve_request(spec.payload, warn=False)
         total_nodes = failed.nodes_explored or 0
         splits_done = 0
         budget_hit = False
         # Frontier items: (solve request with escalated budget, level).
         # Slices are SolveRequests, so their override domains normalize
-        # to structural vertex_key order at construction — the split
-        # portfolio is platform- and hash-seed-stable.
+        # to structural vertex_key order at construction — the slices
+        # are platform- and hash-seed-stable.
         frontier: List[Tuple[SolveRequest, int]] = [
-            (dc_replace(request, budget=request.budget * 2), 1)
+            (replace(request, budget=request.budget * 2), 1)
         ]
 
         while frontier:
@@ -554,7 +518,7 @@ class Engine:
                 budget_hit = True
                 continue
             sub_requests = split_request(current, parts=2) or [
-                dc_replace(current, resume=None)
+                replace(current, resume=None)
             ]
             splits_done += 1
             sub_pending = [
@@ -567,7 +531,7 @@ class Engine:
                     total_nodes += sub_result.nodes_explored or 0
                     frontier.append(
                         (
-                            dc_replace(
+                            replace(
                                 sub_request, budget=sub_request.budget * 2
                             ),
                             level + 1,
@@ -703,13 +667,8 @@ class Engine:
         budget: Optional[int] = None,
         *,
         kernel: Optional[str] = None,
-        node_budget: Optional[int] = None,
-        max_nodes: Optional[int] = None,
     ) -> Optional[Dict]:
         """One FACT query through the engine; returns the mapping."""
-        budget = resolve_budget(
-            budget, node_budget=node_budget, max_nodes=max_nodes
-        )
         request = SolveRequest(
             affine=affine,
             task=task,
@@ -717,57 +676,6 @@ class Engine:
             kernel=kernel or self.kernel,
         )
         return self.solve_many([request])[0][0]
-
-    def portfolio_many(
-        self,
-        queries: Iterable,
-    ) -> List[Tuple[Optional[Dict], int, str]]:
-        """Batch FACT queries raced across the kernel portfolio.
-
-        Each query is a :class:`SolveRequest` or ``(L, T, budget)``
-        triple; each result is ``(mapping_or_None, nodes, kernel)``
-        where ``kernel`` names the portfolio member that produced the
-        value.  On a pooled engine (``jobs > 1``) the lanes genuinely
-        race on distinct workers and losers are cancelled; sequentially
-        the canonical lane runs alone.  The query's own ``kernel`` field
-        is ignored (and normalized for the cache key): the portfolio is
-        always :data:`repro.solver.split.PORTFOLIO_KERNELS`.  Raced
-        values are cached first-winner, so a cache hit may report a
-        different kernel than a fresh race would elect — the verdict is
-        kernel-independent either way.
-        """
-        specs = []
-        for query in queries:
-            request = replace(
-                self._request_of(query),
-                kernel=PORTFOLIO_KERNELS[0],
-                resume=None,
-            )
-            specs.append(JobSpec("portfolio", (request,)))
-        return [self._value(r) for r in self.run_jobs(specs)]
-
-    def portfolio(
-        self,
-        affine: AffineTask,
-        task: Task,
-        budget: Optional[int] = None,
-        *,
-        node_budget: Optional[int] = None,
-        max_nodes: Optional[int] = None,
-    ) -> SolveResult:
-        """One portfolio-raced FACT query; the result's ``kernel`` is
-        the winning lane's kernel."""
-        budget = resolve_budget(
-            budget, node_budget=node_budget, max_nodes=max_nodes
-        )
-        request = SolveRequest(affine=affine, task=task, budget=budget)
-        mapping, nodes, kernel = self.portfolio_many([request])[0]
-        return SolveResult(
-            verdict="solvable" if mapping is not None else "unsolvable",
-            mapping=mapping,
-            nodes=nodes,
-            kernel=kernel,
-        )
 
     def certify_many(
         self,
@@ -791,14 +699,8 @@ class Engine:
         affine: AffineTask,
         task: Task,
         budget: Optional[int] = None,
-        *,
-        node_budget: Optional[int] = None,
-        max_nodes: Optional[int] = None,
     ) -> Dict:
         """One certified FACT query; returns the certificate document."""
-        budget = resolve_budget(
-            budget, node_budget=node_budget, max_nodes=max_nodes
-        )
         return self.certify_many([(affine, task, budget)])[0]
 
     def check_cert(self, cert: Dict) -> Dict:
@@ -818,9 +720,6 @@ class Engine:
         task: Task,
         stub: Dict,
         budget: Optional[int] = None,
-        *,
-        node_budget: Optional[int] = None,
-        max_nodes: Optional[int] = None,
     ) -> Tuple[Optional[Dict], int]:
         """Re-issue a budget-interrupted solve, seeded from its stub.
 
@@ -834,9 +733,6 @@ class Engine:
         """
         from ..certify import witness
 
-        budget = resolve_budget(
-            budget, node_budget=node_budget, max_nodes=max_nodes
-        )
         statement = stub.get("statement", {}) if isinstance(stub, dict) else {}
         if stub.get("kind") != "budget":
             raise ValueError(f"not a budget stub: kind={stub.get('kind')!r}")
@@ -860,17 +756,14 @@ class Engine:
         self,
         affines: Iterable[AffineTask],
         budget: Optional[int] = None,
-        *,
-        node_budget: Optional[int] = None,
     ) -> List[int]:
         """Per-affine-task minimal solvable ``k`` (the E11 table).
 
         Issues the whole ``(L, k)`` grid as one batch — per-``(R_A, T)``
-        queries are independent, which is what the executor exploits.
+        queries are independent, which is what the worker pool exploits.
         """
         from ..tasks.set_consensus import set_consensus_task
 
-        budget = resolve_budget(budget, node_budget=node_budget)
         affines = list(affines)
         queries = []
         grid: List[Tuple[int, int]] = []

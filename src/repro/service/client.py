@@ -18,12 +18,8 @@ retried once with jittered backoff on a *fresh* connection before the
 error surfaces: both codes mean "this server, right now", so an
 immediate re-ask is exactly the thundering herd that caused them, and
 a brief randomized pause plus a reconnect (the draining server may
-have closed the socket; a fleet router may have re-hashed the shard
-away) usually lands the retry.  Pass ``retries=0`` to observe the raw
-first answer.
-
-Both clients accept optional ``tenant`` / ``priority`` labels, sent as
-the protocol's additive admission fields on every query.
+have closed the socket) usually lands the retry.  Pass ``retries=0``
+to observe the raw first answer.
 """
 
 from __future__ import annotations
@@ -36,8 +32,8 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..engine.serialize import deserialize, serialize
-from ..tasks.solvability import SearchBudgetExceeded, resolve_budget
-from .protocol import PRIORITIES, PROTOCOL_VERSION, RETRYABLE_CODES
+from ..tasks.solvability import SearchBudgetExceeded
+from .protocol import PROTOCOL_VERSION, RETRYABLE_CODES
 from .server import DEFAULT_HOST, DEFAULT_PORT
 
 #: Base pause before the single transparent retry; the actual pause is
@@ -75,9 +71,6 @@ def _raise_for(response: Dict[str, Any]) -> Dict[str, Any]:
 class _QueryMixin:
     """Typed helpers shared by the sync and async clients."""
 
-    tenant: Optional[str] = None
-    priority: Optional[str] = None
-
     def _query_fields(
         self, kind: str, payload: tuple, timeout: Optional[float]
     ) -> Dict[str, Any]:
@@ -87,19 +80,7 @@ class _QueryMixin:
         }
         if timeout is not None:
             fields["timeout"] = timeout
-        if self.tenant is not None:
-            fields["tenant"] = self.tenant
-        if self.priority is not None:
-            fields["priority"] = self.priority
         return fields
-
-    @staticmethod
-    def _check_priority(priority: Optional[str]) -> Optional[str]:
-        if priority is not None and priority not in PRIORITIES:
-            raise ValueError(
-                f"priority must be one of {list(PRIORITIES)}, got {priority!r}"
-            )
-        return priority
 
     @staticmethod
     def _decode_value(response: Dict[str, Any]) -> Any:
@@ -117,16 +98,12 @@ class ServiceClient(_QueryMixin):
         *,
         retries: int = 1,
         retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-        tenant: Optional[str] = None,
-        priority: Optional[str] = None,
     ):
         self.host = host
         self.port = port
         self.timeout = timeout
         self.retries = max(0, retries)
         self.retry_backoff = retry_backoff
-        self.tenant = tenant
-        self.priority = self._check_priority(priority)
         #: Transparent retries performed over this client's lifetime.
         self.retried = 0
         self._rng = random.Random()
@@ -213,13 +190,7 @@ class ServiceClient(_QueryMixin):
         affine,
         task,
         budget: Optional[int] = None,
-        *,
-        node_budget: Optional[int] = None,
-        max_nodes: Optional[int] = None,
     ) -> Tuple[Optional[Dict], int]:
-        budget = resolve_budget(
-            budget, node_budget=node_budget, max_nodes=max_nodes
-        )
         return self.query("solve", (affine, task, budget, None))
 
     def certify(
@@ -227,18 +198,12 @@ class ServiceClient(_QueryMixin):
         affine,
         task,
         budget: Optional[int] = None,
-        *,
-        node_budget: Optional[int] = None,
-        max_nodes: Optional[int] = None,
     ) -> Dict[str, Any]:
         """One certified FACT query; returns the certificate document.
 
         Budget overruns come back as resumable ``budget`` stubs, not as
         :class:`SearchBudgetExceeded` — the stub is the query's value.
         """
-        budget = resolve_budget(
-            budget, node_budget=node_budget, max_nodes=max_nodes
-        )
         return self.query("certify", (affine, task, budget))
 
     def check(self, cert: Dict[str, Any]) -> Dict[str, Any]:
@@ -317,15 +282,11 @@ class AsyncServiceClient(_QueryMixin):
         *,
         retries: int = 1,
         retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-        tenant: Optional[str] = None,
-        priority: Optional[str] = None,
     ):
         self.host = host
         self.port = port
         self.retries = max(0, retries)
         self.retry_backoff = retry_backoff
-        self.tenant = tenant
-        self.priority = self._check_priority(priority)
         self.retried = 0
         self._rng = random.Random()
         self._reader: Optional[asyncio.StreamReader] = None
@@ -393,13 +354,7 @@ class AsyncServiceClient(_QueryMixin):
         affine,
         task,
         budget: Optional[int] = None,
-        *,
-        node_budget: Optional[int] = None,
-        max_nodes: Optional[int] = None,
     ) -> Tuple[Optional[Dict], int]:
-        budget = resolve_budget(
-            budget, node_budget=node_budget, max_nodes=max_nodes
-        )
         return await self.query("solve", (affine, task, budget, None))
 
     async def certify(
@@ -407,13 +362,7 @@ class AsyncServiceClient(_QueryMixin):
         affine,
         task,
         budget: Optional[int] = None,
-        *,
-        node_budget: Optional[int] = None,
-        max_nodes: Optional[int] = None,
     ) -> Dict[str, Any]:
-        budget = resolve_budget(
-            budget, node_budget=node_budget, max_nodes=max_nodes
-        )
         return await self.query("certify", (affine, task, budget))
 
     async def check(self, cert: Dict[str, Any]) -> Dict[str, Any]:

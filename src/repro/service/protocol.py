@@ -14,15 +14,14 @@ byte-identical to direct :class:`~repro.engine.jobs.Engine` calls.
 Request fields::
 
     {"v": 1, "id": 7, "op": "query", "kind": "solve",
-     "payload": "<canonical text>", "timeout": 30.0,
-     "tenant": "bench", "priority": "interactive"}
+     "payload": "<canonical text>", "timeout": 30.0}
 
 * ``v``       — protocol version; must equal :data:`PROTOCOL_VERSION`.
 * ``id``      — any JSON scalar; echoed verbatim in the response.
 * ``op``      — ``query`` | ``stats`` | ``metrics`` | ``ping``.
 * ``kind``    — (query only) an engine job kind from ``JOB_KINDS``.
   Dispatch is generic over the registry, so kinds added after v1 —
-  ``certify`` (payload ``(affine, task, node_budget)``, value: a
+  ``certify`` (payload ``(affine, task, budget)``, value: a
   certificate document) and ``check`` (payload ``(cert,)``, value: a
   ``CheckReport`` dict) — work with no protocol change.  ``certify``
   returns budget overruns as resumable ``budget`` stubs in the value,
@@ -31,14 +30,9 @@ Request fields::
   payload tuple.
 * ``timeout`` — (query only, optional) per-request deadline in seconds;
   the server enforces ``min(timeout, server default)``.
-* ``tenant``  — (optional, additive) the accounting identity the fleet
-  router rate-limits by.  Plain servers accept and count it; absent
-  means the shared ``"default"`` tenant, so v1 clients are unchanged.
-* ``priority`` — (optional, additive) admission lane, one of
-  :data:`PRIORITIES` (``interactive`` > ``batch`` > ``sweep``).  Under
-  load the router sheds low lanes first via the typed ``overloaded``
-  error; absent means ``interactive``, so unlabeled v1 traffic is
-  never penalized relative to today.
+
+Unknown request fields are ignored, so clients that still label
+requests with fields this server does not read are served normally.
 
 Response fields: ``v``, ``id``, ``ok``; on success one of ``value`` (+
 ``kind``, ``cache_hit``, ``coalesced``, ``wall_time``), ``stats``,
@@ -63,15 +57,7 @@ MAX_LINE_BYTES = 16 * 2**20
 
 OPS = frozenset({"query", "stats", "metrics", "ping"})
 
-#: Admission lanes, highest priority first.  Order is meaningful: the
-#: fleet router sheds the *last* lanes first when overloaded.
-PRIORITIES = ("interactive", "batch", "sweep")
-
 #: Typed error codes — the complete, closed set a v1 server may return.
-#: ``verification_failed`` is a fleet-era additive code: only edge
-#: replicas (which re-check certificates before returning them) ever
-#: emit it; plain shards never do, so v1 clients against a single
-#: server observe exactly the original set.
 ERROR_CODES = frozenset(
     {
         "bad_request",  # unparsable line / missing or malformed fields
@@ -82,9 +68,8 @@ ERROR_CODES = frozenset(
         "job_error",  # the engine job raised; message has traceback
         "budget_exceeded",  # solve search budget exhausted after retry
         "timeout",  # per-request deadline expired
-        "overloaded",  # connection, in-flight or admission limit hit
+        "overloaded",  # connection or in-flight limit hit
         "shutting_down",  # server is draining; retry elsewhere
-        "verification_failed",  # replica: no shard produced a valid cert
         "internal",  # unexpected server-side failure
     }
 )
@@ -114,12 +99,6 @@ class Request:
     kind: Optional[str] = None
     payload_text: Optional[str] = None
     timeout: Optional[float] = None
-    #: Accounting identity for fleet admission control (additive field;
-    #: ``None`` = the shared default tenant).
-    tenant: Optional[str] = None
-    #: Admission lane from :data:`PRIORITIES` (additive field; ``None``
-    #: = ``interactive``).
-    priority: Optional[str] = None
 
 
 def parse_request(line: str) -> Request:
@@ -148,15 +127,6 @@ def parse_request(line: str) -> Request:
     kind = fields.get("kind")
     payload_text = fields.get("payload")
     timeout = fields.get("timeout")
-    tenant = fields.get("tenant")
-    priority = fields.get("priority")
-    if tenant is not None and not isinstance(tenant, str):
-        raise ProtocolError("bad_request", "'tenant' must be a string")
-    if priority is not None and priority not in PRIORITIES:
-        raise ProtocolError(
-            "bad_request",
-            f"'priority' must be one of {list(PRIORITIES)}, got {priority!r}",
-        )
     if op == "query":
         if not isinstance(kind, str):
             raise ProtocolError("bad_request", "query requires a string 'kind'")
@@ -175,8 +145,6 @@ def parse_request(line: str) -> Request:
         kind=kind,
         payload_text=payload_text,
         timeout=None if timeout is None else float(timeout),
-        tenant=tenant,
-        priority=priority,
     )
 
 

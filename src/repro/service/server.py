@@ -265,11 +265,6 @@ class ServiceServer:
                 return error_response(None, exc.code, exc.message)
             request_span.set_attr("op", request.op)
             self.metrics.inc(f"op_{request.op}_total")
-            if request.priority is not None:
-                # Plain shards don't shed by lane (the router does) but
-                # they account for it, so fleet dashboards can compare
-                # lane mix across tiers.
-                self.metrics.inc(f"lane_{request.priority}_total")
             try:
                 if request.op == "ping":
                     response = ping_response(request.id)

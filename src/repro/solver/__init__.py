@@ -9,8 +9,7 @@ maps *and node counts* — legacy stays on as the differential-testing
 oracle); :class:`ForwardCheckingKernel` is the opt-in pruning kernel;
 :class:`SymmetryKernel` quotients the DFS by verified process-symmetry
 orbits (symmetric adversaries are the paper-central case);
-:func:`split_request` slices a request for the engine's split-retry and
-:func:`portfolio_requests` fans one request out to the racing kernels.
+:func:`split_request` slices a request for the engine's split-retry.
 See docs/solver.md.
 """
 
@@ -31,7 +30,7 @@ from .api import (
 )
 from .interning import CompiledConstraint, InternTable
 from .kernel import BitsetKernel, ForwardCheckingKernel
-from .split import PORTFOLIO_KERNELS, portfolio_requests, split_request
+from .split import split_request
 from .symmetry import Automorphism, SymmetryKernel, automorphism_group
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "KERNEL_FC",
     "KERNEL_LEGACY",
     "KERNEL_SYMMETRY",
-    "PORTFOLIO_KERNELS",
     "SolveRequest",
     "SolveResult",
     "SymmetryKernel",
@@ -54,7 +52,6 @@ __all__ = [
     "as_solve_request",
     "automorphism_group",
     "make_searcher",
-    "portfolio_requests",
     "run_request",
     "solve_request_from_payload",
     "split_request",

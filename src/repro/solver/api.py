@@ -22,6 +22,7 @@ are the protocol-v1 format and not a deprecated call site).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -220,14 +221,11 @@ def as_solve_request(
     ):
         return payload[0]
     if warn:
-        # Late import: the compat module lives in the engine package,
-        # which imports this module at package-import time.
-        from ..engine.compat import deprecated
-
-        deprecated(
+        warnings.warn(
             "positional solve payload tuples are deprecated; "
             "pass a SolveRequest",
-            stacklevel=4,
+            DeprecationWarning,
+            stacklevel=3,
         )
     return solve_request_from_payload(tuple(payload), kernel=kernel)
 

@@ -37,7 +37,6 @@ from ..tasks.solvability import (
     DomainOverrides,
     MapSearch,
     SearchBudgetExceeded,
-    resolve_budget,
 )
 from ..tasks.task import OutputVertex, Task
 from ..topology.chromatic import ChrVertex
@@ -133,14 +132,8 @@ class BitsetKernel(_KernelBase):
         self,
         budget: Optional[int] = None,
         resume_from: Optional[Dict[ChrVertex, OutputVertex]] = None,
-        *,
-        node_budget: Optional[int] = None,
-        max_nodes: Optional[int] = None,
     ) -> Optional[Dict[ChrVertex, OutputVertex]]:
         """Drop-in for :meth:`MapSearch.search` (same tree, same counts)."""
-        budget = resolve_budget(
-            budget, node_budget=node_budget, max_nodes=max_nodes
-        )
         self.nodes_explored = 0
         search = self._search
         tables = self.tables
@@ -316,13 +309,7 @@ class ForwardCheckingKernel(_KernelBase):
         self,
         budget: Optional[int] = None,
         resume_from: Optional[Dict[ChrVertex, OutputVertex]] = None,
-        *,
-        node_budget: Optional[int] = None,
-        max_nodes: Optional[int] = None,
     ) -> Optional[Dict[ChrVertex, OutputVertex]]:
-        budget = resolve_budget(
-            budget, node_budget=node_budget, max_nodes=max_nodes
-        )
         if resume_from:
             raise ValueError(
                 "the fc kernel explores a pruned tree and cannot honor "

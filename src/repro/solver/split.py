@@ -1,4 +1,4 @@
-"""Portfolio splitting of a solve request into disjoint slices.
+"""Splitting of a solve request into disjoint slices.
 
 Wraps :func:`~repro.tasks.solvability.split_search_domains` at the
 typed level: a budget-stalled :class:`~repro.solver.api.SolveRequest`
@@ -19,21 +19,12 @@ hash-seed-stable.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Sequence
+from typing import List
 
 from ..tasks.solvability import split_search_domains
-from .api import (
-    KERNEL_BITSET,
-    KERNEL_FC,
-    KERNEL_SYMMETRY,
-    KERNELS,
-    SolveRequest,
-)
+from .api import SolveRequest
 
-__all__ = ["PORTFOLIO_KERNELS", "portfolio_requests", "split_request"]
-
-#: The kernels a ``portfolio`` job races, in deterministic lane order.
-PORTFOLIO_KERNELS = (KERNEL_BITSET, KERNEL_FC, KERNEL_SYMMETRY)
+__all__ = ["split_request"]
 
 
 def split_request(request: SolveRequest, parts: int = 2) -> List[SolveRequest]:
@@ -52,29 +43,4 @@ def split_request(request: SolveRequest, parts: int = 2) -> List[SolveRequest]:
     return [
         replace(request, domain_overrides=overrides, resume=None)
         for overrides in sub_spaces
-    ]
-
-
-def portfolio_requests(
-    request: SolveRequest,
-    kernels: Sequence[str] = PORTFOLIO_KERNELS,
-) -> List[SolveRequest]:
-    """One request per racing kernel, covering the *same* search space.
-
-    The portfolio job kind races these on the worker pool: every lane
-    decides the identical query, so the first verdict is *the* verdict
-    and the losers are pure redundancy to cancel.  Any ``resume`` seed
-    is dropped (only tree-identical kernels can honor one, and a race
-    must start every lane from the same line); overrides are kept —
-    sliced races are still races over one slice.
-    """
-    if not kernels:
-        raise ValueError("a portfolio needs at least one kernel")
-    for kernel in kernels:
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-            )
-    return [
-        replace(request, kernel=kernel, resume=None) for kernel in kernels
     ]

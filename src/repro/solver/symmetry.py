@@ -59,7 +59,6 @@ from ..tasks.solvability import (
     DomainOverrides,
     MapSearch,
     SearchBudgetExceeded,
-    resolve_budget,
 )
 from ..tasks.task import OutputVertex, Task
 from ..core.affine import AffineTask
@@ -676,13 +675,7 @@ class SymmetryKernel(BitsetKernel):
         self,
         budget: Optional[int] = None,
         resume_from: Optional[Dict[ChrVertex, OutputVertex]] = None,
-        *,
-        node_budget: Optional[int] = None,
-        max_nodes: Optional[int] = None,
     ) -> Optional[Dict[ChrVertex, OutputVertex]]:
-        budget = resolve_budget(
-            budget, node_budget=node_budget, max_nodes=max_nodes
-        )
         if resume_from:
             raise ValueError(
                 "the symmetry kernel explores a quotiented tree and cannot "

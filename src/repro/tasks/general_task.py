@@ -261,7 +261,7 @@ class GeneralMapSearch:
             key=repr,
         )
 
-    def search(self, node_budget: int | None = None):
+    def search(self, budget: int | None = None):
         assignment: Dict[ChrVertex, OutputVertex] = {}
         total = len(self.vertices)
         if total == 0:
@@ -288,9 +288,9 @@ class GeneralMapSearch:
                 candidate = domain[choice_index[depth]]
                 choice_index[depth] += 1
                 self.nodes_explored += 1
-                if node_budget is not None and self.nodes_explored > node_budget:
+                if budget is not None and self.nodes_explored > budget:
                     raise SearchBudgetExceeded(
-                        f"exceeded {node_budget} nodes"
+                        f"exceeded {budget} nodes"
                     )
                 assignment[vertex] = candidate
                 if consistent(vertex):
@@ -312,7 +312,7 @@ class GeneralMapSearch:
 def general_task_solvable(
     affine: AffineTask,
     task: GeneralTask,
-    node_budget: int | None = None,
+    budget: int | None = None,
 ) -> bool:
     """Is the general task solvable by one shot of the affine task?"""
-    return GeneralMapSearch(affine, task).search(node_budget) is not None
+    return GeneralMapSearch(affine, task).search(budget) is not None

@@ -33,40 +33,10 @@ __all__ = [
     "SearchBudgetExceeded",
     "find_carried_map",
     "minimal_set_consensus",
-    "resolve_budget",
     "solves_set_consensus",
     "split_search_domains",
     "verify_carried_map",
 ]
-
-
-def resolve_budget(
-    budget: Optional[int],
-    *,
-    node_budget: Optional[int] = None,
-    max_nodes: Optional[int] = None,
-    stacklevel: int = 3,
-) -> Optional[int]:
-    """Resolve the unified ``budget`` kwarg against its legacy spellings.
-
-    ``budget`` is the canonical name everywhere (search, engine, service,
-    CLI); ``node_budget`` and ``max_nodes`` are accepted as deprecated
-    aliases that warn once per call site.  An explicit ``budget`` wins
-    over any alias.
-    """
-    # Late import: repro.engine.compat owns every deprecation warning,
-    # but importing the engine package at module-import time would cycle
-    # (engine.jobs imports this module).
-    from ..engine.compat import resolve_budget_aliases
-
-    return resolve_budget_aliases(
-        budget,
-        node_budget=node_budget,
-        max_nodes=max_nodes,
-        # compat adds two frames (resolve_budget_aliases + deprecated)
-        # between this function and warnings.warn.
-        stacklevel=stacklevel + 2,
-    )
 
 
 class SearchBudgetExceeded(Exception):
@@ -74,7 +44,7 @@ class SearchBudgetExceeded(Exception):
 
     Carries the search state at the moment the budget ran out, so
     callers (notably the engine's split-retry in
-    :mod:`repro.engine.executor`) can partition the remaining domain or
+    :mod:`repro.engine.jobs`) can partition the remaining domain or
     report progress:
 
     * ``nodes_explored`` — assignments tried before giving up;
@@ -207,15 +177,11 @@ class MapSearch:
         self,
         budget: Optional[int] = None,
         resume_from: Optional[Dict[ChrVertex, OutputVertex]] = None,
-        *,
-        node_budget: Optional[int] = None,
-        max_nodes: Optional[int] = None,
     ) -> Optional[Dict[ChrVertex, OutputVertex]]:
         """Find a carried map, or return ``None`` when none exists.
 
         Raises :class:`SearchBudgetExceeded` if ``budget`` assignments
-        are exhausted before the search concludes (``node_budget`` and
-        ``max_nodes`` are deprecated spellings of the same limit).
+        are exhausted before the search concludes.
 
         ``resume_from`` seeds the search with the partial assignment a
         previous run's :class:`SearchBudgetExceeded` carried (see
@@ -227,9 +193,6 @@ class MapSearch:
         Raises ``ValueError`` when the prefix is not a consistent
         assignment of an initial segment of the vertex order.
         """
-        budget = resolve_budget(
-            budget, node_budget=node_budget, max_nodes=max_nodes
-        )
         assignment: Dict[ChrVertex, OutputVertex] = {}
         self.nodes_explored = 0
 
@@ -373,11 +336,8 @@ def find_carried_map(
     affine: AffineTask,
     task: Task,
     budget: Optional[int] = None,
-    *,
-    node_budget: Optional[int] = None,
 ) -> Optional[Dict[ChrVertex, OutputVertex]]:
     """Convenience wrapper around :class:`MapSearch`."""
-    budget = resolve_budget(budget, node_budget=node_budget)
     return MapSearch(affine, task).search(budget)
 
 
@@ -405,13 +365,10 @@ def solves_set_consensus(
     affine: AffineTask,
     k: int,
     budget: Optional[int] = None,
-    *,
-    node_budget: Optional[int] = None,
 ) -> bool:
     """Is k-set consensus solvable by one shot of the affine task?"""
     from .set_consensus import set_consensus_task
 
-    budget = resolve_budget(budget, node_budget=node_budget)
     task = set_consensus_task(affine.n, k)
     return MapSearch(affine, task).search(budget) is not None
 
@@ -419,8 +376,6 @@ def solves_set_consensus(
 def minimal_set_consensus(
     affine: AffineTask,
     budget: Optional[int] = None,
-    *,
-    node_budget: Optional[int] = None,
 ) -> int:
     """The smallest ``k`` such that one shot of ``L`` solves k-set consensus.
 
@@ -428,7 +383,6 @@ def minimal_set_consensus(
     on) this equals ``setcon(A)`` when ``L = R_A`` for a fair adversary
     ``A`` with ``alpha(Pi) = setcon(A)``.
     """
-    budget = resolve_budget(budget, node_budget=node_budget)
     for k in range(1, affine.n + 1):
         if solves_set_consensus(affine, k, budget):
             return k

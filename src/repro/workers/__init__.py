@@ -6,7 +6,7 @@ This package is what makes ``jobs > 1`` actually pay (see ROADMAP):
   processes with an explicit ``start/submit/drain/close`` lifecycle,
   setup-digest affinity routing, bounded crash re-dispatch, and per-job
   timeouts.  :class:`repro.engine.jobs.Engine` owns one per process;
-  the service batcher, sweep driver and fleet shards all ride on it.
+  the service batcher and sweep driver ride on it.
 * :mod:`~repro.workers.wire` — digest + compact-delta payload
   decomposition over the canonical codec, so a multi-KB task crosses
   the pipe once per worker and stays warm there.
@@ -15,8 +15,7 @@ This package is what makes ``jobs > 1`` actually pay (see ROADMAP):
   ``ArtifactCache(shared=True)`` / ``--shared-cache`` /
   ``REPRO_SHARED_CACHE=1``).
 
-See ``docs/engine.md`` ("worker pool & affinity") for the API and the
-migration table from the old ``execute_batch`` entry point.
+See ``docs/engine.md`` ("worker pool & affinity") for the API.
 """
 
 from .pool import JobTicket, WorkerPool

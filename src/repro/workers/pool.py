@@ -9,7 +9,7 @@ mean "go slower" (``speedup_multiworker_cold: 0.61`` historically).
 :class:`WorkerPool` replaces that with long-lived worker processes and
 an explicit lifecycle — ``start`` / ``submit`` / ``drain`` / ``close``
 (also a context manager) — consumed by :class:`repro.engine.jobs.Engine`
-and, through it, the service batcher, the sweep driver and the fleet:
+and, through it, the service batcher and the sweep driver:
 
 * **Workers survive across batches.**  A worker keeps a digest-keyed
   cache of deserialized payload components, so the ``Task`` object (and
@@ -242,8 +242,6 @@ class WorkerPool:
             "redispatched": 0,
             "timeouts": 0,
             "codec_errors": 0,
-            "races": 0,
-            "race_cancelled": 0,
         }
 
     def __repr__(self) -> str:
@@ -365,9 +363,7 @@ class WorkerPool:
     def run_batch(self, pending: Sequence[Tuple[int, Any]]) -> List:
         """Run ``(index, spec)`` pairs; results in submission order.
 
-        The drop-in equivalent of the old ``execute_batch`` parallel
-        path, including result-shape and timeout semantics — this is
-        what ``Engine.run_jobs`` calls.
+        This is what ``Engine.run_jobs`` calls for pooled batches.
         """
         tickets = [self.submit(spec, index=index) for index, spec in pending]
         self._wait(tickets)
@@ -383,98 +379,6 @@ class WorkerPool:
             return
         while self._unresolved > 0:
             self._collect_once()
-
-    # ------------------------------------------------------------------
-    # Racing
-    # ------------------------------------------------------------------
-    def race(self, specs: Sequence):
-        """Race equivalent specs on distinct workers; first verdict wins.
-
-        Every lane answers the *same* question (the portfolio job kind
-        races one solve across kernels), so the first lane to resolve
-        without error settles the race and the remaining lanes are pure
-        redundancy: they are **cancelled** — resolved to
-        ``error="cancelled"`` first, then their workers killed and
-        restarted.  Resolving before the kill is what makes delivery
-        exactly-once: :meth:`_restart` never re-dispatches a resolved
-        ticket, and a result a dying worker managed to flush is ignored
-        because the ticket has already left the routing table.
-
-        Lanes bypass affinity routing deliberately — they share one
-        setup digest by construction, and stacking them on the home
-        worker would serialize the race.  Lanes are laid out over the
-        least-loaded distinct workers; with fewer workers than lanes
-        the surplus lanes queue behind the first (a degenerate but
-        correct race — whichever dispatched lane finishes first still
-        wins, and queued losers cancel before ever running).
-
-        Returns the winning lane's ``JobResult`` (``index`` is the lane
-        number).  If no lane wins, lane 0's result is returned — lane 0
-        is the caller's canonical kernel, so budget/error semantics
-        stay deterministic.
-        """
-        if not specs:
-            raise ValueError("a race needs at least one spec")
-        self.start()
-        self._counters["races"] += 1
-        tickets: List[JobTicket] = []
-        order = sorted(self._slots, key=lambda s: (s.load(), s.index))
-        with obs.span("workers.race", lanes=len(specs)) as race_span:
-            for lane, spec in enumerate(specs):
-                ticket = JobTicket(
-                    self._next_ticket, lane, spec, obs.current_carrier()
-                )
-                self._next_ticket += 1
-                self._tickets[ticket.ticket_id] = ticket
-                self._unresolved += 1
-                tickets.append(ticket)
-                try:
-                    shared, delta_text = decompose(spec.kind, spec.payload)
-                    ticket.shared = [
-                        (component_digest(c), c) for c in shared
-                    ]
-                    ticket.delta_text = delta_text
-                except Exception:
-                    self._counters["codec_errors"] += 1
-                    self._resolve(
-                        ticket,
-                        self._error_result(
-                            ticket, traceback.format_exc(limit=8)
-                        ),
-                    )
-                    continue
-                slot = order[lane % len(order)]
-                slot.backlog.append(ticket)
-                self._pump(slot)
-            winner: Optional[JobTicket] = None
-            while winner is None and any(not t.done for t in tickets):
-                self._collect_once()
-                for ticket in tickets:
-                    if ticket.done and ticket.result.error is None:
-                        winner = ticket
-                        break
-            if winner is None:
-                winner = tickets[0]
-            self._cancel_lanes(
-                [ticket for ticket in tickets if ticket is not winner]
-            )
-            race_span.set_attr("winner_lane", winner.index)
-        return winner.result
-
-    def _cancel_lanes(self, tickets: Sequence[JobTicket]) -> None:
-        """Resolve-then-kill the losing lanes of a race."""
-        for ticket in tickets:
-            if ticket.done:
-                continue
-            self._counters["race_cancelled"] += 1
-            in_flight = (
-                ticket.worker is not None
-                and self._slots[ticket.worker].current is ticket
-            )
-            self._resolve(ticket, self._error_result(ticket, "cancelled"))
-            if in_flight:
-                # The worker is burning CPU on a lost race; reclaim it.
-                self._restart(self._slots[ticket.worker])
 
     # ------------------------------------------------------------------
     # Routing and dispatch

@@ -1,7 +1,7 @@
 """A cross-process, mmap-backed read layer for the artifact cache.
 
-One machine runs many repro processes — service shards, fleet edges,
-sweep drivers, worker pools — all sharing one content-addressed
+One machine runs many repro processes — services, sweep drivers,
+worker pools — all sharing one content-addressed
 :class:`~repro.engine.cache.ArtifactCache` directory.  Each process
 used to pay the full read-and-deserialize cost for every warm artifact
 it touched.  This module adds a shared append-only segment (a plain
@@ -11,7 +11,7 @@ deserialized-object memo above it (see ``ArtifactCache``) then makes
 repeats free.
 
 Why a file + ``mmap`` rather than ``multiprocessing.shared_memory``:
-the attaching processes are not related (fleet shards are exec'd
+the attaching processes are not related (services are exec'd
 subprocesses, sweeps attach hours later), so POSIX-name lifetime
 management and the resource tracker's unlink-on-exit semantics are
 exactly the wrong tool.  A file under the cache root has the same

@@ -33,10 +33,6 @@ BASELINES = {
         "median_speedup_fc_warm": 25.0,
         "symmetry": {"qualifying_queries": 3},
         "median_speedup_cold_symmetry": 1.8,
-        "portfolio": {
-            "races": 15,
-            "win_histogram": {"bitset": 9, "fc": 4, "symmetry": 2},
-        },
     },
     "BENCH_engine.json": {
         "workload": {"adversaries_classified": 9, "solvability_queries": 15},
@@ -97,12 +93,14 @@ BASELINES = {
         "oracle_agreement_rate": 1.0,
         "disagreements": 0,
     },
-    "BENCH_fleet.json": {
-        "workload": {"shard_counts": [1, 2, 4], "fixed_service_queries": 48},
-        "errors": 0,
-        "fixed_service_time": {"speedup_2x": 1.55, "speedup_4x": 2.7},
-        "cpu_bound": {"speedup_2x": None},
-        "edge": {"doctored_certs_rejected": 1, "verify_overhead_ratio": 1.4},
+    "BENCH_size.json": {
+        "packages": {
+            path.split(".", 1)[1]: 1000
+            for path, _, _ in bench_gate.RULES["BENCH_size.json"]
+            if path.startswith("packages.")
+        },
+        "top_level": 1000,
+        "src_lines_total": 16000,
     },
 }
 
@@ -213,7 +211,6 @@ def test_new_metric_absent_from_baseline_is_informational(dirs, capsys):
     baseline, fresh = dirs
     data = json.loads((baseline / "BENCH_solver.json").read_text())
     del data["median_speedup_cold_symmetry"]
-    del data["portfolio"]
     del data["symmetry"]
     (baseline / "BENCH_solver.json").write_text(json.dumps(data))
     assert _run(baseline, fresh) == 0

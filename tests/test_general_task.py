@@ -108,7 +108,7 @@ def test_budget_exceeded():
     task = binary_consensus_task(3)
     search = GeneralMapSearch(full_affine_task(3, 1), task)
     with pytest.raises(SearchBudgetExceeded):
-        search.search(node_budget=2)
+        search.search(budget=2)
 
 
 def test_binary_3set_consensus_trivially_solvable():

@@ -1,4 +1,4 @@
-"""The query service: protocol, equivalence, coalescing, drain.
+"""The query service: protocol, equivalence, coalescing, drain, retry.
 
 The load-bearing guarantees:
 
@@ -22,6 +22,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from typing import Any, Callable, Dict, Optional
 
 import pytest
 
@@ -38,8 +39,10 @@ from repro.service import (
     ServiceError,
     parse_request,
 )
+from repro.service.protocol import ERROR_CODES, RETRYABLE_CODES
 from repro.solver import SolveRequest
 from repro.tasks.set_consensus import set_consensus_task
+from repro.tasks.solvability import SearchBudgetExceeded
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,12 +80,15 @@ def test_parse_request_rejects_malformed_lines():
 
 
 def test_parse_request_round_trip():
-    request = parse_request(
-        '{"v": 1, "id": 9, "op": "query", "kind": "chr", "payload": "p", "timeout": 2}'
-    )
-    assert request.id == 9
-    assert request.kind == "chr"
-    assert request.timeout == 2.0
+    line = '{"v": 1, "id": 9, "op": "query", "kind": "chr", "payload": "p", "timeout": 2'
+    # Older clients still label requests with tenant/priority; unknown
+    # fields are ignored, so those requests parse to the same value.
+    labelled = ', "tenant": "bench", "priority": "interactive"'
+    for extra in ("", labelled):
+        request = parse_request(line + extra + "}")
+        assert request.id == 9
+        assert request.kind == "chr"
+        assert request.timeout == 2.0
 
 
 # ----------------------------------------------------------------------
@@ -103,6 +109,7 @@ def client(server):
 
 def test_ping_and_stats_round_trip(client):
     assert client.ping()
+    assert client.request("ping", tenant="bench", priority="sweep")["pong"]
     stats = client.stats()
     assert stats["server"]["connections"] >= 1
     assert stats["engine"]["jobs"] == 1
@@ -252,8 +259,6 @@ def test_wire_error_codes(server, client):
 
 
 def test_budget_exceeded_maps_back_to_the_engine_exception(ra_1res):
-    from repro.tasks.solvability import SearchBudgetExceeded
-
     engine = Engine(cache=MemCache(), split_retries=0)
     with BackgroundServer(engine) as background:
         with ServiceClient(port=background.port) as active:
@@ -363,3 +368,171 @@ def test_sigterm_drains_the_serve_subprocess():
     assert process.returncode == 0
     assert outcome["value"] == "survived"
     assert "drained cleanly" in output
+
+
+# ----------------------------------------------------------------------
+# Scripted wire servers (protocol doubles; no engine behind them)
+# ----------------------------------------------------------------------
+class ScriptedServer:
+    """A threaded line-protocol server answering from a callback."""
+
+    def __init__(self, respond: Callable[[Dict[str, Any]], Optional[dict]]):
+        self.respond = respond
+        self._sock = socket.socket()
+        self._sock.bind(("127.0.0.1", 0))
+        self._sock.listen(16)
+        self.port = self._sock.getsockname()[1]
+        self._running = True
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self) -> None:
+        while self._running:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return
+            threading.Thread(
+                target=self._serve, args=(conn,), daemon=True
+            ).start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        handle = conn.makefile("rwb")
+        try:
+            while True:
+                line = handle.readline()
+                if not line:
+                    return
+                response = self.respond(json.loads(line))
+                if response is None:
+                    return  # scripted connection drop
+                handle.write(json.dumps(response).encode("utf-8") + b"\n")
+                handle.flush()
+        except (ConnectionResetError, BrokenPipeError, ValueError):
+            pass
+        finally:
+            conn.close()
+
+    def close(self) -> None:
+        self._running = False
+        self._sock.close()
+
+    def __enter__(self) -> "ScriptedServer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _ok(request: Dict[str, Any]) -> Dict[str, Any]:
+    return {"v": 1, "id": request.get("id"), "ok": True, "pong": True}
+
+
+def _error(request: Dict[str, Any], code: str) -> Dict[str, Any]:
+    return {
+        "v": 1,
+        "id": request.get("id"),
+        "ok": False,
+        "error": {"code": code, "message": f"scripted {code}"},
+    }
+
+
+# ----------------------------------------------------------------------
+# Client retry of transient codes
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("code", sorted(RETRYABLE_CODES))
+def test_sync_client_retries_transient_codes_once(code):
+    answers = {"count": 0}
+
+    def respond(request):
+        answers["count"] += 1
+        return _error(request, code) if answers["count"] == 1 else _ok(request)
+
+    with ScriptedServer(respond) as server:
+        with ServiceClient(
+            port=server.port, retries=1, retry_backoff=0.01
+        ) as client:
+            assert client.ping()
+            assert client.retried == 1
+
+
+@pytest.mark.parametrize("code", sorted(RETRYABLE_CODES))
+def test_async_client_retries_transient_codes_once(code):
+    answers = {"count": 0}
+
+    def respond(request):
+        answers["count"] += 1
+        return _error(request, code) if answers["count"] == 1 else _ok(request)
+
+    async def scenario(port: int) -> int:
+        async with AsyncServiceClient(
+            port=port, retries=1, retry_backoff=0.01
+        ) as client:
+            assert await client.ping()
+            return client.retried
+
+    with ScriptedServer(respond) as server:
+        assert asyncio.run(scenario(server.port)) == 1
+
+
+def test_clients_with_retries_zero_surface_the_raw_error():
+    with ScriptedServer(lambda r: _error(r, "overloaded")) as server:
+        with ServiceClient(port=server.port, retries=0) as client:
+            with pytest.raises(ServiceError) as info:
+                client.ping()
+            assert info.value.code == "overloaded"
+
+        async def scenario() -> None:
+            async with AsyncServiceClient(
+                port=server.port, retries=0
+            ) as client:
+                await client.ping()
+
+        with pytest.raises(ServiceError) as info:
+            asyncio.run(scenario())
+        assert info.value.code == "overloaded"
+
+
+def test_sync_client_does_not_retry_permanent_codes():
+    answers = {"count": 0}
+
+    def respond(request):
+        answers["count"] += 1
+        return _error(request, "bad_request")
+
+    with ScriptedServer(respond) as server:
+        with ServiceClient(port=server.port, retries=1) as client:
+            with pytest.raises(ServiceError):
+                client.ping()
+            assert client.retried == 0 and answers["count"] == 1
+
+
+# ----------------------------------------------------------------------
+# Every typed error code round-trips through both clients
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("code", sorted(ERROR_CODES))
+def test_every_error_code_round_trips_through_the_sync_client(code):
+    with ScriptedServer(lambda r: _error(r, code)) as server:
+        with ServiceClient(port=server.port, retries=0) as client:
+            if code == "budget_exceeded":
+                with pytest.raises(SearchBudgetExceeded):
+                    client.ping()
+            else:
+                with pytest.raises(ServiceError) as info:
+                    client.ping()
+                assert info.value.code == code
+
+
+@pytest.mark.parametrize("code", sorted(ERROR_CODES))
+def test_every_error_code_round_trips_through_the_async_client(code):
+    async def scenario(port: int) -> None:
+        async with AsyncServiceClient(port=port, retries=0) as client:
+            await client.ping()
+
+    with ScriptedServer(lambda r: _error(r, code)) as server:
+        if code == "budget_exceeded":
+            with pytest.raises(SearchBudgetExceeded):
+                asyncio.run(scenario(server.port))
+        else:
+            with pytest.raises(ServiceError) as info:
+                asyncio.run(scenario(server.port))
+            assert info.value.code == code

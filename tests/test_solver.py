@@ -12,8 +12,7 @@ The load-bearing guarantees:
   resume;
 * :class:`SolveRequest` normalization makes equal queries equal values
   with one cache digest, regardless of override insertion order;
-* the deprecated spellings — positional payload tuples,
-  ``node_budget=`` / ``max_nodes=`` — warn but keep working.
+* the deprecated positional payload tuples warn but keep working.
 """
 
 from __future__ import annotations
@@ -49,8 +48,6 @@ from repro.tasks.set_consensus import set_consensus_task
 from repro.tasks.solvability import (
     MapSearch,
     SearchBudgetExceeded,
-    find_carried_map,
-    resolve_budget,
 )
 from repro.tasks.task import Task
 from repro.topology.simplex import vertex_key
@@ -272,23 +269,6 @@ def test_legacy_tuple_payload_warns_and_works(ra_1res):
     assert request == SolveRequest(affine=ra_1res, task=task)
     # The service wire (protocol v1) passes tuples by design: no warning.
     assert as_solve_request((ra_1res, task, None, None), warn=False) == request
-
-
-def test_budget_alias_kwargs_warn_and_work(wf_affine):
-    task = set_consensus_task(3, 2)
-    with pytest.warns(DeprecationWarning, match="node_budget"):
-        assert resolve_budget(None, node_budget=7) == 7
-    with pytest.warns(DeprecationWarning, match="max_nodes"):
-        # An explicit budget wins over the alias.
-        assert resolve_budget(10, max_nodes=5) == 10
-    for searcher in (MapSearch(wf_affine, task), BitsetKernel(wf_affine, task)):
-        with pytest.warns(DeprecationWarning, match="max_nodes"):
-            with pytest.raises(SearchBudgetExceeded) as info:
-                searcher.search(max_nodes=5)
-        assert info.value.nodes_explored == 6
-    with pytest.warns(DeprecationWarning, match="node_budget"):
-        mapping = find_carried_map(wf_affine, task, node_budget=10**9)
-    assert mapping is None
 
 
 # ---------------------------------------------------------------- splitting

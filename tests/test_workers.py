@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.engine import Engine, JobSpec
-from repro.engine.executor import execute_batch
 from repro.solver import SolveRequest
 from repro.tasks.set_consensus import set_consensus_task
 from repro.workers import WorkerPool, affinity_key, decompose, recompose
@@ -232,15 +231,3 @@ def test_close_resolves_unfinished_jobs_as_errors():
     pool.close()
     assert ticket.done
     assert ticket.result.error == "worker pool closed"
-
-
-# ----------------------------------------------------------------------
-# Legacy shim
-# ----------------------------------------------------------------------
-def test_execute_batch_shim_warns_and_matches():
-    specs = [JobSpec("chr", (3, 1)), JobSpec("chr", (2, 1))]
-    with pytest.warns(DeprecationWarning, match="execute_batch"):
-        results = execute_batch(list(enumerate(specs)), jobs=2)
-    assert [result.value for result in results] == [
-        spec.run() for spec in specs
-    ]

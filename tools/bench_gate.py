@@ -77,11 +77,6 @@ RULES: Dict[str, List[Tuple[str, str, float]]] = {
         # qualifies on this grid — skipped, never a failure.
         ("symmetry.qualifying_queries", EXACT, 0.0),
         ("median_speedup_cold_symmetry", MIN_RATIO, 0.50),
-        # Portfolio racing: the race count is deterministic; which
-        # kernel wins each race is a property of the host, so the
-        # histogram is gated for presence only.
-        ("portfolio.races", EXACT, 0.0),
-        ("portfolio.win_histogram", PRESENT, 0.0),
     ],
     "BENCH_engine.json": [
         ("workload.adversaries_classified", EXACT, 0.0),
@@ -144,26 +139,36 @@ RULES: Dict[str, List[Tuple[str, str, float]]] = {
         ("sim.span_sim_guard_wait", EXACT, 0.0),
         ("sim.traced_overhead_ratio", MAX_RATIO, 3.00),
     ],
-    "BENCH_fleet.json": [
-        ("workload.shard_counts", EXACT, 0.0),
-        ("workload.fixed_service_queries", EXACT, 0.0),
-        ("errors", EXACT, 0.0),
-        ("edge.doctored_certs_rejected", EXACT, 0.0),
-        # Intra-run scaling ratios on the fixed-service-time mix: the
-        # serving architecture must keep multiplying throughput with
-        # shard processes regardless of the host's core count.
-        ("fixed_service_time.speedup_2x", MIN_RATIO, 0.75),
-        ("fixed_service_time.speedup_4x", MIN_RATIO, 0.60),
-        # CPU-bound scaling is null on single-CPU hosts (skipped).
-        ("cpu_bound.speedup_2x", MIN_RATIO, 0.60),
-        ("edge.verify_overhead_ratio", MAX_RATIO, 3.00),
-    ],
     "BENCH_sim.json": [
         ("workload.cases", EXACT, 0.0),
         ("workload.schedules_total", EXACT, 0.0),
         ("deliveries_total", EXACT, 0.0),
         ("oracle_agreement_rate", EXACT, 0.0),
         ("disagreements", EXACT, 0.0),
+    ],
+    # Size is gated like speed: the tree may not regrow by more than
+    # 10% against the committed baseline, and every package keeps its
+    # line count in the record.
+    "BENCH_size.json": [("src_lines_total", MAX_RATIO, 1.10)]
+    + [
+        (f"packages.{package}", PRESENT, 0.0)
+        for package in (
+            "adversaries",
+            "analysis",
+            "certify",
+            "core",
+            "engine",
+            "obs",
+            "protocols",
+            "runtime",
+            "service",
+            "sim",
+            "solver",
+            "sweep",
+            "tasks",
+            "topology",
+            "workers",
+        )
     ],
 }
 
@@ -187,9 +192,6 @@ MULTICORE_RULES: Dict[str, List[Tuple[str, str, float]]] = {
         # Sleep-job saturation parallelizes independently of solver
         # economics: two workers must beat one by a real margin.
         ("saturation.speedup_jobs2", MIN_VALUE, 1.20),
-    ],
-    "BENCH_solver.json": [
-        ("portfolio.races", MIN_VALUE, 1.0),
     ],
 }
 
