@@ -7,13 +7,15 @@ three ways:
 * certified solve — the same search plus certificate extraction;
 * independent check — the stdlib checker validating each certificate.
 
-The claims worth recording honestly: extraction is a near-zero-cost
-by-product of the search (the certificate is a read-out of state the
-search already computed), checking a *positive* certificate is far
-cheaper than finding the map (verify one assignment vs search the
-space), while checking a *negative* certificate replays the exhaustive
-backtrack and therefore costs the same order as the refuting search —
-there is no free lunch for refutations.  Numbers land in
+The claims worth recording honestly: extraction is a read-out of state
+the search already computed, not a second search, though on these
+sub-100ms searches its fixed costs still show.  Checking a *positive*
+certificate verifies one assignment instead of searching the space:
+the committed baseline measured it at 1.6x faster than the search that
+found the map (``check_positive_speedup_vs_search``, single core of a
+2-vCPU Intel Xeon VM).  Checking a *negative* certificate replays the
+exhaustive backtrack and therefore costs the same order as the refuting
+search — there is no free lunch for refutations.  Numbers land in
 ``BENCH_certify.json`` at the repo root.
 """
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 #: Format identifier/versions this checker understands (mirrors
 #: ``repro.certify.witness``; kept literal so the module stays
@@ -111,6 +111,13 @@ class _Reject(Exception):
 # ----------------------------------------------------------------------
 # An independent reader for the tagged vertex encodings
 # ----------------------------------------------------------------------
+#: The canonical JSON text of an encoded structure (one shared encoder:
+#: ``json.dumps`` with options builds a new encoder per call).
+_canon_text = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True
+).encode
+
+
 def _freeze(encoded: Any) -> Any:
     """Encoded JSON structure -> hashable value (tagged tuples)."""
     if encoded is None or isinstance(encoded, (bool, int, float, str)):
@@ -127,32 +134,96 @@ def _freeze(encoded: Any) -> Any:
     raise _Reject("bad_format", f"unknown vertex encoding tag {tag!r}")
 
 
-def _canon_text(encoded: Any) -> str:
-    return json.dumps(
-        encoded, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    )
+def _freeze_set(encoded: Any, read: Callable[[Any], Any]) -> Any:
+    """``_freeze`` of an encoded set whose members go through ``read``."""
+    if isinstance(encoded, list) and len(encoded) == 2 and encoded[0] == "fset":
+        return ("fset", frozenset(read(member) for member in encoded[1]))
+    return _freeze(encoded)
 
 
-def _recanon(encoded: Any) -> Any:
-    """Re-canonicalize an encoded structure (sort set members)."""
+def _vertex_reader() -> Callable[[Any], Any]:
+    """A ``_freeze`` that freezes each distinct vertex text once.
+
+    Interned by the exact JSON text of the encoding; a miss falls back
+    to ``_freeze``, so an equal vertex written differently (set members
+    permuted) freezes to the same value it always did.  One reader per
+    check: nothing is carried from one certificate to the next.
+    """
+    interned: Dict[str, Any] = {}
+
+    def read(encoded: Any) -> Any:
+        if not isinstance(encoded, list):
+            return _freeze(encoded)
+        try:
+            key = _canon_text(encoded)
+        except (TypeError, ValueError):
+            return _freeze(encoded)
+        frozen = interned.get(key)
+        if frozen is None:
+            frozen = interned[key] = _freeze(encoded)
+        return frozen
+
+    return read
+
+
+# ----------------------------------------------------------------------
+# Canonical text and content digests
+# ----------------------------------------------------------------------
+def _join(texts: Iterable[str]) -> str:
+    return "[" + ",".join(texts) + "]"
+
+
+def _canonical(encoded: Any) -> str:
+    """Canonical text of an encoded structure, set members sorted.
+
+    Built bottom-up: each node's text is computed once, and a set's text
+    is its members' sorted texts joined — the text the engine codec
+    gives the same value, however the members are ordered here.
+    """
+    if type(encoded) is int:
+        return str(encoded)
     if isinstance(encoded, list) and encoded:
         tag = encoded[0]
         if not isinstance(tag, str):
             # An untagged pair/array (e.g. a delta-table entry).
-            return [_recanon(member) for member in encoded]
+            return _join(map(_canonical, encoded))
         if tag == "fset" and len(encoded) == 2:
-            members = [_recanon(member) for member in encoded[1]]
-            return ["fset", sorted(members, key=_canon_text)]
+            # Process ids are the bulk of all members: no call for them.
+            members = [
+                str(member) if type(member) is int else _canonical(member)
+                for member in encoded[1]
+            ]
+            return '["fset",' + _join(sorted(members)) + "]"
         if tag in ("tuple", "list") and len(encoded) == 2:
-            return [tag, [_recanon(member) for member in encoded[1]]]
+            members = map(_canonical, encoded[1])
+            return '["' + tag + '",' + _join(members) + "]"
         if tag in ("chrv", "outv") and len(encoded) == 3:
-            return [tag, _recanon(encoded[1]), _recanon(encoded[2])]
+            return _join(
+                ('"' + tag + '"', _canonical(encoded[1]), _canonical(encoded[2]))
+            )
         raise _Reject("bad_format", f"unknown encoding tag {tag!r}")
-    return encoded
+    return _canon_text(encoded)
 
 
-def _digest(encoded: Any) -> str:
-    payload = DIGEST_SALT + _canon_text(encoded)
+def _frozen_text(vertex: Any) -> str:
+    """Canonical text of a frozen value: ``_canonical`` of its encoding."""
+    if isinstance(vertex, tuple) and vertex:
+        tag = vertex[0]
+        if tag in ("chrv", "outv"):
+            return _join(
+                ('"' + tag + '"', _frozen_text(vertex[1]), _frozen_text(vertex[2]))
+            )
+        if tag == "fset":
+            members = sorted(_frozen_text(member) for member in vertex[1])
+            return '["fset",' + _join(members) + "]"
+        if tag in ("tuple", "list"):
+            members = [_frozen_text(member) for member in vertex[1]]
+            return '["' + tag + '",' + _join(members) + "]"
+    return _canon_text(vertex)
+
+
+def _digest(text: str) -> str:
+    payload = DIGEST_SALT + text
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -188,7 +259,7 @@ def _carrier_in_s(vertices: FrozenSet[Any]) -> FrozenSet[int]:
     while current and all(_is_chrv(v) for v in current):
         lowered: set = set()
         for vertex in current:
-            lowered |= set(_carrier_members(vertex))
+            lowered.update(_carrier_members(vertex))
         current = frozenset(lowered)
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in current):
         raise _Reject(
@@ -237,30 +308,31 @@ class _Statement:
 
         # Digest binding: recompute the engine's content addresses from
         # the body and require them to match the claimed digests.
-        affine_body = [
-            "affine",
-            self.n,
-            self.depth,
-            self.affine_name,
-            [
-                "ccx",
-                sorted(
-                    (_recanon(facet) for facet in facets_enc), key=_canon_text
+        affine_text = _join(
+            (
+                '"affine"',
+                str(self.n),
+                str(self.depth),
+                _canon_text(self.affine_name),
+                _join(
+                    ('"ccx"', _join(sorted(map(_canonical, facets_enc))))
                 ),
-            ],
-        ]
-        task_body = [
-            "task",
-            self.n,
-            self.task_name,
-            sorted((_recanon(entry) for entry in delta_enc), key=_canon_text),
-        ]
-        if _digest(affine_body) != claimed_affine:
+            )
+        )
+        task_text = _join(
+            (
+                '"task"',
+                str(self.n),
+                _canon_text(self.task_name),
+                _join(sorted(map(_canonical, delta_enc))),
+            )
+        )
+        if _digest(affine_text) != claimed_affine:
             raise _Reject(
                 "statement_digest_mismatch",
                 "recomputed affine-complex digest differs from the claim",
             )
-        if _digest(task_body) != claimed_task:
+        if _digest(task_text) != claimed_task:
             raise _Reject(
                 "statement_digest_mismatch",
                 "recomputed task digest differs from the claim",
@@ -268,9 +340,11 @@ class _Statement:
         self.affine_digest = claimed_affine
         self.task_digest = claimed_task
 
+        #: This check's vertex reader (see ``_vertex_reader``).
+        self.read = read = _vertex_reader()
         self.facets: List[FrozenSet[Any]] = []
         for facet_enc in facets_enc:
-            frozen = _freeze(facet_enc)
+            frozen = _freeze_set(facet_enc, read)
             if not (isinstance(frozen, tuple) and frozen[0] == "fset"):
                 raise _Reject("bad_format", "facet is not a vertex set")
             self.facets.append(frozen[1])
@@ -334,11 +408,12 @@ class _Statement:
 # Per-kind checks
 # ----------------------------------------------------------------------
 def _check_solvable(cert: Dict[str, Any], statement: _Statement) -> CheckReport:
+    read = statement.read
     mapping: Dict[Any, Any] = {}
     for pair in cert.get("map", ()):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise _Reject("bad_format", "malformed map entry")
-        mapping[_freeze(pair[0])] = _freeze(pair[1])
+        mapping[read(pair[0])] = read(pair[1])
 
     missing = statement.vertices - set(mapping)
     if missing:
@@ -358,11 +433,15 @@ def _check_solvable(cert: Dict[str, Any], statement: _Statement) -> CheckReport:
     if not isinstance(entries, list):
         raise _Reject("bad_format", "missing per-simplex entries")
     seen: set = set()
+    # Image texts by the identity of the frozen output: ``mapping`` keeps
+    # every output alive, and an equal output of another type (``true``
+    # for ``1``) must not borrow a text that is not its own.
+    image_text: Dict[int, str] = {}
     for entry in entries:
         if not isinstance(entry, dict):
             raise _Reject("bad_format", "malformed simplex entry")
         try:
-            simplex = frozenset(_freeze(v) for v in entry["simplex"])
+            simplex = frozenset(read(v) for v in entry["simplex"])
             claimed_carrier = frozenset(entry["carrier"])
             claimed_image = frozenset(entry["image"])
         except (KeyError, TypeError) as exc:
@@ -381,7 +460,13 @@ def _check_solvable(cert: Dict[str, Any], statement: _Statement) -> CheckReport:
                 f"recomputed {sorted(carrier)}",
             )
         image = frozenset(mapping[v] for v in simplex)
-        if claimed_image != {_canon_text(_recanon_frozen(out)) for out in image}:
+        texts = set()
+        for out in image:
+            text = image_text.get(id(out))
+            if text is None:
+                text = image_text[id(out)] = _frozen_text(out)
+            texts.add(text)
+        if claimed_image != texts:
             raise _Reject(
                 "image_mismatch",
                 "entry image differs from the map's image of the simplex",
@@ -407,24 +492,6 @@ def _check_solvable(cert: Dict[str, Any], statement: _Statement) -> CheckReport:
     )
 
 
-def _recanon_frozen(vertex: Any) -> Any:
-    """Frozen vertex -> canonical encoded structure (for image texts)."""
-    if isinstance(vertex, tuple) and vertex:
-        tag = vertex[0]
-        if tag in ("chrv", "outv"):
-            return [tag, _recanon_frozen(vertex[1]), _recanon_frozen(vertex[2])]
-        if tag == "fset":
-            return [
-                "fset",
-                sorted(
-                    (_recanon_frozen(m) for m in vertex[1]), key=_canon_text
-                ),
-            ]
-        if tag in ("tuple", "list"):
-            return [tag, [_recanon_frozen(m) for m in vertex[1]]]
-    return vertex
-
-
 def _check_unsolvable(
     cert: Dict[str, Any], statement: _Statement
 ) -> CheckReport:
@@ -439,7 +506,8 @@ def _check_unsolvable(
     ):
         raise _Reject("bad_format", "malformed refutation trace")
 
-    order = [_freeze(v) for v in order_enc]
+    read = statement.read
+    order = [read(v) for v in order_enc]
     if frozenset(order) != statement.vertices or len(order) != len(
         statement.vertices
     ):
@@ -449,7 +517,7 @@ def _check_unsolvable(
         )
     domains: List[List[Any]] = []
     for vertex, domain_enc in zip(order, domains_enc):
-        domain = [_freeze(out) for out in domain_enc]
+        domain = [read(out) for out in domain_enc]
         if len(set(domain)) != len(domain) or set(domain) != set(
             statement.domain(vertex)
         ):
@@ -544,11 +612,12 @@ def _replay(
 
 
 def _check_budget(cert: Dict[str, Any], statement: _Statement) -> CheckReport:
+    read = statement.read
     partial: Dict[Any, Any] = {}
     for pair in cert.get("partial", ()):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise _Reject("bad_format", "malformed partial-assignment entry")
-        partial[_freeze(pair[0])] = _freeze(pair[1])
+        partial[read(pair[0])] = read(pair[1])
     stray = set(partial) - statement.vertices
     if stray:
         raise _Reject(

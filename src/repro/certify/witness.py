@@ -32,10 +32,10 @@ import json
 from typing import Any, Dict, List, Optional
 
 from ..core.affine import AffineTask
-from ..engine.serialize import decode, digest, encode
+from ..engine.serialize import _canon_text, decode, digest, encode
 from ..tasks.task import OutputVertex, Task
 from ..topology.chromatic import ChrVertex
-from ..topology.simplex import simplex_key, vertex_key
+from ..topology.simplex import vertex_key
 from ..topology.subdivision import carrier_in_s
 
 #: Certificate format identifier and version.  Bump the version on any
@@ -45,13 +45,6 @@ CERT_FORMAT = "repro.certify"
 CERT_VERSION = 1
 
 Cert = Dict[str, Any]
-
-
-def _canon_text(encoded: Any) -> str:
-    """Canonical JSON text (mirrors the engine codec's sort key)."""
-    return json.dumps(
-        encoded, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    )
 
 
 # ----------------------------------------------------------------------
@@ -111,26 +104,34 @@ def solvable_cert(
     omit a constraint.
     """
     cert = _header("solvable", affine, task)
-    # Each vertex appears in many simplices; encode and canonicalize it
-    # once, not once per appearance (this keeps extraction a by-product
-    # of the search instead of a second traversal-sized cost).
-    vertex_enc = {vertex: encode(vertex) for vertex in mapping}
+    # One pass over the vertices: each is encoded, rendered and lowered
+    # to its carrier in ``s`` once, not once per simplex it appears in
+    # (this keeps extraction a by-product of the search instead of a
+    # second traversal-sized cost).
+    vertices = sorted(mapping, key=vertex_key)
+    rank = {vertex: index for index, vertex in enumerate(vertices)}
+    vertex_enc = {vertex: encode(vertex) for vertex in vertices}
     vertex_text = {v: _canon_text(e) for v, e in vertex_enc.items()}
+    lowered = {vertex: carrier_in_s((vertex,)) for vertex in vertices}
     out_enc = {vertex: encode(out) for vertex, out in mapping.items()}
     out_text = {v: _canon_text(e) for v, e in out_enc.items()}
-    cert["map"] = [
-        [vertex_enc[vertex], out_enc[vertex]]
-        for vertex in sorted(mapping, key=vertex_key)
-    ]
+    cert["map"] = [[vertex_enc[vertex], out_enc[vertex]] for vertex in vertices]
+
+    def simplex_order(sigma):
+        # ``simplex_key`` order: ranks follow the ``vertex_key`` sort.
+        return len(sigma), sorted(map(rank.__getitem__, sigma))
+
     entries: List[Dict[str, Any]] = []
-    for sigma in sorted(affine.complex.simplices, key=simplex_key):
+    for sigma in sorted(affine.complex.simplices, key=simplex_order):
         entries.append(
             {
                 "simplex": [
                     vertex_enc[v]
                     for v in sorted(sigma, key=vertex_text.__getitem__)
                 ],
-                "carrier": sorted(carrier_in_s(sigma)),
+                "carrier": sorted(
+                    frozenset().union(*map(lowered.__getitem__, sigma))
+                ),
                 "image": sorted({out_text[v] for v in sigma}),
             }
         )

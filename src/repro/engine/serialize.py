@@ -53,11 +53,11 @@ class SerializationError(TypeError):
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
-def _canon_text(encoded: Any) -> str:
-    """The canonical JSON text of an already-encoded structure."""
-    return json.dumps(
-        encoded, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    )
+#: The canonical JSON text of an already-encoded structure.  One shared
+#: encoder: ``json.dumps`` with options builds a new one on every call.
+_canon_text = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True
+).encode
 
 
 def _sorted_canonical(encoded_items: List[Any]) -> List[Any]:

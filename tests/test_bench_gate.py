@@ -75,6 +75,7 @@ BASELINES = {
         "workload": {"queries": 15, "solvable": 11, "unsolvable": 4},
         "certify_overhead_ratio": 1.4,
         "check_positive_speedup_vs_search": 2.4,
+        "check_negative_ratio_vs_search": 0.9,
     },
     "BENCH_obs.json": {
         "workload": {"queries": 15},

@@ -24,6 +24,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.sperner import fuzz_sperner
 from repro.certify import (
@@ -45,13 +47,14 @@ from repro.core import full_affine_task
 from importlib import import_module
 
 from repro.engine import ArtifactCache, Engine
+from repro.topology.chromatic import ChrVertex
 
 # ``repro.engine.serialize`` the *module* — the package re-exports a
 # function under the same name, shadowing the attribute.
 serialize_module = import_module("repro.engine.serialize")
 from repro.tasks.set_consensus import set_consensus_task
 from repro.tasks.solvability import MapSearch, SearchBudgetExceeded
-from repro.tasks.task import Task
+from repro.tasks.task import OutputVertex, Task
 
 
 @pytest.fixture(scope="session")
@@ -200,6 +203,89 @@ def test_mutation_truncated_trace_rejected(unsolvable_cert_wf):
     assert not report.valid and report.reason == "domain_mismatch"
 
 
+# ------------------------------------------- the checker's interned reads
+def _late_entry(cert, size):
+    """An entry near the end: its vertices were read (interned) long before."""
+    return next(e for e in reversed(cert["simplices"]) if len(e["simplex"]) == size)
+
+
+def test_permuted_carrier_misses_the_intern_key_and_is_accepted(solvable_pair):
+    """An equal vertex written with permuted carrier members is the same vertex."""
+    _, cert = solvable_pair
+    baseline = check(cert).to_dict()
+    mutated = copy.deepcopy(cert)
+    entry = _late_entry(mutated, 3)
+    vertex = entry["simplex"][0]
+    members = vertex[2][1]
+    assert len(members) > 1
+    permuted = ["chrv", vertex[1], ["fset", list(reversed(members))]]
+    assert checker_module._canon_text(permuted) != checker_module._canon_text(vertex)
+    entry["simplex"][0] = permuted
+    assert check(mutated).to_dict() == baseline
+
+
+def test_duplicate_map_pair_last_one_wins(solvable_pair):
+    _, cert = solvable_pair
+    baseline = check(cert).to_dict()
+    vertex_enc, other = next(
+        (vertex, out)
+        for vertex, image in cert["map"]
+        for _, out in cert["map"]
+        if out[1] == image[1] and out != image
+    )
+
+    repeated = copy.deepcopy(cert)
+    repeated["map"].append(copy.deepcopy(cert["map"][0]))
+    assert check(repeated).to_dict() == baseline
+
+    overridden = copy.deepcopy(cert)
+    overridden["map"].insert(0, [copy.deepcopy(vertex_enc), copy.deepcopy(other)])
+    assert check(overridden).to_dict() == baseline
+
+    rebound = copy.deepcopy(cert)
+    rebound["map"].append([copy.deepcopy(vertex_enc), copy.deepcopy(other)])
+    report = check(rebound)
+    assert not report.valid and report.reason == "image_mismatch"
+
+
+def test_tampered_image_of_interned_vertices_rejected(solvable_pair):
+    _, cert = solvable_pair
+    mutated = copy.deepcopy(cert)
+    entry = _late_entry(mutated, 2)
+    texts = {checker_module._canon_text(out) for _, out in mutated["map"]}
+    entry["image"] = sorted(texts - set(entry["image"]))[:1] + entry["image"][1:]
+    report = check(mutated)
+    assert not report.valid and report.reason == "image_mismatch"
+
+
+def test_tampered_carrier_of_interned_vertices_rejected(solvable_pair):
+    _, cert = solvable_pair
+    mutated = copy.deepcopy(cert)
+    entry = _late_entry(mutated, 2)
+    entry["carrier"] = entry["carrier"][:-1] or [0, 1, 2]
+    report = check(mutated)
+    assert not report.valid and report.reason == "carrier_mismatch"
+
+
+def test_non_canonical_facet_is_still_bound_by_digest(solvable_pair):
+    """Facets are canonicalised before hashing, so order is not content."""
+    _, cert = solvable_pair
+    baseline = check(cert).to_dict()
+    reordered = copy.deepcopy(cert)
+    facets = reordered["statement"]["facets"]
+    facets.reverse()
+    for facet in facets:
+        facet[1].reverse()
+        for vertex in facet[1]:
+            vertex[2][1].reverse()
+    assert check(reordered).to_dict() == baseline
+
+    # ...but a changed facet, however it is ordered, breaks the binding.
+    facets[0][1].pop()
+    report = check(reordered)
+    assert not report.valid and report.reason == "statement_digest_mismatch"
+
+
 def test_format_and_version_gates(solvable_pair):
     _, cert = solvable_pair
     other = dict(cert, version=99)
@@ -297,6 +383,60 @@ def test_checker_is_stdlib_only():
         elif isinstance(node, ast.ImportFrom):
             assert node.level == 0, "relative import in the trusted base"
             assert node.module in allowed, node.module
+
+
+def _recanon(encoded):
+    """Reference canonicalisation: sort set members by their full text."""
+    if isinstance(encoded, list) and encoded:
+        tag = encoded[0]
+        if not isinstance(tag, str):
+            return [_recanon(member) for member in encoded]
+        if tag == "fset" and len(encoded) == 2:
+            members = [_recanon(member) for member in encoded[1]]
+            return ["fset", sorted(members, key=checker_module._canon_text)]
+        if tag in ("tuple", "list") and len(encoded) == 2:
+            return [tag, [_recanon(member) for member in encoded[1]]]
+        if tag in ("chrv", "outv") and len(encoded) == 3:
+            return [tag, _recanon(encoded[1]), _recanon(encoded[2])]
+        raise ValueError(f"unknown encoding tag {tag!r}")
+    return encoded
+
+
+def _shuffled(encoded, rng):
+    """The same value encoded with every set's members permuted."""
+    if isinstance(encoded, list):
+        members = [_shuffled(member, rng) for member in encoded]
+        if len(members) == 2 and members[0] == "fset":
+            rng.shuffle(members[1])
+        return members
+    return encoded
+
+
+# Process ids past 9 make text order differ from numeric order.
+_ids = st.integers(min_value=0, max_value=12)
+_chr1 = st.builds(ChrVertex, _ids, st.frozensets(_ids, min_size=1, max_size=4))
+_chr2 = st.builds(ChrVertex, _ids, st.frozensets(_chr1, min_size=1, max_size=3))
+_outv = st.builds(OutputVertex, _ids, st.one_of(_ids, st.text(max_size=3)))
+_vertex = st.one_of(_chr1, _chr2, _outv)
+_value = st.one_of(
+    _vertex,
+    st.frozensets(_vertex, max_size=4),
+    st.frozensets(st.frozensets(_outv, max_size=3), max_size=3),
+    st.tuples(st.frozensets(_ids, max_size=3), st.frozensets(_chr2, max_size=2)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_value, rng=st.randoms(use_true_random=False))
+def test_bottom_up_canonical_text_matches_reference(value, rng):
+    encoded = serialize_module.encode(value)
+    shuffled = _shuffled(encoded, rng)
+    text = checker_module._canonical(shuffled)
+    assert text == checker_module._canon_text(_recanon(shuffled))
+    assert text == checker_module._canonical(encoded)
+    assert text == serialize_module.serialize(value)
+    frozen = checker_module._freeze(shuffled)
+    assert checker_module._frozen_text(frozen) == text
 
 
 def test_checker_constants_match_engine():

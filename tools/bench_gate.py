@@ -129,6 +129,7 @@ RULES: Dict[str, List[Tuple[str, str, float]]] = {
         ("workload.unsolvable", EXACT, 0.0),
         ("certify_overhead_ratio", MAX_RATIO, 1.50),
         ("check_positive_speedup_vs_search", MIN_RATIO, 0.60),
+        ("check_negative_ratio_vs_search", MAX_RATIO, 1.50),
     ],
     "BENCH_obs.json": [
         ("workload.queries", EXACT, 0.0),
