@@ -9,7 +9,10 @@ single canonical codec:
   are tagged arrays, and the elements of every set-like value are
   sorted by their own encoded form, so two equal objects *always*
   produce identical bytes regardless of construction order, hash
-  randomization, or the process that encoded them;
+  randomization, or the process that encoded them.  The text is built
+  bottom-up: each node is rendered once and a set's text is its
+  members' sorted texts joined, which is exactly
+  ``json.dumps(encode(x))`` with the reference encoder below;
 * ``deserialize(text)`` rebuilds the value (``deserialize(serialize(x))
   == x`` for every supported type with an equality notion);
 * ``digest(x)`` is the content address: a SHA-256 over the canonical
@@ -28,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
-from typing import Any, Dict, FrozenSet, List
+from typing import Any, Dict, FrozenSet, Iterable, List
 
 from ..adversaries.adversary import Adversary
 from ..adversaries.agreement import AgreementFunction
@@ -77,11 +80,15 @@ def _task_table(task: Task) -> Dict[FrozenSet[int], FrozenSet]:
     return table
 
 
-#: Encoding an affine task or a tabulated ``Delta`` is itself expensive
+#: Rendering an affine task or a tabulated ``Delta`` is itself expensive
 #: (a cache-key digest would otherwise cost as much as a cache read), so
-#: encodings of the big immutable artifact types are memoized.  Keys are
-#: held weakly and compared by value, so equal artifacts share one
-#: encoding and the memo cannot outlive its objects.
+#: the canonical text of the big immutable artifact types is memoized,
+#: together with its encoding once :func:`encode` asks for it.  Keys are
+#: held weakly and compared by value, so equal artifacts share one entry
+#: and the memo cannot outlive its objects.  Both forms in an entry are
+#: made from the entry's own artifact, so a certificate statement lifted
+#: from :func:`encode` always matches the :func:`digest` recorded beside
+#: it, even for equal artifacts under different display names.
 _MEMOIZED_TYPES = (
     ChromaticComplex,
     SimplicialComplex,
@@ -90,22 +97,43 @@ _MEMOIZED_TYPES = (
     Adversary,
     Task,
 )
-_ENCODE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def encode(obj: Any) -> Any:
     """Encode a value as a canonical JSON-ready structure."""
     if isinstance(obj, _MEMOIZED_TYPES):
-        try:
-            return _ENCODE_MEMO[obj]
-        except KeyError:
-            encoded = _encode(obj)
-            _ENCODE_MEMO[obj] = encoded
-            return encoded
+        entry = _memo_entry(obj)
+        if entry[1] is None:
+            key = entry[2]()  # None only while the key is being collected
+            entry[1] = _encode(obj if key is None else key)
+        return entry[1]
     return _encode(obj)
 
 
+def _facet_encodings(facets: FrozenSet[FrozenSet[Any]]) -> List[Any]:
+    """The facets' ``fset`` encodings, one shared encoding per vertex.
+
+    A vertex lies in several facets, and a complex's encoding outlives
+    the call (certificates embed it): each distinct vertex text is
+    encoded once and that list is shared by every facet holding it.
+    """
+    shared: Dict[str, Any] = {}
+    encoded = []
+    for facet in facets:
+        members = []
+        for vertex in facet:
+            text = _text(vertex)
+            member = shared.get(text)
+            if member is None:
+                member = shared[text] = encode(vertex)
+            members.append(member)
+        encoded.append(["fset", _sorted_canonical(members)])
+    return encoded
+
+
 def _encode(obj: Any) -> Any:
+    """The reference encoder: ``serialize(x) == _canon_text(_encode(x))``."""
     if obj is None or isinstance(obj, (bool, str, float)):
         return obj
     if isinstance(obj, int):
@@ -125,15 +153,9 @@ def _encode(obj: Any) -> Any:
         pairs = [[encode(key), encode(value)] for key, value in obj.items()]
         return ["dict", _sorted_canonical(pairs)]
     if isinstance(obj, ChromaticComplex):
-        return [
-            "ccx",
-            _sorted_canonical([encode(facet) for facet in obj.facets]),
-        ]
+        return ["ccx", _sorted_canonical(_facet_encodings(obj.facets))]
     if isinstance(obj, SimplicialComplex):
-        return [
-            "scx",
-            _sorted_canonical([encode(facet) for facet in obj.facets]),
-        ]
+        return ["scx", _sorted_canonical(_facet_encodings(obj.facets))]
     if isinstance(obj, AffineTask):
         return ["affine", obj.n, obj.depth, obj.name, encode(obj.complex)]
     if isinstance(obj, Adversary):
@@ -166,6 +188,188 @@ def _encode(obj: Any) -> Any:
             encode(obj.resume),
             obj.kernel,
         ]
+    raise SerializationError(
+        f"no canonical encoding for {type(obj).__name__}: {obj!r}"
+    )
+
+
+# ----------------------------------------------------------------------
+# Canonical text, built bottom-up
+# ----------------------------------------------------------------------
+# Each renderer returns ``_canon_text`` of what ``_encode`` builds for
+# its type, from the texts of the parts: a sequence is its members'
+# texts joined, a set-like value (set, dict, complex, tabulated table)
+# its members' texts sorted as strings and joined.  Sorting texts is
+# sorting by ``_canon_text`` key, so the order is the reference order.
+# The recursion goes through ``_text``, never the public ``serialize``:
+# a caller may wrap ``serialize`` (a tracer, a profiler) and must see
+# one call per value, not one per node.  Vertices and scalars are not
+# memoized: equal values need not have equal texts (``1 == True``).
+_str_text = json.encoder.encode_basestring_ascii
+
+
+def _text(obj: Any) -> str:
+    """The canonical text of ``obj``."""
+    if type(obj) is int:
+        return int.__repr__(obj)
+    render = _RENDERERS.get(type(obj))
+    if render is None:
+        render = _renderer_for(obj)
+    return render(obj)
+
+
+def _texts(members: Iterable[Any]) -> List[str]:
+    # Process ids and encoding tags are the bulk of all members (a
+    # certificate embeds encodings as lists): no call for them.
+    return [
+        int.__repr__(member)
+        if type(member) is int
+        else _str_text(member)
+        if type(member) is str
+        else _text(member)
+        for member in members
+    ]
+
+
+def _raw(value: Any) -> str:
+    """Text of a field ``_encode`` embeds as-is (not through ``encode``)."""
+    return int.__repr__(value) if type(value) is int else _canon_text(value)
+
+
+def _chrv_text(vertex: ChrVertex) -> str:
+    return '["chrv",' + _text(vertex.color) + "," + _text(vertex.carrier) + "]"
+
+
+def _outv_text(vertex: OutputVertex) -> str:
+    return '["outv",' + _text(vertex.process) + "," + _text(vertex.value) + "]"
+
+
+def _tuple_text(value: tuple) -> str:
+    return '["tuple",[' + ",".join(_texts(value)) + "]]"
+
+
+def _list_text(value: list) -> str:
+    return '["list",[' + ",".join(_texts(value)) + "]]"
+
+
+def _set_text(value: Any) -> str:
+    return '["fset",[' + ",".join(sorted(_texts(value))) + "]]"
+
+
+def _dict_text(value: dict) -> str:
+    pairs = [
+        "[" + _text(key) + "," + _text(item) + "]"
+        for key, item in value.items()
+    ]
+    return '["dict",[' + ",".join(sorted(pairs)) + "]]"
+
+
+def _ccx_text(complex_: ChromaticComplex) -> str:
+    return '["ccx",[' + ",".join(sorted(map(_text, complex_.facets))) + "]]"
+
+
+def _scx_text(complex_: SimplicialComplex) -> str:
+    return '["scx",[' + ",".join(sorted(map(_text, complex_.facets))) + "]]"
+
+
+def _affine_text(affine: AffineTask) -> str:
+    fields = (
+        _raw(affine.n),
+        _raw(affine.depth),
+        _raw(affine.name),
+        _text(affine.complex),
+    )
+    return '["affine",' + ",".join(fields) + "]"
+
+
+def _adversary_text(adversary: Adversary) -> str:
+    return (
+        '["adv",' + _raw(adversary.n) + "," + _text(adversary.live_sets) + "]"
+    )
+
+
+def _alpha_text(alpha: AgreementFunction) -> str:
+    table = [
+        "[" + _text(participants) + "," + _raw(value) + "]"
+        for participants, value in alpha.table().items()
+        if participants
+    ]
+    fields = (_raw(alpha.n), _raw(alpha.name), ",".join(sorted(table)))
+    return '["alpha",%s,%s,[%s]]' % fields
+
+
+def _task_text(task: Task) -> str:
+    table = [
+        "[" + _text(participants) + "," + _text(outputs) + "]"
+        for participants, outputs in _task_table(task).items()
+    ]
+    fields = (_raw(task.n), _raw(task.name), ",".join(sorted(table)))
+    return '["task",%s,%s,[%s]]' % fields
+
+
+def _solve_request_text(request: SolveRequest) -> str:
+    fields = (
+        _text(request.affine),
+        _text(request.task),
+        _raw(request.budget),
+        _text(request.domain_overrides),
+        _text(request.resume),
+        _raw(request.kernel),
+    )
+    return '["solvereq",' + ",".join(fields) + "]"
+
+
+#: Renderers of the memoized artifact types, looked up by ``isinstance``.
+_ARTIFACT_RENDERERS = (
+    (ChromaticComplex, _ccx_text),
+    (SimplicialComplex, _scx_text),
+    (AffineTask, _affine_text),
+    (AgreementFunction, _alpha_text),
+    (Adversary, _adversary_text),
+    (Task, _task_text),
+)
+
+
+def _memo_entry(obj: Any) -> List[Any]:
+    """The ``[text, encoding or None, weakref to key]`` entry of ``obj``."""
+    entry = _MEMO.get(obj)
+    if entry is None:
+        render = next(
+            render for cls, render in _ARTIFACT_RENDERERS if isinstance(obj, cls)
+        )
+        entry = _MEMO[obj] = [render(obj), None, weakref.ref(obj)]
+    return entry
+
+
+def _memo_text(obj: Any) -> str:
+    return _memo_entry(obj)[0]
+
+
+#: Renderers in ``_encode``'s dispatch order; subclasses are matched by
+#: ``isinstance`` here (vertex NamedTuples before the generic tuple).
+_RENDER_ORDER = (
+    (_MEMOIZED_TYPES, _memo_text),
+    ((type(None), bool, str, float, int), _canon_text),
+    ((ChrVertex,), _chrv_text),
+    ((OutputVertex,), _outv_text),
+    ((tuple,), _tuple_text),
+    ((list,), _list_text),
+    ((frozenset, set), _set_text),
+    ((dict,), _dict_text),
+    ((SolveRequest,), _solve_request_text),
+)
+
+#: Exact-type fast path of :func:`_text`.
+_RENDERERS = {
+    cls: render for classes, render in _RENDER_ORDER for cls in classes
+}
+_RENDERERS[str] = _str_text
+
+
+def _renderer_for(obj: Any):
+    for classes, render in _RENDER_ORDER:
+        if isinstance(obj, classes):
+            return render
     raise SerializationError(
         f"no canonical encoding for {type(obj).__name__}: {obj!r}"
     )
@@ -254,23 +458,9 @@ def _decode_task(encoded: Any) -> Task:
 # ----------------------------------------------------------------------
 # Public surface
 # ----------------------------------------------------------------------
-#: Canonical text of the big artifact types, memoized like their
-#: encodings: ``json.dumps`` over a subdivision-sized encoding costs as
-#: much as the encode itself, and digests (cache keys, certificate
-#: statements) re-serialize the same artifacts constantly.
-_SERIALIZE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def serialize(obj: Any) -> str:
     """Canonical, deterministic JSON text for a supported value."""
-    if isinstance(obj, _MEMOIZED_TYPES):
-        try:
-            return _SERIALIZE_MEMO[obj]
-        except KeyError:
-            text = _canon_text(encode(obj))
-            _SERIALIZE_MEMO[obj] = text
-            return text
-    return _canon_text(encode(obj))
+    return _text(obj)
 
 
 def deserialize(text: str) -> Any:

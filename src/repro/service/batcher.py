@@ -7,7 +7,12 @@ Orthogonally, requests for a computation that is already in flight —
 pending in the current window *or* executing in a dispatched batch —
 never start a second computation: they attach to the existing result
 future and receive the same :class:`JobResult` (marked
-``coalesced=True``) when it lands.
+``coalesced=True``) when it lands.  In-flight requests are keyed by the
+exact request the caller received (the server passes ``kind`` plus the
+payload's wire text), which costs nothing to compute; the engine's
+content digest stays the only content address, so a request written
+differently (set members permuted) but equal in value is deduplicated
+by the engine batch or answered from its cache instead.
 
 The engine is synchronous and CPU-bound, so batches run on a dedicated
 single worker thread (``run_in_executor``); the engine itself may still
@@ -26,11 +31,10 @@ import asyncio
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from .. import obs
 from ..engine.jobs import Engine, JobResult, JobSpec
-from ..engine.serialize import digest
 from .metrics import Metrics
 
 
@@ -54,10 +58,10 @@ class Batcher:
         self.max_batch = max_batch
         self.metrics = metrics if metrics is not None else Metrics()
         self._loop = asyncio.get_running_loop()
-        self._pending: "OrderedDict[str, Tuple[JobSpec, asyncio.Future]]" = (
+        self._pending: "OrderedDict[Hashable, Tuple[JobSpec, asyncio.Future]]" = (
             OrderedDict()
         )
-        self._inflight: Dict[str, asyncio.Future] = {}
+        self._inflight: Dict[Hashable, asyncio.Future] = {}
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._batch_tasks: set = set()
         self._executor = ThreadPoolExecutor(
@@ -66,26 +70,25 @@ class Batcher:
         self._closed = False
 
     # ------------------------------------------------------------------
-    async def submit(self, spec: JobSpec) -> JobResult:
+    async def submit(self, spec: JobSpec, key: Hashable) -> JobResult:
         """One query through the batcher; returns the job's result.
 
-        Identical concurrent submissions share one computation; every
-        submission gets its own :class:`JobResult` view (attachers see
-        ``coalesced=True``).
+        ``key`` identifies the request exactly (the server passes
+        ``(kind, payload_text)``); equal keys must mean equal specs.
+        Concurrent submissions under one key share one computation;
+        every submission gets its own :class:`JobResult` view (attachers
+        see ``coalesced=True``).
         """
         if self._closed:
             raise RuntimeError("batcher is closed")
-        key_digest = await self._loop.run_in_executor(
-            None, lambda: digest(spec.cache_key())
-        )
-        future = self._inflight.get(key_digest)
+        future = self._inflight.get(key)
         if future is not None:
             self.metrics.inc("coalesced_total")
             result = await asyncio.shield(future)
             return replace(result, coalesced=True)
         future = self._loop.create_future()
-        self._inflight[key_digest] = future
-        self._pending[key_digest] = (spec, future)
+        self._inflight[key] = future
+        self._pending[key] = (spec, future)
         if len(self._pending) >= self.max_batch:
             self._flush()
         elif self._flush_handle is None:
@@ -109,7 +112,7 @@ class Batcher:
         task.add_done_callback(self._batch_tasks.discard)
 
     async def _run_batch(
-        self, entries: List[Tuple[str, Tuple[JobSpec, asyncio.Future]]]
+        self, entries: List[Tuple[Hashable, Tuple[JobSpec, asyncio.Future]]]
     ) -> None:
         specs = [spec for _, (spec, _) in entries]
         self.metrics.inc("batches_total")
@@ -121,13 +124,13 @@ class Batcher:
                 self._executor, self._traced_run_jobs, specs
             )
         except Exception as exc:  # engine infrastructure failure
-            for key_digest, (_, future) in entries:
-                self._inflight.pop(key_digest, None)
+            for key, (_, future) in entries:
+                self._inflight.pop(key, None)
                 if not future.done():
                     future.set_exception(exc)
             return
-        for (key_digest, (_, future)), result in zip(entries, results):
-            self._inflight.pop(key_digest, None)
+        for (key, (_, future)), result in zip(entries, results):
+            self._inflight.pop(key, None)
             if not future.done():
                 future.set_result(result)
 

@@ -339,7 +339,9 @@ class ServiceServer:
         started = time.perf_counter()
         with obs.span("service.query", kind=request.kind) as query_span:
             try:
-                waiter = self._batcher.submit(spec)
+                waiter = self._batcher.submit(
+                    spec, (request.kind, request.payload_text)
+                )
                 if deadline is not None:
                     result = await asyncio.wait_for(waiter, deadline)
                 else:

@@ -70,6 +70,7 @@ BASELINES = {
         "burst": {"engine_computations": 1},
         "memcache_hit_rate": 0.94,
         "coalesce_rate": 0.35,
+        "codec": {"serialize_vs_json_ratio": 3.1},
     },
     "BENCH_certify.json": {
         "workload": {"queries": 15, "solvable": 11, "unsolvable": 4},

@@ -24,7 +24,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 ROW = re.compile(r"\|\s*`(BENCH_\w+\.json):([\w.]+)`\s*\|\s*([^|]+?)\s*\|")
 
 #: Docs whose economics tables must be keyed to a BENCH file.
-KEYED_DOCS = ("solver.md", "certificates.md")
+KEYED_DOCS = ("solver.md", "certificates.md", "engine.md")
 
 
 def _rows():

@@ -12,10 +12,27 @@ of :mod:`repro.engine.serialize`:
 
 from __future__ import annotations
 
-import pytest
+import json
+import weakref
+from contextlib import contextmanager
+from importlib import import_module
+from itertools import combinations
+from pathlib import Path
+from unittest import mock
 
-from repro.adversaries import Adversary, build_catalogue, t_resilience_alpha
-from repro.core import r_affine
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.adversaries import (
+    Adversary,
+    AgreementFunction,
+    agreement_function_of,
+    build_catalogue,
+    t_resilience_alpha,
+)
+from repro.analysis.landscape import alpha_signature
+from repro.core import AffineTask, r_affine
 from repro.engine import (
     SerializationError,
     deserialize,
@@ -23,9 +40,20 @@ from repro.engine import (
     serialize,
     tasks_equivalent,
 )
+from repro.solver import SolveRequest
+from repro.solver.api import KERNELS
+from repro.sweep.driver import GridSpec
 from repro.tasks.set_consensus import set_consensus_task
 from repro.tasks.solvability import MapSearch
+from repro.tasks.task import OutputVertex
+from repro.tasks.test_and_set import k_test_and_set_task
 from repro.topology import chr_complex
+from repro.topology.chromatic import ChromaticComplex, ChrVertex
+from repro.topology.complex import SimplicialComplex
+
+serialize_module = import_module("repro.engine.serialize")
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -151,3 +179,208 @@ def test_unknown_type_raises():
 def test_malformed_text_raises():
     with pytest.raises(SerializationError):
         deserialize('["no-such-tag",1]')
+
+
+# ----------------------------------------------------------------------
+# The bottom-up text against the reference encoder
+# ----------------------------------------------------------------------
+@contextmanager
+def _fresh_memo():
+    """A private artifact memo, and an ``encode`` that memoizes nothing.
+
+    Equal artifacts share one memo entry, so an earlier equal value
+    under another display name would answer for a generated one; and
+    the reference must not read texts the renderers produced.
+    """
+    with mock.patch.object(
+        serialize_module, "_MEMO", weakref.WeakKeyDictionary()
+    ), mock.patch.object(serialize_module, "encode", serialize_module._encode):
+        yield
+
+
+def _reference_text(value):
+    return serialize_module._canon_text(serialize_module._encode(value))
+
+
+def _assert_canonical(value):
+    with _fresh_memo():
+        text = serialize(value)
+        assert text == _reference_text(value)
+    return text
+
+
+# Process ids past 9 make text order differ from numeric order.
+_ids = st.integers(min_value=0, max_value=12)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.sampled_from([-0.0, 1e300, -1e300, 5e-324]),
+    st.text(max_size=6),
+)
+_chr1 = st.builds(ChrVertex, _ids, st.frozensets(_ids, min_size=1, max_size=4))
+_chr2 = st.builds(ChrVertex, _ids, st.frozensets(_chr1, min_size=1, max_size=3))
+_outv = st.builds(OutputVertex, _ids, _scalars)
+_hashable = st.recursive(
+    st.one_of(_scalars, _chr1, _chr2, _outv),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple),
+        st.frozensets(inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+_values = st.recursive(
+    _hashable,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.sets(_hashable, max_size=4),
+        st.dictionaries(_hashable, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_values)
+def test_bottom_up_text_matches_the_reference_encoder(value):
+    text = _assert_canonical(value)
+    assert deserialize(text) == value
+    assert serialize(value) == text
+
+
+# Artifacts are built from process ids only (never ``True`` for ``1``)
+# and under one display name each: see ``_fresh_memo``.
+_CHR2_FACETS = sorted(chr_complex(3, 2).facets, key=serialize)
+_CHR2_VERTICES = sorted(chr_complex(3, 2).vertices, key=serialize)
+_SUBSETS = [
+    frozenset(combo)
+    for size in range(1, 4)
+    for combo in combinations(range(3), size)
+]
+_TASKS = [set_consensus_task(3, k) for k in (1, 2, 3)] + [
+    set_consensus_task(2, 1),
+    k_test_and_set_task(3, 1),
+]
+
+_chr2_complexes = st.lists(
+    st.sampled_from(_CHR2_FACETS), min_size=1, max_size=8, unique=True
+).map(ChromaticComplex)
+_simplicial = st.lists(
+    st.frozensets(_ids, min_size=1, max_size=4), min_size=1, max_size=6
+).map(SimplicialComplex)
+_affines = _chr2_complexes.map(
+    lambda complex_: AffineTask(3, 2, complex_, name="L", validate=False)
+)
+_alphas = st.lists(
+    st.integers(min_value=0, max_value=3),
+    min_size=len(_SUBSETS),
+    max_size=len(_SUBSETS),
+).map(
+    lambda values: AgreementFunction(
+        3, dict(zip(_SUBSETS, values)), name="alpha", validate=False
+    )
+)
+_adversaries = st.lists(
+    st.sampled_from(_SUBSETS), min_size=1, max_size=7, unique=True
+).map(lambda live_sets: Adversary(3, live_sets))
+_overrides = st.dictionaries(
+    st.sampled_from(_CHR2_VERTICES),
+    st.lists(st.builds(OutputVertex, _ids, _ids), max_size=3),
+    max_size=3,
+)
+_requests = st.builds(
+    SolveRequest,
+    affine=_affines,
+    task=st.sampled_from(_TASKS),
+    budget=st.one_of(st.none(), st.integers(min_value=1)),
+    domain_overrides=st.one_of(st.none(), _overrides),
+    resume=st.one_of(
+        st.none(),
+        st.dictionaries(
+            st.sampled_from(_CHR2_VERTICES),
+            st.builds(OutputVertex, _ids, _ids),
+            max_size=3,
+        ),
+    ),
+    kernel=st.sampled_from(KERNELS),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    artifact=st.one_of(
+        _chr2_complexes, _simplicial, _affines, _alphas, _adversaries
+    )
+)
+def test_artifact_text_matches_the_reference_encoder(artifact):
+    text = _assert_canonical(artifact)
+    assert deserialize(text) == artifact
+    # Composites splice the memoized text of their artifact parts.
+    with _fresh_memo():
+        assert serialize((artifact, [artifact])) == _reference_text(
+            (artifact, [artifact])
+        )
+
+
+@pytest.mark.parametrize("task", _TASKS, ids=lambda task: f"n{task.n}-{task.name}")
+def test_task_text_matches_the_reference_encoder(task):
+    text = _assert_canonical(task)
+    restored = deserialize(text)
+    assert tasks_equivalent(restored, task)
+    assert serialize(restored) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(request=_requests)
+def test_solve_request_text_matches_the_reference_encoder(request):
+    text = _assert_canonical(request)
+    with _fresh_memo():
+        assert serialize(deserialize(text)) == text
+
+
+def test_equal_vertices_over_one_and_true_keep_distinct_texts():
+    # ``1 == True``, so a vertex memo keyed by value would merge these.
+    pairs = [
+        (OutputVertex(0, 1), OutputVertex(0, True)),
+        (ChrVertex(0, frozenset({1})), ChrVertex(0, frozenset({True}))),
+    ]
+    for one, true in pairs:
+        assert one == true
+        assert serialize(one) != serialize(true)
+        assert serialize([one, true]) == (
+            '["list",[' + serialize(one) + "," + serialize(true) + "]]"
+        )
+    assert deserialize(serialize(OutputVertex(0, True))).value is True
+
+
+def test_encoding_matches_the_memoized_text_under_another_name(ra_1res):
+    # Equal artifacts share one memo entry whatever their display names;
+    # a certificate lifts its statement from ``encode`` and records the
+    # ``digest``, so both must come from the same entry.
+    serialize(ra_1res)
+    renamed = AffineTask(
+        ra_1res.n, ra_1res.depth, ra_1res.complex, name="renamed", validate=False
+    )
+    assert renamed == ra_1res
+    encoded = serialize_module.encode(renamed)
+    assert serialize_module._canon_text(encoded) == serialize(renamed)
+
+
+# ----------------------------------------------------------------------
+# Golden digests: texts written by earlier versions still match
+# ----------------------------------------------------------------------
+def test_committed_landscape_digests_are_reproduced():
+    """``SCHEME_VERSION`` 1 digests in a committed artifact stay valid."""
+    doc = json.loads(
+        (REPO_ROOT / "examples" / "landscape_n4_sampled.json").read_text(
+            encoding="utf-8"
+        )
+    )
+    assert GridSpec.from_doc(doc["grid"]).digest() == doc["grid_digest"]
+    fair = [cell for cell in doc["cells"] if cell["alpha_digest"]]
+    assert len(fair) == doc["summary"]["fair_cells"]
+    for cell in fair:
+        adversary = Adversary(cell["n"], [frozenset(s) for s in cell["live_sets"]])
+        alpha = agreement_function_of(adversary)
+        assert digest(alpha_signature(alpha)) == cell["alpha_digest"]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import random
 import re
 import signal
 import socket
@@ -42,7 +43,7 @@ from repro.service import (
 from repro.service.protocol import ERROR_CODES, RETRYABLE_CODES
 from repro.solver import SolveRequest
 from repro.tasks.set_consensus import set_consensus_task
-from repro.tasks.solvability import SearchBudgetExceeded
+from repro.tasks.solvability import MapSearch, SearchBudgetExceeded
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -225,6 +226,46 @@ def test_concurrent_identical_solves_compute_once(ra_1res):
         # One full cache miss == one computation; every other request
         # was coalesced onto it or answered from the memcache.
         assert engine.stats()["misses"] == 1
+
+
+def _permuted(encoded, rng):
+    """An encoding with set members, dict pairs and table rows reordered."""
+    if not isinstance(encoded, list):
+        return encoded
+    members = [_permuted(member, rng) for member in encoded]
+    if members and members[0] in ("fset", "dict", "ccx", "scx"):
+        rng.shuffle(members[1])
+    elif members and members[0] == "task":
+        rng.shuffle(members[3])
+    return members
+
+
+def test_non_canonical_payload_text_gets_the_canonical_value(client, ra_1res):
+    """In-flight coalescing keys on the exact text; the value does not."""
+    task23 = set_consensus_task(3, 2)
+    search = MapSearch(ra_1res, task23)
+    overrides = {
+        vertex: tuple(search.domains[vertex]) for vertex in search.vertices[:3]
+    }
+    canonical = serialize((ra_1res, task23, None, overrides))
+    encoded = json.loads(canonical)
+    shuffled = _permuted(encoded, random.Random(7))
+    # Facets (sets of vertices) and the overrides' dict pairs both moved.
+    assert shuffled[1][0][4][1] != encoded[1][0][4][1]
+    assert shuffled[1][3][1] != encoded[1][3][1]
+    permuted = json.dumps(shuffled, separators=(",", ":"))
+    answers = [
+        client.request("query", kind="solve", payload=text)
+        for text in (permuted, canonical)
+    ]
+    assert answers[0]["value"] == answers[1]["value"]
+    direct = JobSpec(
+        "solve", (SolveRequest(ra_1res, task23, domain_overrides=overrides),)
+    ).run()
+    assert answers[0]["value"] == serialize(direct)
+    # Equal values share the engine's content address: the second,
+    # differently written request is a cache hit.
+    assert [answer["cache_hit"] for answer in answers] == [False, True]
 
 
 # ----------------------------------------------------------------------

@@ -122,6 +122,9 @@ RULES: Dict[str, List[Tuple[str, str, float]]] = {
         ("burst.engine_computations", EXACT, 0.0),
         ("memcache_hit_rate", MIN_RATIO, 0.95),
         ("coalesce_rate", MIN_RATIO, 0.50),
+        # Wire codec cost relative to the stdlib encoder on the same
+        # certificate documents (machine-independent).
+        ("codec.serialize_vs_json_ratio", MAX_RATIO, 1.50),
     ],
     "BENCH_certify.json": [
         ("workload.queries", EXACT, 0.0),
