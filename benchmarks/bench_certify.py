@@ -7,20 +7,27 @@ three ways:
 * certified solve — the same search plus certificate extraction;
 * independent check — the stdlib checker validating each certificate.
 
+Each stage runs ``REPEATS`` times, each time on a freshly built grid
+(new affine and task objects, so no set-up, search structure or codec
+memo survives from an earlier repeat or stage), and keeps the
+per-query minimum; each check is likewise the minimum of ``REPEATS``.
+
 The claims worth recording honestly: extraction is a read-out of state
 the search already computed, not a second search, though on these
-sub-100ms searches its fixed costs still show.  Checking a *positive*
-certificate verifies one assignment instead of searching the space:
-the committed baseline measured it at 1.6x faster than the search that
-found the map (``check_positive_speedup_vs_search``, single core of a
-2-vCPU Intel Xeon VM).  Checking a *negative* certificate replays the
-exhaustive backtrack and therefore costs the same order as the refuting
-search — there is no free lunch for refutations.  Numbers land in
-``BENCH_certify.json`` at the repo root.
+few-millisecond searches its fixed costs (the statement's encodings
+and digests) still show.  Checking a *positive* certificate verifies
+one assignment instead of searching the space, but the search it
+checks is now cheaper than that: the committed baseline reads
+``check_positive_speedup_vs_search`` below 1 (single core of a 2-vCPU
+Intel Xeon VM).  Checking a *negative* certificate replays the
+exhaustive backtrack and therefore costs the same order as the
+refuting search — there is no free lunch for refutations.  Numbers
+land in ``BENCH_certify.json`` at the repo root.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from pathlib import Path
@@ -56,34 +63,53 @@ def _grid():
     ]
 
 
+#: Each stage runs this many times, each on a freshly built grid; the
+#: per-query minimum is kept.
+REPEATS = 5
+
+
 def _timed(stage):
     started = time.perf_counter()
     value = stage()
     return value, time.perf_counter() - started
 
 
+def _one_pass(stage):
+    """``stage`` over one freshly built grid: values and wall times."""
+    values, times = [], []
+    for affine, task in _grid():
+        value, elapsed = _timed(lambda: stage(affine, task))
+        values.append(value)
+        times.append(elapsed)
+    return values, times
+
+
+def _cold_minimum(stage):
+    """Per-query minimum wall time of ``stage(affine, task)`` over
+    ``REPEATS`` fresh grids, and the values of the last repeat.
+
+    A fresh grid means fresh affine and task objects: no solver set-up,
+    search structure or codec memo entry survives from an earlier
+    repeat or stage, so every repeat measures the cold path.
+    """
+    best = None
+    values = None
+    for _ in range(REPEATS):
+        values = None  # let the previous repeat's objects go first
+        gc.collect()
+        values, times = _one_pass(stage)
+        best = times if best is None else list(map(min, best, times))
+    return values, best
+
+
 def bench_certify():
-    grid = _grid()
+    plain, plain_times = _cold_minimum(
+        lambda affine, task: MapSearch(affine, task).search()
+    )
+    t_plain = sum(plain_times)
 
-    plain = []
-    t_plain = 0.0
-    for affine, task in grid:
-        mapping, elapsed = _timed(
-            lambda: MapSearch(affine, task).search()
-        )
-        plain.append(mapping)
-        t_plain += elapsed
-
-    certs = []
-    t_certified = 0.0
-    search_time = []
-    for affine, task in grid:
-        (mapping, cert), elapsed = _timed(
-            lambda: certified_search(affine, task)
-        )
-        certs.append((mapping, cert))
-        search_time.append(elapsed)
-        t_certified += elapsed
+    certs, search_time = _cold_minimum(certified_search)
+    t_certified = sum(search_time)
     # The certified verdicts agree with the plain searches.
     assert [m for m, _ in certs] == plain
 
@@ -91,8 +117,9 @@ def bench_certify():
     t_search = {"solvable": 0.0, "unsolvable": 0.0}
     counts = {"solvable": 0, "unsolvable": 0}
     for (mapping, cert), elapsed in zip(certs, search_time):
-        report, t = _timed(lambda: check(cert))
+        report = check(cert)
         assert report.valid, (report.reason, report.detail)
+        t = min(_timed(lambda: check(cert))[1] for _ in range(REPEATS))
         kind = cert["kind"]
         t_check[kind] += t
         t_search[kind] += elapsed
@@ -101,7 +128,7 @@ def bench_certify():
 
     report = {
         "workload": {
-            "queries": len(grid),
+            "queries": len(certs),
             "solvable": counts["solvable"],
             "unsolvable": counts["unsolvable"],
         },

@@ -146,22 +146,37 @@ def _vertex_reader() -> Callable[[Any], Any]:
 
     Interned by the exact JSON text of the encoding; a miss falls back
     to ``_freeze``, so an equal vertex written differently (set members
-    permuted) freezes to the same value it always did.  One reader per
-    check: nothing is carried from one certificate to the next.
+    permuted) freezes to the same value it always did.  An encoding
+    object met again (a document built in memory shares them) is
+    answered by identity, without rendering its text: the object is
+    held, and nothing mutates the document during a check.  One reader
+    per check: nothing is carried from one certificate to the next.
     """
     interned: Dict[str, Any] = {}
+    by_id: Dict[int, Tuple[Any, Any]] = {}
 
     def read(encoded: Any) -> Any:
         if not isinstance(encoded, list):
             return _freeze(encoded)
+        seen = by_id.get(id(encoded))
+        if seen is not None:
+            return seen[1]
         try:
             key = _canon_text(encoded)
         except (TypeError, ValueError):
             return _freeze(encoded)
         frozen = interned.get(key)
         if frozen is None:
-            frozen = interned[key] = _freeze(encoded)
+            frozen = interned[key] = freeze(encoded)
+        by_id[id(encoded)] = (encoded, frozen)
         return frozen
+
+    def freeze(encoded: Any) -> Any:
+        # ``_freeze``, with a carrier's members (the sub-vertices shared
+        # by many vertices) read through this reader.
+        if len(encoded) == 3 and encoded[0] == "chrv":
+            return ("chrv", _freeze(encoded[1]), _freeze_set(encoded[2], read))
+        return _freeze(encoded)
 
     return read
 
@@ -173,35 +188,49 @@ def _join(texts: Iterable[str]) -> str:
     return "[" + ",".join(texts) + "]"
 
 
-def _canonical(encoded: Any) -> str:
+def _canonical(encoded: Any, memo: Optional[Dict[int, Tuple[Any, str]]] = None) -> str:
     """Canonical text of an encoded structure, set members sorted.
 
     Built bottom-up: each node's text is computed once, and a set's text
     is its members' sorted texts joined — the text the engine codec
-    gives the same value, however the members are ordered here.
+    gives the same value, however the members are ordered here.  With a
+    ``memo``, an array object met again is answered by identity (the
+    memo holds the object, so its id is not reused while it lives).
     """
     if type(encoded) is int:
         return str(encoded)
     if isinstance(encoded, list) and encoded:
+        if memo is not None:
+            seen = memo.get(id(encoded))
+            if seen is not None:
+                return seen[1]
         tag = encoded[0]
         if not isinstance(tag, str):
             # An untagged pair/array (e.g. a delta-table entry).
-            return _join(map(_canonical, encoded))
-        if tag == "fset" and len(encoded) == 2:
+            text = _join([_canonical(member, memo) for member in encoded])
+        elif tag == "fset" and len(encoded) == 2:
             # Process ids are the bulk of all members: no call for them.
             members = [
-                str(member) if type(member) is int else _canonical(member)
+                str(member) if type(member) is int else _canonical(member, memo)
                 for member in encoded[1]
             ]
-            return '["fset",' + _join(sorted(members)) + "]"
-        if tag in ("tuple", "list") and len(encoded) == 2:
-            members = map(_canonical, encoded[1])
-            return '["' + tag + '",' + _join(members) + "]"
-        if tag in ("chrv", "outv") and len(encoded) == 3:
-            return _join(
-                ('"' + tag + '"', _canonical(encoded[1]), _canonical(encoded[2]))
+            text = '["fset",' + _join(sorted(members)) + "]"
+        elif tag in ("tuple", "list") and len(encoded) == 2:
+            members = [_canonical(member, memo) for member in encoded[1]]
+            text = '["' + tag + '",' + _join(members) + "]"
+        elif tag in ("chrv", "outv") and len(encoded) == 3:
+            text = _join(
+                (
+                    '"' + tag + '"',
+                    _canonical(encoded[1], memo),
+                    _canonical(encoded[2], memo),
+                )
             )
-        raise _Reject("bad_format", f"unknown encoding tag {tag!r}")
+        else:
+            raise _Reject("bad_format", f"unknown encoding tag {tag!r}")
+        if memo is not None:
+            memo[id(encoded)] = (encoded, text)
+        return text
     return _canon_text(encoded)
 
 
@@ -307,7 +336,9 @@ class _Statement:
             raise _Reject("bad_format", "facets/delta must be arrays")
 
         # Digest binding: recompute the engine's content addresses from
-        # the body and require them to match the claimed digests.
+        # the body and require them to match the claimed digests.  The
+        # facets share their vertex encodings: each is rendered once.
+        memo: Dict[int, Tuple[Any, str]] = {}
         affine_text = _join(
             (
                 '"affine"',
@@ -315,7 +346,12 @@ class _Statement:
                 str(self.depth),
                 _canon_text(self.affine_name),
                 _join(
-                    ('"ccx"', _join(sorted(map(_canonical, facets_enc))))
+                    (
+                        '"ccx"',
+                        _join(
+                            sorted([_canonical(f, memo) for f in facets_enc])
+                        ),
+                    )
                 ),
             )
         )

@@ -32,11 +32,11 @@ import json
 from typing import Any, Dict, List, Optional
 
 from ..core.affine import AffineTask
-from ..engine.serialize import _canon_text, decode, digest, encode
+from ..engine.serialize import SharedCodec, _canon_text, decode, digest, encode
+from ..tasks.solvability import search_structure
 from ..tasks.task import OutputVertex, Task
 from ..topology.chromatic import ChrVertex
 from ..topology.simplex import vertex_key
-from ..topology.subdivision import carrier_in_s
 
 #: Certificate format identifier and version.  Bump the version on any
 #: incompatible change to the document layout; the checker rejects
@@ -104,35 +104,37 @@ def solvable_cert(
     omit a constraint.
     """
     cert = _header("solvable", affine, task)
-    # One pass over the vertices: each is encoded, rendered and lowered
-    # to its carrier in ``s`` once, not once per simplex it appears in
-    # (this keeps extraction a by-product of the search instead of a
-    # second traversal-sized cost).
-    vertices = sorted(mapping, key=vertex_key)
-    rank = {vertex: index for index, vertex in enumerate(vertices)}
-    vertex_enc = {vertex: encode(vertex) for vertex in vertices}
-    vertex_text = {v: _canon_text(e) for v, e in vertex_enc.items()}
-    lowered = {vertex: carrier_in_s((vertex,)) for vertex in vertices}
-    out_enc = {vertex: encode(out) for vertex, out in mapping.items()}
-    out_text = {v: _canon_text(e) for v, e in out_enc.items()}
-    cert["map"] = [[vertex_enc[vertex], out_enc[vertex]] for vertex in vertices]
-
-    def simplex_order(sigma):
-        # ``simplex_key`` order: ranks follow the ``vertex_key`` sort.
-        return len(sigma), sorted(map(rank.__getitem__, sigma))
+    # A read-out of the search structure: its simplices are already in
+    # ``simplex_key`` order with their carriers lowered to ``s``, and
+    # each vertex and output vertex is rendered and encoded once.
+    structure = search_structure(affine)
+    codec = SharedCodec()
+    vertices = structure.vertices
+    vertex_enc = list(map(codec.encoding, vertices))
+    outs = [mapping[vertex] for vertex in vertices]
+    out_enc = list(map(codec.encoding, outs))
+    out_text = list(map(codec.text, outs))
+    cert["map"] = [
+        [vertex_enc[p], out_enc[p]] for p in structure.key_positions
+    ]
+    vertex_text = list(map(codec.text, vertices))
+    by_text = sorted(range(len(vertices)), key=vertex_text.__getitem__)
+    text_rank = [0] * len(by_text)
+    for rank, position in enumerate(by_text):
+        text_rank[position] = rank
 
     entries: List[Dict[str, Any]] = []
-    for sigma in sorted(affine.complex.simplices, key=simplex_order):
+    for positions, carrier in zip(
+        structure.simplices, structure.participation
+    ):
         entries.append(
             {
                 "simplex": [
-                    vertex_enc[v]
-                    for v in sorted(sigma, key=vertex_text.__getitem__)
+                    vertex_enc[p]
+                    for p in sorted(positions, key=text_rank.__getitem__)
                 ],
-                "carrier": sorted(
-                    frozenset().union(*map(lowered.__getitem__, sigma))
-                ),
-                "image": sorted({out_text[v] for v in sigma}),
+                "carrier": sorted(carrier),
+                "image": sorted({out_text[p] for p in positions}),
             }
         )
     cert["simplices"] = entries
@@ -158,9 +160,10 @@ def unsolvable_cert(affine: AffineTask, task: Task, search) -> Cert:
             "only full searches yield unsolvable certificates"
         )
     cert = _header("unsolvable", affine, task)
-    cert["order"] = [encode(vertex) for vertex in search.vertices]
+    codec = SharedCodec()
+    cert["order"] = list(map(codec.encoding, search.vertices))
     cert["domains"] = [
-        [encode(out) for out in search.domains[vertex]]
+        list(map(codec.encoding, search.domains[vertex]))
         for vertex in search.vertices
     ]
     cert["trace"] = {"nodes_explored": search.nodes_explored}
@@ -182,8 +185,9 @@ def budget_stub(
     format is independent of the API's kwarg spelling.
     """
     cert = _header("budget", affine, task)
+    codec = SharedCodec()
     cert["partial"] = [
-        [encode(vertex), encode(out)]
+        [codec.encoding(vertex), codec.encoding(out)]
         for vertex, out in sorted(
             exc.partial_assignment.items(), key=lambda kv: vertex_key(kv[0])
         )

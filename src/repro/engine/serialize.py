@@ -111,25 +111,98 @@ def encode(obj: Any) -> Any:
     return _encode(obj)
 
 
+class SharedCodec:
+    """One canonical text and one encoding per distinct object.
+
+    Within one certificate or one artifact encoding the same vertex —
+    and the same sub-vertex inside the carriers of deeper ones, the same
+    output simplex — recurs many times.  Texts are built bottom-up and
+    memoized by object identity (the object is held, so its id cannot be
+    reused while the codec lives), and equal texts share one encoding.
+    Nothing is keyed by value: equal values need not have equal texts
+    (``1 == True``).  Shared encodings are read-only;
+    ``text(x) == _text(x)`` and ``encoding(x) == encode(x)``.
+    """
+
+    __slots__ = ("_texts", "_encodings")
+
+    def __init__(self) -> None:
+        self._texts: Dict[int, tuple] = {}
+        self._encodings: Dict[str, Any] = {}
+
+    def text(self, obj: Any) -> str:
+        if type(obj) is int:
+            return int.__repr__(obj)
+        entry = self._texts.get(id(obj))
+        if entry is None:
+            kind = type(obj)
+            if kind is frozenset:
+                text = '["fset",[' + ",".join(sorted(map(self.text, obj))) + "]]"
+            elif kind is ChrVertex or kind is OutputVertex:
+                text = '["%s",%s,%s]' % (
+                    "chrv" if kind is ChrVertex else "outv",
+                    self.text(obj[0]),
+                    self.text(obj[1]),
+                )
+            else:
+                text = _text(obj)
+            entry = self._texts[id(obj)] = (obj, text)
+        return entry[1]
+
+    def encoding(self, obj: Any) -> Any:
+        if type(obj) is int:
+            return obj
+        text = self.text(obj)
+        encoding = self._encodings.get(text)
+        if encoding is None:
+            kind = type(obj)
+            if kind is frozenset:
+                members = sorted(obj, key=self.text)
+                encoding = ["fset", list(map(self.encoding, members))]
+            elif kind is ChrVertex or kind is OutputVertex:
+                encoding = [
+                    "chrv" if kind is ChrVertex else "outv",
+                    self.encoding(obj[0]),
+                    self.encoding(obj[1]),
+                ]
+            else:
+                encoding = encode(obj)
+            self._encodings[text] = encoding
+        return encoding
+
+
 def _facet_encodings(facets: FrozenSet[FrozenSet[Any]]) -> List[Any]:
-    """The facets' ``fset`` encodings, one shared encoding per vertex.
+    """The facets' ``fset`` encodings in canonical (text) order.
 
     A vertex lies in several facets, and a complex's encoding outlives
-    the call (certificates embed it): each distinct vertex text is
-    encoded once and that list is shared by every facet holding it.
+    the call (certificates embed it): each distinct vertex and
+    sub-vertex is rendered and encoded once (:class:`SharedCodec`), and
+    facets are sorted by the texts built on the way.
     """
-    shared: Dict[str, Any] = {}
-    encoded = []
-    for facet in facets:
-        members = []
-        for vertex in facet:
-            text = _text(vertex)
-            member = shared.get(text)
-            if member is None:
-                member = shared[text] = encode(vertex)
-            members.append(member)
-        encoded.append(["fset", _sorted_canonical(members)])
-    return encoded
+    codec = SharedCodec()
+    return list(map(codec.encoding, sorted(facets, key=codec.text)))
+
+
+def _task_encoding(task: Task) -> List[Any]:
+    """``["task", n, name, table]``, each table row's parts encoded and
+    rendered once and the rows sorted by the texts built on the way."""
+    codec = SharedCodec()
+    rows = sorted(
+        (
+            (
+                "[" + codec.text(participants) + "," + codec.text(outputs) + "]",
+                [codec.encoding(participants), codec.encoding(outputs)],
+            )
+            for participants, outputs in _task_table(task).items()
+        ),
+        key=lambda row: row[0],
+    )
+    return ["task", task.n, task.name, [row for _, row in rows]]
+
+
+def _facet_texts(facets: FrozenSet[FrozenSet[Any]]) -> str:
+    """The facets' texts, sorted and joined; one text per vertex."""
+    return ",".join(sorted(map(SharedCodec().text, facets)))
 
 
 def _encode(obj: Any) -> Any:
@@ -153,9 +226,9 @@ def _encode(obj: Any) -> Any:
         pairs = [[encode(key), encode(value)] for key, value in obj.items()]
         return ["dict", _sorted_canonical(pairs)]
     if isinstance(obj, ChromaticComplex):
-        return ["ccx", _sorted_canonical(_facet_encodings(obj.facets))]
+        return ["ccx", _facet_encodings(obj.facets)]
     if isinstance(obj, SimplicialComplex):
-        return ["scx", _sorted_canonical(_facet_encodings(obj.facets))]
+        return ["scx", _facet_encodings(obj.facets)]
     if isinstance(obj, AffineTask):
         return ["affine", obj.n, obj.depth, obj.name, encode(obj.complex)]
     if isinstance(obj, Adversary):
@@ -168,11 +241,7 @@ def _encode(obj: Any) -> Any:
         ]
         return ["alpha", obj.n, obj.name, _sorted_canonical(table)]
     if isinstance(obj, Task):
-        table = [
-            [encode(participants), encode(outputs)]
-            for participants, outputs in _task_table(obj).items()
-        ]
-        return ["task", obj.n, obj.name, _sorted_canonical(table)]
+        return _task_encoding(obj)
     if isinstance(obj, SolveRequest):
         # Additive tag (SCHEME_VERSION unchanged): request fields are
         # already normalized to canonical order at construction, so no
@@ -203,8 +272,10 @@ def _encode(obj: Any) -> Any:
 # sorting by ``_canon_text`` key, so the order is the reference order.
 # The recursion goes through ``_text``, never the public ``serialize``:
 # a caller may wrap ``serialize`` (a tracer, a profiler) and must see
-# one call per value, not one per node.  Vertices and scalars are not
-# memoized: equal values need not have equal texts (``1 == True``).
+# one call per value, not one per node.  Vertices and scalars are never
+# memoized by value: equal values need not have equal texts
+# (``1 == True``); within one complex, vertices are rendered once each
+# by identity (:class:`SharedCodec`).
 _str_text = json.encoder.encode_basestring_ascii
 
 
@@ -265,11 +336,11 @@ def _dict_text(value: dict) -> str:
 
 
 def _ccx_text(complex_: ChromaticComplex) -> str:
-    return '["ccx",[' + ",".join(sorted(map(_text, complex_.facets))) + "]]"
+    return '["ccx",[' + _facet_texts(complex_.facets) + "]]"
 
 
 def _scx_text(complex_: SimplicialComplex) -> str:
-    return '["scx",[' + ",".join(sorted(map(_text, complex_.facets))) + "]]"
+    return '["scx",[' + _facet_texts(complex_.facets) + "]]"
 
 
 def _affine_text(affine: AffineTask) -> str:

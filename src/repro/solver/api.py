@@ -245,12 +245,14 @@ def make_searcher(request: SolveRequest):
         kernel = KERNEL_BITSET
     overrides = request.overrides_dict()
     if kernel == KERNEL_LEGACY:
-        # Legacy searches always build fresh (no shared setup cache),
-        # so the whole construction is the setup phase.
-        with obs.span("solver.setup", kernel=KERNEL_LEGACY):
-            return MapSearch(
+        # Legacy searches build their domains fresh (no per-task setup
+        # cache), so the whole construction is the setup phase.
+        with obs.span("solver.setup", kernel=KERNEL_LEGACY) as setup_span:
+            search = MapSearch(
                 request.affine, request.task, domain_overrides=overrides
             )
+            setup_span.set_attr("structure", search.structure_status)
+            return search
     if kernel == KERNEL_FC:
         return ForwardCheckingKernel(
             request.affine, request.task, domain_overrides=overrides

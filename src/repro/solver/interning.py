@@ -10,7 +10,8 @@ kernels instead intern everything **once per (affine, task) pair**:
   bitmask (one bit per id) and set union / membership become ``|`` and
   a hash probe on a small ``frozenset`` of ints;
 * every affine vertex becomes its position in the legacy assignment
-  order (the interner is built *from* a ``MapSearch``, so vertex order,
+  order (the interner is built *from* a ``MapSearch`` and reads member
+  positions from its shared ``SearchStructure``, so vertex order,
   candidate order and firing positions are identical by construction);
 * every simplex constraint ``image(sigma) in Delta(carrier(sigma, s))``
   is pre-compiled into a :class:`CompiledConstraint`: the member
@@ -88,8 +89,9 @@ class InternTable:
 
     def __init__(self, search: MapSearch):
         self.search = search
+        structure = search.structure
         vertices = search.vertices
-        self.position: Dict = {v: i for i, v in enumerate(vertices)}
+        self.position: Dict = structure.rank
 
         # Output-vertex interning: ids are assigned in canonical domain
         # order (vertex order, then candidate order), so the id layout
@@ -111,13 +113,12 @@ class InternTable:
         self.involving: List[List[CompiledConstraint]] = [[] for _ in vertices]
         # Thousands of simplices share a handful of participation sets,
         # so the allowed-image mask set is computed once per
-        # participation, not once per simplex.
+        # participation, not once per simplex.  Member positions come
+        # sorted from the shared structure.
         allowed_masks: Dict[FrozenSet, FrozenSet[int]] = {}
-        for sigma in search.simplices:
-            positions = tuple(
-                sorted(self.position[v] for v in sigma)
-            )
-            participation = search.participation[sigma]
+        for positions, participation in zip(
+            structure.simplices, structure.participation
+        ):
             allowed = allowed_masks.get(participation)
             if allowed is None:
                 raw = search.task.allowed_outputs(participation)

@@ -48,8 +48,10 @@ __all__ = ["BitsetKernel", "ForwardCheckingKernel"]
 def _shared_setup(affine: AffineTask, task: Task):
     """The interned problem for ``(affine, task)``, built once per pair.
 
-    The ISSUE-level contract of this package: interning happens once
-    per (affine, task) pair, not once per query.  The cache lives on
+    The contract of this package: interning happens once per (affine,
+    task) pair, not once per query, and the task-independent half of it
+    (the :class:`~repro.tasks.solvability.SearchStructure` of ``L``) once
+    per affine object, whatever the task.  The cache lives on
     the task object (``task._solver_setup``), so its lifetime is the
     task's own — no global registry to leak in a long-lived server —
     and repeated queries (the service traffic pattern, the engine's
@@ -69,6 +71,7 @@ def _shared_setup(affine: AffineTask, task: Task):
             search = MapSearch(affine, task)
             entry = (search, InternTable(search))
             setup_span.set_attr("vertices", len(search.vertices))
+            setup_span.set_attr("structure", search.structure_status)
         cache[affine] = entry
     return entry
 
@@ -96,6 +99,9 @@ class _KernelBase:
                 self.tables = InternTable(self._search)
                 setup_span.set_attr(
                     "vertices", len(self._search.vertices)
+                )
+                setup_span.set_attr(
+                    "structure", self._search.structure_status
                 )
         else:
             self._search, self.tables = _shared_setup(affine, task)

@@ -59,6 +59,7 @@ from ..tasks.solvability import (
     DomainOverrides,
     MapSearch,
     SearchBudgetExceeded,
+    SearchStructure,
 )
 from ..tasks.task import OutputVertex, Task
 from ..core.affine import AffineTask
@@ -444,6 +445,10 @@ class _OrbitOrderedSearch(MapSearch):
     an automorphism can setwise stabilize.  Each orbit member is chosen
     by the same adjacency-to-placed key as the base greedy, which keeps
     constraint firing — and with it tree quality — close to legacy's.
+
+    Its structure is built privately: the greedy base order is derived
+    afresh, and the orbit order never lands in the affine task's shared
+    :class:`~repro.tasks.solvability.SearchStructure`.
     """
 
     def __init__(
@@ -456,31 +461,31 @@ class _OrbitOrderedSearch(MapSearch):
         self._orbit_of = orbits or {}
         super().__init__(affine, task, domain_overrides=domain_overrides)
 
-    def _order_vertices(self, vertices):
-        base = super()._order_vertices(vertices)
+    def _structure(self, affine: AffineTask) -> SearchStructure:
+        self.structure_status = "built"
+        return SearchStructure(affine.complex, reorder=self._orbit_order)
+
+    def _orbit_order(self, base, keyed, adjacency, sizes):
         if not self._orbit_of:
             return base
-        rank = {v: i for i, v in enumerate(base)}
-        adjacency: Dict[ChrVertex, set] = {v: set() for v in base}
-        for sigma in self.simplices:
-            if len(sigma) == 2:
-                a, b = tuple(sigma)
-                adjacency[a].add(b)
-                adjacency[b].add(a)
+        key_id = {vertex: index for index, vertex in enumerate(keyed)}
+        rank = {vertex_id: index for index, vertex_id in enumerate(base)}
+        neighbours = [set(adjacent) for adjacent in adjacency]
 
         def greedy_key(v):
-            return (
-                -len(adjacency[v] & placed),
-                len(self.participation[frozenset([v])]),
-                rank[v],
-            )
+            return (-len(neighbours[v] & placed), sizes[v], rank[v])
 
-        ordered: List[ChrVertex] = []
+        ordered: List[int] = []
         placed: set = set()
         remaining = set(base)
         while remaining:
             best = min(remaining, key=greedy_key)
-            pending = set(self._orbit_of.get(best, (best,))) & remaining
+            orbit = self._orbit_of.get(keyed[best])
+            pending = (
+                {key_id[member] for member in orbit} & remaining
+                if orbit
+                else set()
+            )
             pending.add(best)
             while pending:
                 member = min(pending, key=greedy_key)

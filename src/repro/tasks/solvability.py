@@ -19,11 +19,14 @@ failures surface at the smallest violating face.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+import heapq
+from array import array
+from itertools import combinations
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.affine import AffineTask
 from ..topology.chromatic import ChrVertex, ProcessId, color_of
-from ..topology.simplex import Simplex, simplex_key, vertex_key
+from ..topology.simplex import vertex_key
 from ..topology.subdivision import carrier_in_s
 from .task import OutputVertex, Task
 
@@ -31,8 +34,10 @@ __all__ = [
     "DomainOverrides",
     "MapSearch",
     "SearchBudgetExceeded",
+    "SearchStructure",
     "find_carried_map",
     "minimal_set_consensus",
+    "search_structure",
     "solves_set_consensus",
     "split_search_domains",
     "verify_carried_map",
@@ -69,6 +74,158 @@ class SearchBudgetExceeded(Exception):
 DomainOverrides = Dict[ChrVertex, Tuple[OutputVertex, ...]]
 
 
+class SearchStructure:
+    """The task-independent half of :class:`MapSearch` set-up for one ``L``.
+
+    Everything the search needs that depends on the complex alone, built
+    once on dense vertex ids and shared by every task, every ``k`` and
+    every split-retry slice on the same :class:`AffineTask` (see
+    :func:`search_structure`):
+
+    * ``vertices`` — the constrained-first assignment order, and
+      ``rank`` its inverse (vertex -> position);
+    * ``key_positions`` — the position of each vertex in ``vertex_key``
+      order (a certificate lists its map in that order);
+    * ``vertex_participation`` — per position, the vertex's witnessed
+      participation ``carrier(v, s)``;
+    * ``simplices`` — every simplex of ``L`` in ``simplex_key`` order,
+      as the ascending tuple of its members' positions (the last one is
+      where its constraint fires);
+    * ``participation`` — per simplex, ``carrier(sigma, s)``, one shared
+      ``frozenset`` per distinct participation;
+    * ``firing`` — per position, the indices of the simplices whose
+      constraint fires there, in simplex order (an unsigned ``array``:
+      tens of thousands of small ints cost 4 bytes each, not 36).
+
+    Ids are ranks in ``vertex_key`` order — structural keys, not
+    ``repr``, so the order and with it node counts and returned maps are
+    reproducible across runs, platforms and worker processes — and
+    sorting id tuples by ``(size, ids)`` is ``simplex_key`` order
+    without building a key.
+    ``reorder`` (the symmetry kernel's orbit blocking) may replace the
+    greedy order: ``reorder(order, vertices, adjacency, sizes)`` gets
+    and returns a list of ids.
+    """
+
+    __slots__ = (
+        "vertices",
+        "rank",
+        "key_positions",
+        "vertex_participation",
+        "simplices",
+        "participation",
+        "firing",
+    )
+
+    def __init__(self, complex_, reorder=None):
+        keyed = sorted(complex_.vertices, key=vertex_key)
+        key_id = {vertex: index for index, vertex in enumerate(keyed)}
+        # Carriers lower member-wise: carrier(sigma, s) is the union of
+        # its vertices' carriers, kept as a process bitmask per id and
+        # interned as one frozenset per distinct mask.
+        shared: Dict[int, FrozenSet[ProcessId]] = {}
+        masks: List[int] = []
+        for vertex in keyed:
+            lowered = carrier_in_s((vertex,))
+            mask = 0
+            for process in lowered:
+                mask |= 1 << process
+            shared.setdefault(mask, lowered)
+            masks.append(mask)
+        closure = set()
+        for facet in complex_.facets:
+            ids = sorted(map(key_id.__getitem__, facet))
+            for size in range(1, len(ids) + 1):
+                closure.update(combinations(ids, size))
+        ordered = sorted(closure, key=lambda ids: (len(ids), ids))
+        adjacency: List[List[int]] = [[] for _ in keyed]
+        for ids in ordered:
+            if len(ids) == 2:
+                a, b = ids
+                adjacency[a].append(b)
+                adjacency[b].append(a)
+        sizes = [bin(mask).count("1") for mask in masks]
+        order = _greedy_order(adjacency, sizes)
+        if reorder is not None:
+            order = reorder(order, keyed, adjacency, sizes)
+
+        position = [0] * len(keyed)
+        for index, vertex_id in enumerate(order):
+            position[vertex_id] = index
+        self.vertices: List[ChrVertex] = [keyed[i] for i in order]
+        self.rank: Dict[ChrVertex, int] = {
+            vertex: index for index, vertex in enumerate(self.vertices)
+        }
+        self.key_positions: List[int] = position
+        self.vertex_participation: List[FrozenSet[ProcessId]] = [
+            shared[masks[i]] for i in order
+        ]
+        self.simplices: List[Tuple[int, ...]] = []
+        self.participation: List[FrozenSet[ProcessId]] = []
+        self.firing: List[array] = [array("I") for _ in keyed]
+        for index, ids in enumerate(ordered):
+            positions = tuple(sorted(map(position.__getitem__, ids)))
+            mask = 0
+            for vertex_id in ids:
+                mask |= masks[vertex_id]
+            participation = shared.get(mask)
+            if participation is None:
+                participation = shared[mask] = frozenset(
+                    process
+                    for process in range(mask.bit_length())
+                    if mask >> process & 1
+                )
+            self.simplices.append(positions)
+            self.participation.append(participation)
+            self.firing[positions[-1]].append(index)
+
+
+def _greedy_order(adjacency: List[List[int]], sizes: List[int]) -> List[int]:
+    """Constrained-first order: the most already-placed neighbours first,
+    then the smallest witnessed participation, then ``vertex_key`` rank.
+
+    A lazy max-heap over adjacency counts: placing a vertex pushes a new
+    entry for each unplaced neighbour, and stale entries (a vertex
+    placed since, or a count that grew since) are skipped when popped.
+    Counts only grow, so a vertex's live entry is its smallest, and the
+    first live pop is the minimum of the total key over the remaining
+    vertices.
+    """
+    heap = [(0, size, vertex_id) for vertex_id, size in enumerate(sizes)]
+    heapq.heapify(heap)
+    placed_neighbours = [0] * len(sizes)
+    placed = [False] * len(sizes)
+    order: List[int] = []
+    while heap:
+        count, size, vertex_id = heapq.heappop(heap)
+        if placed[vertex_id] or -count != placed_neighbours[vertex_id]:
+            continue
+        placed[vertex_id] = True
+        order.append(vertex_id)
+        for neighbour in adjacency[vertex_id]:
+            if not placed[neighbour]:
+                placed_neighbours[neighbour] += 1
+                heapq.heappush(
+                    heap,
+                    (-placed_neighbours[neighbour], sizes[neighbour], neighbour),
+                )
+    return order
+
+
+def search_structure(affine: AffineTask) -> SearchStructure:
+    """The :class:`SearchStructure` of ``affine``, built once per object.
+
+    Cached on the affine task itself (``affine._search_structure``), as
+    the per-task solver set-up is cached on the task: its lifetime is
+    the object's own, with no global registry to leak.
+    """
+    structure = getattr(affine, "_search_structure", None)
+    if structure is None:
+        structure = SearchStructure(affine.complex)
+        affine._search_structure = structure
+    return structure
+
+
 class MapSearch:
     """Backtracking search for a carried chromatic simplicial map.
 
@@ -76,6 +233,10 @@ class MapSearch:
     their natural domains (preserving the canonical candidate order);
     the engine uses this to split one search into independent sub-jobs
     whose union covers the original space.
+
+    Set-up has two halves: the task-independent
+    :class:`SearchStructure` of ``L`` (shared, see
+    :func:`search_structure`) and the per-task candidate domains.
     """
 
     def __init__(
@@ -90,29 +251,10 @@ class MapSearch:
         self.task = task
         self.nodes_explored = 0
 
-        complex_ = affine.complex
-        # Structural sort keys (not repr) so the search order — and with
-        # it node counts and returned maps — is reproducible across
-        # runs, platforms and worker processes.
-        self.simplices: List[Simplex] = sorted(
-            complex_.simplices, key=simplex_key
-        )
-        self.participation: Dict[Simplex, FrozenSet[ProcessId]] = {
-            sigma: carrier_in_s(sigma) for sigma in self.simplices
-        }
-        self.vertices = self._order_vertices(complex_.vertices)
-        self.rank = {v: i for i, v in enumerate(self.vertices)}
-        # Simplices indexed by their latest vertex in assignment order:
-        # each constraint fires exactly once.
-        self.firing: Dict[ChrVertex, List[Simplex]] = {
-            v: [] for v in self.vertices
-        }
-        for sigma in self.simplices:
-            last = max(sigma, key=lambda v: self.rank[v])
-            self.firing[last].append(sigma)
-        self.domains: Dict[ChrVertex, List[OutputVertex]] = {
-            v: self._domain(v) for v in self.vertices
-        }
+        self.structure = self._structure(affine)
+        self.vertices = self.structure.vertices
+        self.rank = self.structure.rank
+        self.domains: Dict[ChrVertex, List[OutputVertex]] = self._domains()
         #: True when ``domain_overrides`` restricted any domain; such a
         #: search covers only a slice of the space, so its exhaustion is
         #: not a full refutation (certificates refuse to cite it).
@@ -129,36 +271,37 @@ class MapSearch:
                 ]
 
     # ------------------------------------------------------------------
-    def _order_vertices(self, vertices: Iterable[ChrVertex]) -> List[ChrVertex]:
-        """Constrained-first ordering: small witnessed participation,
-        then maximal adjacency to already-ordered vertices."""
-        remaining = set(vertices)
-        adjacency: Dict[ChrVertex, set] = {v: set() for v in remaining}
-        for sigma in self.simplices:
-            if len(sigma) == 2:
-                a, b = tuple(sigma)
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        ordered: List[ChrVertex] = []
-        placed: set = set()
-        while remaining:
-            best = min(
-                remaining,
-                key=lambda v: (
-                    -len(adjacency[v] & placed),
-                    len(self.participation[frozenset([v])]),
-                    vertex_key(v),
-                ),
-            )
-            ordered.append(best)
-            placed.add(best)
-            remaining.remove(best)
-        return ordered
+    def _structure(self, affine: AffineTask) -> SearchStructure:
+        #: ``"reused"`` when the structure came from an earlier search
+        #: on the same affine object, ``"built"`` when this one paid it.
+        self.structure_status = (
+            "built"
+            if getattr(affine, "_search_structure", None) is None
+            else "reused"
+        )
+        return search_structure(affine)
 
-    def _domain(self, vertex: ChrVertex) -> List[OutputVertex]:
-        participation = self.participation[frozenset([vertex])]
+    def _domains(self) -> Dict[ChrVertex, List[OutputVertex]]:
+        """Candidate domains, one list per distinct (participation, color).
+
+        Vertices sharing both share the list object; nothing mutates a
+        domain in place (overrides replace the entry).
+        """
+        memo: Dict[Tuple[FrozenSet[ProcessId], ProcessId], List] = {}
+        domains: Dict[ChrVertex, List[OutputVertex]] = {}
+        participation = self.structure.vertex_participation
+        for position, vertex in enumerate(self.vertices):
+            key = (participation[position], color_of(vertex))
+            domain = memo.get(key)
+            if domain is None:
+                domain = memo[key] = self._domain(*key)
+            domains[vertex] = domain
+        return domains
+
+    def _domain(
+        self, participation: FrozenSet[ProcessId], color: ProcessId
+    ) -> List[OutputVertex]:
         allowed = self.task.allowed_outputs(participation)
-        color = color_of(vertex)
         candidates = sorted(
             {
                 out
@@ -195,12 +338,18 @@ class MapSearch:
         """
         assignment: Dict[ChrVertex, OutputVertex] = {}
         self.nodes_explored = 0
+        structure = self.structure
+        vertices = self.vertices
+        allowed_outputs = self.task.allowed_outputs
 
-        def consistent(vertex: ChrVertex) -> bool:
-            for sigma in self.firing[vertex]:
-                image = frozenset(assignment[v] for v in sigma)
-                if image not in self.task.allowed_outputs(
-                    self.participation[sigma]
+        def consistent(position: int) -> bool:
+            for index in structure.firing[position]:
+                image = frozenset(
+                    assignment[vertices[member]]
+                    for member in structure.simplices[index]
+                )
+                if image not in allowed_outputs(
+                    structure.participation[index]
                 ):
                     return False
             return True
@@ -232,7 +381,7 @@ class MapSearch:
                         partial_assignment=assignment,
                     )
                 assignment[vertex] = candidate
-                if consistent(vertex):
+                if consistent(depth):
                     advanced = True
                     break
                 del assignment[vertex]
@@ -283,7 +432,7 @@ class MapSearch:
                     f"resume candidate for {vertex!r} is outside its domain"
                 )
             assignment[vertex] = candidate
-            if not consistent(vertex):
+            if not consistent(index):
                 raise ValueError("resume assignment violates a constraint")
             choice_index[index] = domain.index(candidate) + 1
         if depth < len(self.vertices):

@@ -17,9 +17,49 @@ Simplices are ``frozenset`` objects (see :mod:`repro.topology.simplex`).
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Set
+from itertools import combinations
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+)
 
 from .simplex import Simplex, Vertex, dim, faces
+
+
+def _maximal(candidates: Set[Simplex]) -> FrozenSet[Simplex]:
+    """The inclusion-maximal members of a set of distinct simplices.
+
+    Candidates are taken largest first, and each is compared only with
+    the strictly larger facets kept so far that contain one chosen
+    member vertex (any superset must contain it): a pure input, whose
+    candidates all have one size, costs a single pass.
+    """
+    facets: List[Simplex] = []
+    #: vertex -> kept facets holding it, largest first.
+    incident: Dict[Vertex, List[Simplex]] = {}
+    for sigma in sorted(candidates, key=len, reverse=True):
+        size = len(sigma)
+        if facets and len(facets[0]) > size:
+            pivot = min(sigma, key=lambda v: len(incident.get(v, ())))
+            absorbed = False
+            for other in incident.get(pivot, ()):
+                if len(other) <= size:
+                    break
+                if sigma < other:
+                    absorbed = True
+                    break
+            if absorbed:
+                continue
+        facets.append(sigma)
+        for vertex in sigma:
+            incident.setdefault(vertex, []).append(sigma)
+    return frozenset(facets)
 
 
 class SimplicialComplex:
@@ -39,16 +79,9 @@ class SimplicialComplex:
     """
 
     def __init__(self, simplices: Iterable[Iterable[Vertex]]):
-        candidates: List[Simplex] = sorted(
-            {frozenset(sigma) for sigma in simplices if sigma},
-            key=len,
-            reverse=True,
+        self._facets: FrozenSet[Simplex] = _maximal(
+            {frozenset(sigma) for sigma in simplices if sigma}
         )
-        facets: List[Simplex] = []
-        for sigma in candidates:
-            if not any(sigma < other or sigma == other for other in facets):
-                facets.append(sigma)
-        self._facets: FrozenSet[Simplex] = frozenset(facets)
         self._simplices: Optional[FrozenSet[Simplex]] = None
         self._vertices: Optional[FrozenSet[Vertex]] = None
 
@@ -66,8 +99,9 @@ class SimplicialComplex:
         if self._simplices is None:
             closed: Set[Simplex] = set()
             for facet in self._facets:
-                for face in faces(facet):
-                    closed.add(face)
+                members = tuple(facet)
+                for size in range(1, len(members) + 1):
+                    closed.update(map(frozenset, combinations(members, size)))
             self._simplices = frozenset(closed)
         return self._simplices
 

@@ -580,3 +580,51 @@ def test_cli_certify_stdout(capsys):
     cert = json.loads(capsys.readouterr().out)
     assert cert["kind"] == "solvable"
     assert check(cert).valid
+
+
+# ----------------------------------------------------------------------
+# Positive certificates are a read-out of the shared search structure
+# ----------------------------------------------------------------------
+def _sorted_solvable_cert(affine, task, mapping, nodes_explored):
+    """The positive certificate as built before the read-out: sort the
+    vertices and simplices again and lower every carrier afresh."""
+    from repro.certify.witness import _header
+    from repro.topology.simplex import vertex_key
+    from repro.topology.subdivision import carrier_in_s
+
+    encode, canon = serialize_module._encode, serialize_module._canon_text
+    cert = _header("solvable", affine, task)
+    vertices = sorted(mapping, key=vertex_key)
+    rank = {vertex: index for index, vertex in enumerate(vertices)}
+    cert["map"] = [[encode(v), encode(mapping[v])] for v in vertices]
+    entries = []
+    for sigma in sorted(
+        affine.complex.simplices,
+        key=lambda s: (len(s), sorted(map(rank.__getitem__, s))),
+    ):
+        entries.append(
+            {
+                "simplex": sorted([encode(v) for v in sigma], key=canon),
+                "carrier": sorted(carrier_in_s(sigma)),
+                "image": sorted({canon(encode(mapping[v])) for v in sigma}),
+            }
+        )
+    cert["simplices"] = entries
+    cert["search"] = {"nodes_explored": nodes_explored}
+    return cert
+
+
+def test_solvable_cert_matches_the_sorted_construction(ra_1of, ra_1res, ra_fig5b):
+    checked = 0
+    for affine in (ra_1of, ra_1res, ra_fig5b):
+        for k in (1, 2, 3):
+            task = set_consensus_task(3, k)
+            mapping, cert = certified_search(affine, task)
+            if mapping is None:
+                continue
+            reference = _sorted_solvable_cert(
+                affine, task, mapping, cert["search"]["nodes_explored"]
+            )
+            assert cert_to_bytes(cert) == cert_to_bytes(reference)
+            checked += 1
+    assert checked >= 6

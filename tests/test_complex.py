@@ -1,6 +1,8 @@
 """Unit tests for repro.topology.complex (SimplicialComplex)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.topology.complex import (
     SimplicialComplex,
@@ -158,3 +160,45 @@ def test_standard_simplex_complex():
     assert len(K.simplices) == 2**4 - 1
     with pytest.raises(ValueError):
         standard_simplex_complex(0)
+
+
+# ----------------------------------------------------------------------
+# The bucketed maximality filter against the quadratic one
+# ----------------------------------------------------------------------
+def _quadratic_facets(simplices):
+    """The filter ``SimplicialComplex`` used before bucketing: every
+    candidate compared with every facet kept so far."""
+    candidates = sorted(
+        {frozenset(s) for s in simplices if s}, key=len, reverse=True
+    )
+    facets = []
+    for sigma in candidates:
+        if not any(sigma < other or sigma == other for other in facets):
+            facets.append(sigma)
+    return frozenset(facets)
+
+
+def _faces_closure(facets):
+    from repro.topology.simplex import faces
+
+    return frozenset(face for facet in facets for face in faces(facet))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 9), min_size=0, max_size=6),
+        max_size=40,
+    )
+)
+def test_maximality_filter_matches_quadratic(simplices):
+    K = SimplicialComplex(simplices)
+    assert K.facets == _quadratic_facets(simplices)
+    assert K.simplices == _faces_closure(K.facets)
+
+
+def test_pure_input_keeps_every_facet():
+    from repro.topology import chr_complex
+
+    facets = chr_complex(3, 2).facets
+    assert SimplicialComplex(facets).facets == facets

@@ -39,6 +39,19 @@ def test_input_vertex_color():
     assert color_of(InputVertex(2, 0)) == 2
 
 
+#: (model, task) -> node count of the E17 separation table's searches,
+#: as recorded before the shared solver structure and the bucketed
+#: maximality filter landed (the filter builds the complexes searched).
+_E17_NODES = {
+    ("wf1", "consensus"): 23,
+    ("wf1", "2-set"): 54,
+    ("1of", "consensus"): 720,
+    ("1of", "2-set"): 582,
+    ("1res", "consensus"): 683,
+    ("1res", "2-set"): 672,
+}
+
+
 def test_subdivided_input_complex_glues():
     """Two input facets sharing a face share the subdivision of that
     face: vertices carried entirely by the shared inputs coincide."""
@@ -84,12 +97,16 @@ def test_binary_consensus_solvable_one_obstruction_free():
 
 def test_binary_consensus_unsolvable_one_resilient():
     task = binary_consensus_task(3)
-    assert not general_task_solvable(r_t_resilient(3, 1), task)
+    search = GeneralMapSearch(r_t_resilient(3, 1), task)
+    assert search.search() is None
+    assert search.nodes_explored == _E17_NODES[("1res", "consensus")]
 
 
 def test_binary_2set_consensus_solvable_one_resilient():
     task = binary_k_set_consensus_task(3, 2)
-    assert general_task_solvable(r_t_resilient(3, 1), task)
+    search = GeneralMapSearch(r_t_resilient(3, 1), task)
+    assert search.search() is not None
+    assert search.nodes_explored == _E17_NODES[("1res", "2-set")]
 
 
 def test_found_map_respects_validity():
@@ -98,6 +115,7 @@ def test_found_map_respects_validity():
     search = GeneralMapSearch(affine, task)
     mapping = search.search()
     assert mapping is not None
+    assert search.nodes_explored == _E17_NODES[("1of", "consensus")]
     for vertex, out in mapping.items():
         assert out.process == vertex.color
         witnessed_values = {v.value for v in base_inputs(vertex)}
@@ -114,3 +132,22 @@ def test_budget_exceeded():
 def test_binary_3set_consensus_trivially_solvable():
     task = binary_k_set_consensus_task(3, 3)
     assert general_task_solvable(full_affine_task(3, 1), task)
+
+
+def test_e17_remaining_trees_unchanged():
+    """The E17 cells no other test here searches: verdict and nodes."""
+    cells = [
+        (full_affine_task(3, 1), binary_consensus_task(3), "wf1", "consensus", False),
+        (full_affine_task(3, 1), binary_k_set_consensus_task(3, 2), "wf1", "2-set", True),
+        (
+            r_affine(k_concurrency_alpha(3, 1)),
+            binary_k_set_consensus_task(3, 2),
+            "1of",
+            "2-set",
+            True,
+        ),
+    ]
+    for affine, task, model, name, solvable in cells:
+        search = GeneralMapSearch(affine, task)
+        assert (search.search() is not None) == solvable
+        assert search.nodes_explored == _E17_NODES[(model, name)]

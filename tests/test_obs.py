@@ -326,6 +326,16 @@ def test_solver_setup_span_only_when_cold(solve_queries):
     assert "solver.setup" not in names  # warm: no setup work to time
 
 
+def test_solver_setup_span_says_whether_the_structure_was_built():
+    affine = full_affine_task(3, 1)  # a fresh object: nothing cached
+    tracer = obs.enable()
+    for k in (1, 2):
+        run_request(SolveRequest(affine=affine, task=set_consensus_task(3, k)))
+    obs.disable()
+    setups = [s for s in tracer.drain() if s.name == "solver.setup"]
+    assert [s.attrs["structure"] for s in setups] == ["built", "reused"]
+
+
 # ----------------------------------------------------------------------
 # Metrics integration: consistent snapshots, trace read-out
 # ----------------------------------------------------------------------

@@ -384,3 +384,64 @@ def test_committed_landscape_digests_are_reproduced():
         adversary = Adversary(cell["n"], [frozenset(s) for s in cell["live_sets"]])
         alpha = agreement_function_of(adversary)
         assert digest(alpha_signature(alpha)) == cell["alpha_digest"]
+
+
+# ----------------------------------------------------------------------
+# Complex encodings: one text per vertex, facets sorted by built text
+# ----------------------------------------------------------------------
+def _sorted_complex_encoding(complex_, tag):
+    """A complex's encoding by re-sorting every level on ``_canon_text``
+    of freshly encoded members (the construction before shared texts)."""
+    canon = serialize_module._canon_text
+    facets = [
+        ["fset", sorted([serialize_module._encode(v) for v in facet], key=canon)]
+        for facet in complex_.facets
+    ]
+    return [tag, sorted(facets, key=canon)]
+
+
+def test_complex_encoding_matches_the_sorted_construction(ra_1res):
+    complexes = [
+        (chr_complex(3, 2), "ccx"),
+        (ra_1res.complex, "ccx"),
+        (chr_complex(3, 1).complex, "scx"),
+        # Equal vertices with different texts, alone and under carriers.
+        (
+            SimplicialComplex(
+                [
+                    {OutputVertex(0, 1), OutputVertex(1, 2)},
+                    {OutputVertex(0, True), OutputVertex(1, 3)},
+                ]
+            ),
+            "scx",
+        ),
+        (
+            ChromaticComplex(
+                [
+                    {ChrVertex(0, frozenset({1})), ChrVertex(1, frozenset({0}))},
+                    {ChrVertex(0, frozenset({True})), ChrVertex(2, frozenset({0}))},
+                ]
+            ),
+            "ccx",
+        ),
+    ]
+    for complex_, tag in complexes:
+        with _fresh_memo():
+            encoded = serialize_module._encode(complex_)
+            assert encoded == _sorted_complex_encoding(complex_, tag)
+            text = serialize_module._canon_text(encoded)
+            assert text == serialize(complex_)
+    both = serialize(complexes[3][0])
+    assert '["outv",0,true]' in both and '["outv",0,1]' in both
+
+
+def test_shared_codec_keys_by_identity_not_value():
+    codec = serialize_module.SharedCodec()
+    one, true = ChrVertex(0, frozenset({1})), ChrVertex(0, frozenset({True}))
+    for vertex in (one, true):
+        assert codec.text(vertex) == serialize(vertex)
+        assert codec.encoding(vertex) == serialize_module._encode(vertex)
+    assert codec.text(one) != codec.text(true)
+    # A new object with the same text shares the encoding object.
+    copy = ChrVertex(0, frozenset({1}))
+    assert codec.encoding(copy) is codec.encoding(one)

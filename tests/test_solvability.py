@@ -1,8 +1,15 @@
 """Tests for the FACT decision procedure (repro.tasks.solvability)."""
 
+import random
+
 import pytest
 
-from repro.core import full_affine_task
+from repro.adversaries.agreement import agreement_function_of
+from repro.adversaries.fairness import is_fair
+from repro.analysis.landscape import all_adversaries
+from repro.core import full_affine_task, r_affine
+from repro.core.affine import AffineTask
+from repro.solver import BitsetKernel
 from repro.tasks.set_consensus import set_consensus_task
 from repro.tasks.simplex_agreement import affine_task_as_task
 from repro.tasks.solvability import (
@@ -10,9 +17,15 @@ from repro.tasks.solvability import (
     SearchBudgetExceeded,
     find_carried_map,
     minimal_set_consensus,
+    search_structure,
     solves_set_consensus,
+    split_search_domains,
     verify_carried_map,
 )
+from repro.topology import chr_complex
+from repro.topology.chromatic import ChromaticComplex, color_of
+from repro.topology.simplex import simplex_key, vertex_key
+from repro.topology.subdivision import carrier_in_s
 
 
 def test_n_set_consensus_always_solvable(chr1):
@@ -116,3 +129,192 @@ def test_solvability_monotone_in_subcomplex(ra_2of):
     rk = r_k_obstruction_free(3, 2)
     assert minimal_set_consensus(rk) == 2
     assert minimal_set_consensus(ra_2of) == 2
+
+
+# ----------------------------------------------------------------------
+# The shared search structure against the quadratic construction
+# ----------------------------------------------------------------------
+def _quadratic_structure(affine):
+    """The set-up ``MapSearch`` used before the shared structure:
+    simplices sorted by nested keys, one ``carrier_in_s`` per simplex,
+    and a greedy order that rescans every remaining vertex per step.
+    Kept as the oracle the structure must reproduce exactly."""
+    simplices = sorted(affine.complex.simplices, key=simplex_key)
+    participation = {sigma: carrier_in_s(sigma) for sigma in simplices}
+    remaining = set(affine.complex.vertices)
+    adjacency = {v: set() for v in remaining}
+    for sigma in simplices:
+        if len(sigma) == 2:
+            a, b = tuple(sigma)
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    order, placed = [], set()
+    while remaining:
+        best = min(
+            remaining,
+            key=lambda v: (
+                -len(adjacency[v] & placed),
+                len(participation[frozenset([v])]),
+                vertex_key(v),
+            ),
+        )
+        order.append(best)
+        placed.add(best)
+        remaining.remove(best)
+    rank = {v: i for i, v in enumerate(order)}
+    firing = {v: [] for v in order}
+    for sigma in simplices:
+        firing[max(sigma, key=rank.__getitem__)].append(sigma)
+    return simplices, participation, order, firing
+
+
+def _quadratic_domains(structure, task):
+    _, participation, order, _ = structure
+    domains = {}
+    for vertex in order:
+        allowed = task.allowed_outputs(participation[frozenset([vertex])])
+        candidates = sorted(
+            {
+                out
+                for sigma in allowed
+                for out in sigma
+                if out.process == color_of(vertex)
+            },
+            key=vertex_key,
+        )
+        domains[vertex] = [o for o in candidates if frozenset([o]) in allowed]
+    return domains
+
+
+def _quadratic_search(structure, domains, task, budget):
+    """The reference backtrack over the oracle's set-up: the returned
+    map (or ``None``) and its node count, or the budget's node count
+    and partial assignment."""
+    _, participation, order, firing = structure
+    assignment, nodes = {}, 0
+    choice = [0] * len(order)
+    depth = 0
+    while True:
+        vertex = order[depth]
+        advanced = False
+        while choice[depth] < len(domains[vertex]):
+            candidate = domains[vertex][choice[depth]]
+            choice[depth] += 1
+            nodes += 1
+            if nodes > budget:
+                return "budget", nodes, dict(assignment)
+            assignment[vertex] = candidate
+            if all(
+                frozenset(assignment[v] for v in sigma)
+                in task.allowed_outputs(participation[sigma])
+                for sigma in firing[vertex]
+            ):
+                advanced = True
+                break
+            del assignment[vertex]
+        if advanced:
+            if depth + 1 == len(order):
+                return "map", nodes, dict(assignment)
+            depth += 1
+            choice[depth] = 0
+        else:
+            assignment.pop(vertex, None)
+            depth -= 1
+            if depth < 0:
+                return "none", nodes, None
+            assignment.pop(order[depth], None)
+
+
+def _structure_view(search):
+    """The shared structure in the oracle's (object-keyed) shape."""
+    st = search.structure
+    simplices = [
+        frozenset(st.vertices[p] for p in positions)
+        for positions in st.simplices
+    ]
+    participation = dict(zip(simplices, st.participation))
+    firing = {
+        vertex: [simplices[i] for i in st.firing[position]]
+        for position, vertex in enumerate(st.vertices)
+    }
+    return simplices, participation, list(st.vertices), firing
+
+
+def _outcome(search, budget):
+    try:
+        mapping = search.search(budget)
+    except SearchBudgetExceeded as exc:
+        return "budget", exc.nodes_explored, exc.partial_assignment
+    return ("none" if mapping is None else "map"), search.nodes_explored, mapping
+
+
+def _random_subcomplex(seed):
+    """A random pure sub-complex of ``Chr² s`` (n=3) as an affine task."""
+    rng = random.Random(seed)
+    keep = rng.uniform(0.3, 0.95)
+    facets = sorted(chr_complex(3, 2).facets, key=simplex_key)
+    kept = [facet for facet in facets if rng.random() < keep] or facets[:1]
+    return AffineTask(3, 2, ChromaticComplex(kept), name=f"rand{seed}")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_structure_matches_quadratic_construction(seed):
+    affine = _random_subcomplex(seed)
+    oracle = _quadratic_structure(affine)
+    structures = set()
+    for k in (1, 2, 3):
+        task = set_consensus_task(3, k)
+        search = MapSearch(affine, task)
+        assert _structure_view(search) == oracle
+        assert search.domains == _quadratic_domains(oracle, task)
+        structures.add(id(search.structure))
+        expected = _quadratic_search(
+            oracle, _quadratic_domains(oracle, task), task, 5000
+        )
+        assert _outcome(search, 5000) == expected
+        assert _outcome(BitsetKernel(affine, task), 5000) == expected
+    # One structure per affine object, whatever the task.
+    assert structures == {id(search_structure(affine))}
+
+
+def test_e11_table_matches_quadratic_oracle():
+    """Every E11 statement (43 fair n=3 adversaries x k) searches the
+    same tree as the quadratic construction: node counts and maps."""
+    budget = 20000
+    statements = 0
+    for adversary in all_adversaries(3):
+        if not is_fair(adversary):
+            continue
+        affine = r_affine(agreement_function_of(adversary))
+        oracle = _quadratic_structure(affine)
+        for k in (1, 2, 3):
+            task = set_consensus_task(3, k)
+            expected = _quadratic_search(
+                oracle, _quadratic_domains(oracle, task), task, budget
+            )
+            assert _outcome(MapSearch(affine, task), budget) == expected
+            statements += 1
+    assert statements == 129
+
+
+def test_split_slices_share_the_structure():
+    affine = full_affine_task(3, 1)
+    task = set_consensus_task(3, 2)
+    shared = search_structure(affine)
+    for overrides in split_search_domains(affine, task, parts=2):
+        slice_search = MapSearch(affine, task, domain_overrides=overrides)
+        assert slice_search.structure is shared
+        assert slice_search.structure_status == "reused"
+
+
+def test_structure_status_reports_the_first_build():
+    affine = full_affine_task(3, 1)
+    first = MapSearch(affine, set_consensus_task(3, 1))
+    second = MapSearch(affine, set_consensus_task(3, 2))
+    assert (first.structure_status, second.structure_status) == (
+        "built",
+        "reused",
+    )
+    # An equal affine object builds its own.
+    fresh = MapSearch(full_affine_task(3, 1), set_consensus_task(3, 1))
+    assert fresh.structure_status == "built"

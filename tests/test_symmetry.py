@@ -42,9 +42,12 @@ from repro.tasks.set_consensus import set_consensus_task
 from repro.tasks.solvability import (
     MapSearch,
     SearchBudgetExceeded,
+    SearchStructure,
+    search_structure,
     verify_carried_map,
 )
 from repro.tasks.task import Task
+from repro.topology.simplex import vertex_key
 
 
 @pytest.fixture(scope="session")
@@ -227,3 +230,91 @@ def test_certificates_coerce_and_stay_byte_identical(wf_affine):
     default = certificate_for(wf_affine, task)
     via_symmetry = certificate_for(wf_affine, task, kernel=KERNEL_SYMMETRY)
     assert cert_to_bytes(via_symmetry) == cert_to_bytes(default)
+
+
+# ----------------------------------------------------------------------
+# The orbit order and the shared search structure
+# ----------------------------------------------------------------------
+def _grid_affine(name):
+    from repro.adversaries import (
+        agreement_function_of,
+        figure5b_adversary,
+        k_concurrency_alpha,
+        t_resilience_alpha,
+    )
+    from repro.core import r_affine
+
+    if name == "wf1":
+        return full_affine_task(3, 1)
+    alpha = {
+        "1of": lambda: k_concurrency_alpha(3, 1),
+        "2of": lambda: k_concurrency_alpha(3, 2),
+        "1res": lambda: t_resilience_alpha(3, 1),
+        "fig5b": lambda: agreement_function_of(figure5b_adversary()),
+    }[name]()
+    return r_affine(alpha)
+
+
+def _order_digest(vertices):
+    import hashlib
+
+    text = repr([vertex_key(v) for v in vertices]).encode()
+    return hashlib.sha256(text).hexdigest()[:16]
+
+
+#: (affine, k) -> (solvable, nodes, digest of the kernel's vertex
+#: order), recorded from the quadratic set-up before the shared search
+#: structure existed.  The 2-OF k=2 cell (425 413 nodes) is left out
+#: for time.
+_SYMMETRY_TREES = {
+    ("wf1", 1): (False, 6, "ccd8f825ef65cf7e"),
+    ("wf1", 2): (False, 246, "ccd8f825ef65cf7e"),
+    ("wf1", 3): (True, 12, "ccd8f825ef65cf7e"),
+    ("1of", 1): (True, 135, "34ceafb53c54de65"),
+    ("1of", 2): (True, 89, "34ceafb53c54de65"),
+    ("1of", 3): (True, 87, "34ceafb53c54de65"),
+    ("2of", 1): (False, 150, "d732bc3a23dc74f3"),
+    ("2of", 3): (True, 99, "d732bc3a23dc74f3"),
+    ("1res", 1): (False, 6258, "c84109fba59d8af9"),
+    ("1res", 2): (True, 96, "c84109fba59d8af9"),
+    ("1res", 3): (True, 96, "c84109fba59d8af9"),
+    ("fig5b", 1): (False, 230, "383f4f39d9c048c1"),
+    ("fig5b", 2): (True, 97, "383f4f39d9c048c1"),
+    ("fig5b", 3): (True, 97, "383f4f39d9c048c1"),
+}
+
+
+@pytest.mark.parametrize("name", ["wf1", "1of", "2of", "1res", "fig5b"])
+def test_symmetry_trees_unchanged_by_the_shared_structure(name):
+    affine = _grid_affine(name)
+    for (row, k), expected in _SYMMETRY_TREES.items():
+        if row != name:
+            continue
+        kernel = SymmetryKernel(affine, set_consensus_task(3, k))
+        mapping = kernel.search()
+        assert (
+            mapping is not None,
+            kernel.nodes_explored,
+            _order_digest(kernel.vertices),
+        ) == expected, (name, k)
+
+
+def test_orbit_order_neither_reads_nor_writes_the_shared_structure():
+    task = set_consensus_task(3, 2)
+    # Symmetry first: the shared structure does not exist yet, and the
+    # orbit order must not create it with its own order.
+    affine = full_affine_task(3, 1)
+    kernel = SymmetryKernel(affine, task)
+    orbit_order = list(kernel.vertices)
+    shared = search_structure(affine)
+    assert kernel._search.structure is not shared
+    plain = SearchStructure(affine.complex).vertices
+    assert shared.vertices == plain
+    assert orbit_order != plain  # the wait-free group is non-trivial
+    # Shared first: the orbit order must not start from it.
+    other = full_affine_task(3, 1)
+    shared_first = search_structure(other)
+    later = SymmetryKernel(other, set_consensus_task(3, 2))
+    assert list(later.vertices) == orbit_order
+    assert search_structure(other) is shared_first
+    assert shared_first.vertices == plain
