@@ -23,19 +23,6 @@ cost and the speedup is large.  Both numbers land in
 ``BENCH_solver.json``, as measured, along with the opt-in fc kernel's
 figures.  Every query is parity-checked against the oracle (maps *and*
 node counts) before any number is recorded.
-
-One further section rides on the same grid:
-
-* **symmetry, cold** — the orbit-quotiented kernel, measured only on
-  the *qualifying* subset: symmetric adversary AND search-dominant
-  tree (>= ``_SEARCH_DOMINANT_NODES`` legacy nodes).  The quotient
-  pays for automorphism verification up front, so setup-dominant
-  instances can only lose cold — honest accounting restricts the
-  claim to where the quotient can recoup that cost, extends the grid
-  with n=4 wait-free cases (the base grid is nearly all
-  setup-dominant at n=3), and records ``null`` when nothing
-  qualifies.  Verdict parity is asserted per query; found maps must
-  pass the independent verifier (node counts are the quotient's own).
 """
 
 from __future__ import annotations
@@ -53,19 +40,14 @@ from repro.adversaries import (
 )
 from repro.analysis import render_mapping
 from repro.core import full_affine_task, r_affine
-from repro.solver import BitsetKernel, ForwardCheckingKernel, SymmetryKernel
+from repro.solver import BitsetKernel, ForwardCheckingKernel
 from repro.tasks.set_consensus import set_consensus_task
-from repro.tasks.solvability import MapSearch, verify_carried_map
+from repro.tasks.solvability import MapSearch
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_solver.json"
 
 ROUNDS = 3
-
-#: Legacy-node floor for "search-dominant": below this the wall time is
-#: setup, which the symmetry kernel can only lose cold (it verifies the
-#: automorphism group up front).
-_SEARCH_DOMINANT_NODES = 1000
 
 
 def _grid():
@@ -81,19 +63,6 @@ def _grid():
         for affine in affines
         for k in range(1, 4)
     ]
-
-
-#: Adversary symmetry per `_grid` affine row (fig5b is the asymmetric
-#: one); the symmetry quotient can only prune under a symmetric
-#: adversary, so only those rows are candidates.
-_GRID_SYMMETRIC = (True, True, True, True, False)
-
-
-def _symmetric_extra():
-    """n=4 wait-free cases: symmetric with genuinely search-dominant
-    trees (k=3 is deliberately absent — its legacy tree is enormous)."""
-    affine = full_affine_task(4, 1)
-    return [(affine, set_consensus_task(4, k)) for k in (1, 2)]
 
 
 def _strip_setup(affine, task) -> None:
@@ -174,44 +143,6 @@ def bench_solver():
         assert mapping == legacy_maps[index], affine.name
         assert nodes <= legacy_nodes[index], affine.name
 
-    # -- symmetry, cold: the qualifying symmetric subset ----------------
-    candidates = [
-        (grid[i][0], grid[i][1], legacy_nodes[i], legacy_times[i], legacy_maps[i])
-        for i in range(len(grid))
-        if _GRID_SYMMETRIC[i // 3]
-    ]
-    for affine, task in _symmetric_extra():
-        def run_extra_legacy():
-            _strip_setup(affine, task)
-            search = MapSearch(affine, task)
-            return search.search(), search.nodes_explored
-
-        (mapping, nodes), elapsed = _best_of(ROUNDS, run_extra_legacy)
-        candidates.append((affine, task, nodes, elapsed, mapping))
-
-    sym_speedups = []
-    for affine, task, nodes, legacy_time, legacy_map in candidates:
-        if nodes < _SEARCH_DOMINANT_NODES:
-            continue
-
-        def run_sym():
-            _strip_setup(affine, task)
-            kernel = SymmetryKernel(affine, task)
-            return kernel.search(), kernel.nodes_explored
-
-        (mapping, _sym_nodes), elapsed = _best_of(ROUNDS, run_sym)
-        # Soundness, not tree parity: the quotiented tree has its own
-        # node counts, but verdicts must match and a found map must
-        # independently verify as a concrete carried map.
-        assert (mapping is None) == (legacy_map is None), affine.name
-        if mapping is not None:
-            assert verify_carried_map(affine, task, mapping), affine.name
-        sym_speedups.append(legacy_time / max(elapsed, 1e-9))
-
-    median_speedup_cold_symmetry = (
-        round(statistics.median(sym_speedups), 2) if sym_speedups else None
-    )
-
     def _speedups(times):
         return [legacy / max(t, 1e-9) for legacy, t in zip(legacy_times, times)]
 
@@ -239,12 +170,6 @@ def bench_solver():
         "fc_nodes_vs_legacy": round(
             sum(fc_nodes) / max(sum(legacy_nodes), 1), 3
         ),
-        "symmetry": {
-            "candidates": len(candidates),
-            "qualifying_queries": len(sym_speedups),
-        },
-        # Null when no candidate is search-dominant on this host.
-        "median_speedup_cold_symmetry": median_speedup_cold_symmetry,
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
@@ -257,7 +182,3 @@ def bench_solver():
     # the E11 grid; cold must at least not be a regression disaster.
     assert report["median_speedup_warm"] > 3.0
     assert report["median_speedup_cold"] > 0.5
-    # The symmetry claim is scoped to the search-dominant symmetric
-    # subset; when nothing qualifies the metric is an honest null.
-    if sym_speedups:
-        assert report["median_speedup_cold_symmetry"] > 1.3

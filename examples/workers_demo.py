@@ -8,8 +8,6 @@ whole lifecycle against real workloads:
 * affinity routing pinning repeat solver setups to one warm worker;
 * crash recovery: a SIGKILLed worker is restarted and its in-flight
   job re-dispatched exactly once, with no other job disturbed;
-* the shared-memory artifact read layer serving a second process's
-  cache hit without touching the on-disk object;
 * clean close — no worker process survives the pool.
 
 Run from the repository root::
@@ -24,7 +22,6 @@ from __future__ import annotations
 import os
 import signal
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -33,7 +30,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.adversaries import k_concurrency_alpha  # noqa: E402
 from repro.core import r_affine  # noqa: E402
-from repro.engine import ArtifactCache, JobSpec, digest  # noqa: E402
+from repro.engine import JobSpec  # noqa: E402
 from repro.solver import SolveRequest  # noqa: E402
 from repro.tasks.set_consensus import set_consensus_task  # noqa: E402
 from repro.workers import WorkerPool  # noqa: E402
@@ -100,21 +97,6 @@ def main() -> int:
         all(not _alive(pid) for pid in pids),
         "close() left no worker process behind",
     )
-
-    # ------------------------------------------------------------------
-    # Shared-memory read layer: a second attachment serves the artifact
-    # out of the mmap segment after the disk object is gone.
-    with tempfile.TemporaryDirectory() as cache_root:
-        writer = ArtifactCache(cache_root, shared=True)
-        key = digest("workers-demo-artifact")
-        writer.put(key, ("served", "from", "shared", "memory"))
-        writer._path(key).unlink()
-        reader = ArtifactCache(cache_root, shared=True)
-        check(
-            reader.get(key) == ("served", "from", "shared", "memory")
-            and reader.shared_hits == 1,
-            "shared segment served a hit with the disk object gone",
-        )
 
     print("workers-demo: all checks passed")
     return 0

@@ -86,12 +86,7 @@ def _build_engine(args: argparse.Namespace, default_cache: bool = False):
     want_cache = (
         cache_dir is not None or default_cache
     ) and not getattr(args, "no_cache", False)
-    # --shared-cache opts in to the mmap cross-process read layer; the
-    # None default defers to the REPRO_SHARED_CACHE environment switch.
-    shared = True if getattr(args, "shared_cache", False) else None
-    cache = (
-        ArtifactCache(cache_dir, shared=shared) if want_cache else NullCache()
-    )
+    cache = ArtifactCache(cache_dir) if want_cache else NullCache()
     return Engine(
         jobs=getattr(args, "jobs", 1),
         cache=cache,
@@ -1105,13 +1100,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="disable the artifact cache",
-    )
-    parser.add_argument(
-        "--shared-cache",
-        action="store_true",
-        help="mirror warm artifacts into a shared mmap segment so every "
-        "process on this cache directory deserializes them once "
-        "(env fallback: REPRO_SHARED_CACHE=1)",
     )
     parser.add_argument(
         "--kernel",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Optional, Tuple
 
@@ -34,11 +33,6 @@ from .serialize import SerializationError, deserialize, digest, serialize
 MISS = object()
 
 _ENV_VAR = "REPRO_CACHE_DIR"
-_SHARED_ENV_VAR = "REPRO_SHARED_CACHE"
-#: Deserialized artifacts memoized per process when the shared layer is
-#: on (the layer's contract is "deserialize once per machine *process
-#: set*"; the memo makes repeats within one process free).
-_HOT_ENTRIES = 256
 
 
 def default_cache_dir() -> Path:
@@ -50,47 +44,16 @@ def default_cache_dir() -> Path:
 
 
 class ArtifactCache:
-    """A persistent, content-addressed store of engine artifacts.
-
-    ``shared=True`` (or ``REPRO_SHARED_CACHE=1``; CLI ``--shared-cache``)
-    adds the :class:`repro.workers.shm.SharedArtifactSegment` read layer:
-    artifact texts are mirrored into one mmap segment under the cache
-    root, so every process attached to the same cache directory reads a
-    warm artifact from shared memory — plus a bounded per-process memo
-    of deserialized values, making a repeat hit free.  The layer is an
-    accelerator only: any corruption or capacity limit silently falls
-    back to the on-disk store, which remains the single authority
-    (default **off**, so disk semantics — including corruption
-    surfacing as a miss — are unchanged unless asked for).
-    """
+    """A persistent, content-addressed store of engine artifacts."""
 
     persistent = True
 
-    def __init__(
-        self,
-        root: Optional[os.PathLike] = None,
-        *,
-        shared: Optional[bool] = None,
-        shared_capacity: Optional[int] = None,
-    ):
+    def __init__(self, root: Optional[os.PathLike] = None):
         self.root = Path(root) if root is not None else default_cache_dir()
         self._objects = self.root / "objects"
         self._objects.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
-        self.shared_hits = 0
-        if shared is None:
-            shared = os.environ.get(_SHARED_ENV_VAR, "") not in ("", "0")
-        self._shared = None
-        self._hot: "OrderedDict[str, Any]" = OrderedDict()
-        if shared:
-            # Late import: repro.workers imports the engine package.
-            from ..workers.shm import DEFAULT_CAPACITY, SharedArtifactSegment
-
-            self._shared = SharedArtifactSegment(
-                self.root / "shared" / "artifacts.shm",
-                capacity=shared_capacity or DEFAULT_CAPACITY,
-            )
 
     def __repr__(self) -> str:
         return f"ArtifactCache({str(self.root)!r}, hits={self.hits}, misses={self.misses})"
@@ -99,33 +62,8 @@ class ArtifactCache:
     def _path(self, key_digest: str) -> Path:
         return self._objects / key_digest[:2] / f"{key_digest}.json"
 
-    def _remember(self, key_digest: str, value: Any) -> None:
-        hot = self._hot
-        hot[key_digest] = value
-        hot.move_to_end(key_digest)
-        while len(hot) > _HOT_ENTRIES:
-            hot.popitem(last=False)
-
     def get(self, key_digest: str) -> Any:
         """The stored artifact for a key digest, or :data:`MISS`."""
-        if self._shared is not None:
-            if key_digest in self._hot:
-                self._hot.move_to_end(key_digest)
-                self.hits += 1
-                return self._hot[key_digest]
-            text = self._shared.get_text(key_digest)
-            if text is not None:
-                try:
-                    value = deserialize(text)
-                except (SerializationError, ValueError):
-                    # A segment serving undecodable text is not to be
-                    # trusted; the disk store below is the authority.
-                    self._shared.usable = False
-                else:
-                    self.hits += 1
-                    self.shared_hits += 1
-                    self._remember(key_digest, value)
-                    return value
         path = self._path(key_digest)
         try:
             text = path.read_text(encoding="utf-8")
@@ -138,9 +76,6 @@ class ArtifactCache:
             self.misses += 1
             return MISS
         self.hits += 1
-        if self._shared is not None:
-            self._shared.put_text(key_digest, text)
-            self._remember(key_digest, value)
         return value
 
     def put(self, key_digest: str, value: Any) -> None:
@@ -161,9 +96,6 @@ class ArtifactCache:
             except OSError:
                 pass
             raise
-        if self._shared is not None:
-            self._shared.put_text(key_digest, text)
-            self._remember(key_digest, value)
 
     def get_or_compute(
         self, key: Any, compute: Callable[[], Any]
@@ -182,13 +114,7 @@ class ArtifactCache:
         return sum(1 for _ in self._objects.glob("*/*.json"))
 
     def clear(self) -> int:
-        """Delete every stored artifact; returns the number removed.
-
-        A maintenance operation: when the shared read layer is on, the
-        segment is reset too, but processes already attached to it may
-        hold pre-clear index entries — don't clear a cache other
-        processes are actively serving from.
-        """
+        """Delete every stored artifact; returns the number removed."""
         removed = 0
         for entry in self._objects.glob("*/*.json"):
             try:
@@ -196,16 +122,7 @@ class ArtifactCache:
                 removed += 1
             except OSError:
                 pass
-        self._hot.clear()
-        if self._shared is not None:
-            self._shared.reset()
         return removed
-
-    def shared_stats(self) -> Optional[dict]:
-        """Shared-segment counters, or ``None`` when the layer is off."""
-        if self._shared is None:
-            return None
-        return self._shared.stats()
 
 
 class NullCache:

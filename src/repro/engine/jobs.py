@@ -464,7 +464,7 @@ class Engine:
                     if len(payload) == 1 and isinstance(
                         payload[0], SolveRequest
                     ):
-                        result.kernel = payload[0].kernel
+                        result.kernel = payload[0].effective_kernel
             batch_span.set_attr("cache_hits", hits)
             batch_span.set_attr("computed", len(pending))
             batch_span.set_attr("coalesced", len(specs) - hits - len(pending))
@@ -655,7 +655,7 @@ class Engine:
                 verdict="solvable" if mapping is not None else "unsolvable",
                 mapping=mapping,
                 nodes=nodes,
-                kernel=request.kernel,
+                kernel=request.effective_kernel,
             )
             for request, (mapping, nodes) in zip(requests, pairs)
         ]

@@ -7,8 +7,6 @@ the typed query surface the engine, service and CLI share;
 the legacy :class:`~repro.tasks.solvability.MapSearch` (same verdicts,
 maps *and node counts* — legacy stays on as the differential-testing
 oracle); :class:`ForwardCheckingKernel` is the opt-in pruning kernel;
-:class:`SymmetryKernel` quotients the DFS by verified process-symmetry
-orbits (symmetric adversaries are the paper-central case);
 :func:`split_request` slices a request for the engine's split-retry.
 See docs/solver.md.
 """
@@ -18,7 +16,6 @@ from .api import (
     KERNEL_BITSET,
     KERNEL_FC,
     KERNEL_LEGACY,
-    KERNEL_SYMMETRY,
     KERNELS,
     TREE_IDENTICAL_KERNELS,
     SolveRequest,
@@ -31,10 +28,8 @@ from .api import (
 from .interning import CompiledConstraint, InternTable
 from .kernel import BitsetKernel, ForwardCheckingKernel
 from .split import split_request
-from .symmetry import Automorphism, SymmetryKernel, automorphism_group
 
 __all__ = [
-    "Automorphism",
     "BitsetKernel",
     "CompiledConstraint",
     "DEFAULT_KERNEL",
@@ -44,13 +39,10 @@ __all__ = [
     "KERNEL_BITSET",
     "KERNEL_FC",
     "KERNEL_LEGACY",
-    "KERNEL_SYMMETRY",
     "SolveRequest",
     "SolveResult",
-    "SymmetryKernel",
     "TREE_IDENTICAL_KERNELS",
     "as_solve_request",
-    "automorphism_group",
     "make_searcher",
     "run_request",
     "solve_request_from_payload",

@@ -40,7 +40,6 @@ __all__ = [
     "KERNEL_BITSET",
     "KERNEL_FC",
     "KERNEL_LEGACY",
-    "KERNEL_SYMMETRY",
     "SolveRequest",
     "SolveResult",
     "TREE_IDENTICAL_KERNELS",
@@ -54,9 +53,8 @@ __all__ = [
 KERNEL_LEGACY = "legacy"
 KERNEL_BITSET = "bitset"
 KERNEL_FC = "fc"
-KERNEL_SYMMETRY = "symmetry"
 #: Every selectable kernel, in documentation order.
-KERNELS = (KERNEL_LEGACY, KERNEL_BITSET, KERNEL_FC, KERNEL_SYMMETRY)
+KERNELS = (KERNEL_LEGACY, KERNEL_BITSET, KERNEL_FC)
 #: The kernel used when none is requested: tree-identical to legacy.
 DEFAULT_KERNEL = KERNEL_BITSET
 
@@ -138,6 +136,19 @@ class SolveRequest:
         if self.resume is not None:
             return base + (self.resume_dict(),)
         return base
+
+    @property
+    def effective_kernel(self) -> str:
+        """The kernel this request runs on.
+
+        A request carrying ``resume`` runs on a tree-identical kernel:
+        resume stubs encode positions in the *legacy* tree, which the fc
+        kernel prunes.  ``kernel`` itself (and with it the digest) stays
+        as requested.
+        """
+        if self.resume is not None and self.kernel not in TREE_IDENTICAL_KERNELS:
+            return KERNEL_BITSET
+        return self.kernel
 
     def setup_digest(self) -> str:
         """Digest of the solver setup this request would build/reuse."""
@@ -234,15 +245,9 @@ def as_solve_request(
 # Execution
 # ----------------------------------------------------------------------
 def make_searcher(request: SolveRequest):
-    """The searcher object a request resolves to (kernel dispatch).
-
-    A request carrying ``resume`` is coerced to a tree-identical kernel
-    — resume stubs encode positions in the *legacy* tree, which the fc
-    kernel prunes and the symmetry kernel quotients.
-    """
-    kernel = request.kernel
-    if request.resume is not None and kernel not in TREE_IDENTICAL_KERNELS:
-        kernel = KERNEL_BITSET
+    """The searcher object a request resolves to: its
+    :attr:`~SolveRequest.effective_kernel`."""
+    kernel = request.effective_kernel
     overrides = request.overrides_dict()
     if kernel == KERNEL_LEGACY:
         # Legacy searches build their domains fresh (no per-task setup
@@ -257,13 +262,6 @@ def make_searcher(request: SolveRequest):
         return ForwardCheckingKernel(
             request.affine, request.task, domain_overrides=overrides
         )
-    if kernel == KERNEL_SYMMETRY:
-        # Late import: the symmetry module imports kernel machinery.
-        from .symmetry import SymmetryKernel
-
-        return SymmetryKernel(
-            request.affine, request.task, domain_overrides=overrides
-        )
     return BitsetKernel(
         request.affine, request.task, domain_overrides=overrides
     )
@@ -274,7 +272,7 @@ def run_request(request: SolveRequest) -> SolveResult:
     searcher = make_searcher(request)
     with obs.span(
         "solver.search",
-        kernel=request.kernel,
+        kernel=request.effective_kernel,
         budget=request.budget,
         resumed=request.resume is not None,
     ) as search_span:
@@ -290,5 +288,5 @@ def run_request(request: SolveRequest) -> SolveResult:
         verdict="solvable" if mapping is not None else "unsolvable",
         mapping=mapping,
         nodes=searcher.nodes_explored,
-        kernel=request.kernel,
+        kernel=request.effective_kernel,
     )

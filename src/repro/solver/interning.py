@@ -91,7 +91,6 @@ class InternTable:
         self.search = search
         structure = search.structure
         vertices = search.vertices
-        self.position: Dict = structure.rank
 
         # Output-vertex interning: ids are assigned in canonical domain
         # order (vertex order, then candidate order), so the id layout

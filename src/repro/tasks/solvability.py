@@ -102,9 +102,6 @@ class SearchStructure:
     reproducible across runs, platforms and worker processes — and
     sorting id tuples by ``(size, ids)`` is ``simplex_key`` order
     without building a key.
-    ``reorder`` (the symmetry kernel's orbit blocking) may replace the
-    greedy order: ``reorder(order, vertices, adjacency, sizes)`` gets
-    and returns a list of ids.
     """
 
     __slots__ = (
@@ -117,7 +114,7 @@ class SearchStructure:
         "firing",
     )
 
-    def __init__(self, complex_, reorder=None):
+    def __init__(self, complex_):
         keyed = sorted(complex_.vertices, key=vertex_key)
         key_id = {vertex: index for index, vertex in enumerate(keyed)}
         # Carriers lower member-wise: carrier(sigma, s) is the union of
@@ -146,8 +143,6 @@ class SearchStructure:
                 adjacency[b].append(a)
         sizes = [bin(mask).count("1") for mask in masks]
         order = _greedy_order(adjacency, sizes)
-        if reorder is not None:
-            order = reorder(order, keyed, adjacency, sizes)
 
         position = [0] * len(keyed)
         for index, vertex_id in enumerate(order):

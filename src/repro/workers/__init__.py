@@ -10,22 +10,15 @@ This package is what makes ``jobs > 1`` actually pay (see ROADMAP):
 * :mod:`~repro.workers.wire` — digest + compact-delta payload
   decomposition over the canonical codec, so a multi-KB task crosses
   the pipe once per worker and stays warm there.
-* :mod:`~repro.workers.shm` — the mmap-backed cross-process read layer
-  behind :class:`repro.engine.cache.ArtifactCache` (opt-in via
-  ``ArtifactCache(shared=True)`` / ``--shared-cache`` /
-  ``REPRO_SHARED_CACHE=1``).
 
 See ``docs/engine.md`` ("worker pool & affinity") for the API.
 """
 
 from .pool import JobTicket, WorkerPool
-from .shm import DEFAULT_CAPACITY, SharedArtifactSegment
 from .wire import affinity_key, decompose, recompose
 
 __all__ = [
-    "DEFAULT_CAPACITY",
     "JobTicket",
-    "SharedArtifactSegment",
     "WorkerPool",
     "affinity_key",
     "decompose",

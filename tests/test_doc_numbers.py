@@ -24,7 +24,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 ROW = re.compile(r"\|\s*`(BENCH_\w+\.json):([\w.]+)`\s*\|\s*([^|]+?)\s*\|")
 
 #: Docs whose economics tables must be keyed to a BENCH file.
-KEYED_DOCS = ("solver.md", "certificates.md", "engine.md")
+KEYED_DOCS = (
+    "solver.md",
+    "certificates.md",
+    "engine.md",
+    "sweep.md",
+    "service.md",
+    "observability.md",
+)
 
 
 def _rows():

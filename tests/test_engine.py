@@ -70,6 +70,30 @@ def test_cache_survives_corrupt_entries(tmp_path):
     assert cache.get(key) == (1, 2, 3)
 
 
+def test_cache_objects_are_visible_to_every_instance_on_the_root(tmp_path):
+    writer = ArtifactCache(tmp_path)
+    key = digest("shared-root")
+    writer.put(key, chr_complex(3, 1))
+    # A second instance (another process, in practice) reads the object.
+    assert ArtifactCache(tmp_path).get(key) == chr_complex(3, 1)
+    # With the object gone from disk, every instance misses.
+    writer._path(key).unlink()
+    assert ArtifactCache(tmp_path).get(key) is MISS
+    assert writer.get(key) is MISS
+
+
+def test_cache_clear_removes_every_artifact(tmp_path):
+    cache = ArtifactCache(tmp_path)
+    keys = [digest(("cleared", i)) for i in range(3)]
+    for index, key in enumerate(keys):
+        cache.put(key, (index,))
+    assert cache.clear() == 3
+    assert len(cache) == 0
+    assert all(cache.get(key) is MISS for key in keys)
+    cache.put(keys[0], (0,))
+    assert cache.get(keys[0]) == (0,)
+
+
 def test_engine_second_call_hits_cache(tmp_path, ra_1res, task23):
     first = Engine(cache=ArtifactCache(tmp_path))
     mapping, nodes = first.solve_many([(ra_1res, task23, None)])[0]

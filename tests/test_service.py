@@ -279,7 +279,7 @@ def test_per_request_timeout_returns_typed_error(client):
     assert client.ping()
 
 
-def test_wire_error_codes(server, client):
+def test_wire_error_codes(server, client, ra_1of):
     assert _raw_request(server.port, b"{broken\n")["error"]["code"] == "bad_request"
     assert (
         _raw_request(server.port, b'{"v": 99, "op": "ping"}\n')["error"]["code"]
@@ -294,6 +294,17 @@ def test_wire_error_codes(server, client):
     with pytest.raises(ServiceError) as info:
         client.request("query", kind="chr", payload=serialize([3, 1]))
     assert info.value.code == "bad_payload"  # decodes, but not a tuple
+    # A typed solve naming an unknown kernel ("symmetry" was removed)
+    # does not decode.
+    text = serialize(
+        (SolveRequest(affine=ra_1of, task=set_consensus_task(3, 2)),)
+    )
+    assert text.count('"bitset"') == 1
+    with pytest.raises(ServiceError) as info:
+        client.request(
+            "query", kind="solve", payload=text.replace('"bitset"', '"symmetry"')
+        )
+    assert info.value.code == "bad_payload"
     with pytest.raises(ServiceError) as info:
         client.query("chr", (3, "not-a-depth"))
     assert info.value.code == "job_error"

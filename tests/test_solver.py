@@ -18,11 +18,13 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from repro.certify import cert_to_bytes, certified_search
+from repro import obs
 from repro.cli import main
 from repro.core import full_affine_task
 from repro.engine import Engine, JobSpec, digest, serialize
@@ -32,7 +34,6 @@ from repro.solver import (
     KERNEL_BITSET,
     KERNEL_FC,
     KERNEL_LEGACY,
-    KERNEL_SYMMETRY,
     KERNELS,
     TREE_IDENTICAL_KERNELS,
     BitsetKernel,
@@ -186,9 +187,21 @@ def test_fc_refuses_resume_and_requests_coerce(ra_1res):
         resume=info.value.partial_assignment,
         kernel=KERNEL_FC,
     )
-    # A resume-carrying fc request silently runs on a tree-identical kernel.
+    # A resume-carrying fc request silently runs on a tree-identical kernel,
+    # and its result and span name that kernel, not the requested one.
     assert isinstance(make_searcher(request), BitsetKernel)
-    assert run_request(request).mapping == MapSearch(ra_1res, task).search()
+    tracer = obs.enable()
+    try:
+        result = run_request(request)
+    finally:
+        obs.disable()
+    assert result.mapping == MapSearch(ra_1res, task).search()
+    assert result.kernel == KERNEL_BITSET
+    (search_span,) = [s for s in tracer.drain() if s.name == "solver.search"]
+    assert search_span.attrs["kernel"] == KERNEL_BITSET
+    # The request itself, and with it its digest, keeps the asked-for kernel.
+    assert request.kernel == KERNEL_FC
+    assert digest(request) != digest(replace(request, kernel=KERNEL_BITSET))
 
 
 # ------------------------------------------------------------ the typed API
@@ -237,8 +250,10 @@ def test_kernel_is_part_of_the_digest(ra_1res):
         for kernel in KERNELS
     }
     assert len(digests) == len(KERNELS)
-    with pytest.raises(ValueError, match="unknown kernel"):
-        SolveRequest(affine=ra_1res, task=task, kernel="quantum")
+    # "symmetry" names a kernel that was removed: it is unknown now.
+    for unknown in ("quantum", "symmetry"):
+        with pytest.raises(ValueError, match="unknown kernel"):
+            SolveRequest(affine=ra_1res, task=task, kernel=unknown)
 
 
 def test_solvereq_serialize_roundtrip(ra_1res):
@@ -345,6 +360,32 @@ def test_engine_split_retry_still_resolves_with_bitset(wf_affine):
     assert nodes > 0
 
 
+# ------------------------------------------------- why fc stays: an n=4 cell
+#: A fair n=4 adversary of the committed n4-sampled grid whose k=2 cell
+#: the artifact records as ``budget`` (bitset, budget 20000).
+_N4_FC_LIVE_SETS = [
+    [0, 1, 2, 3], [0, 1, 3], [0, 2], [0, 2, 3], [0, 3],
+    [1, 2], [1, 2, 3], [1, 3], [2], [2, 3],
+]
+
+
+@pytest.mark.slow
+def test_fc_decides_an_n4_cell_bitset_cannot():
+    from repro.adversaries import Adversary, agreement_function_of
+    from repro.core import r_affine
+    from repro.tasks.solvability import verify_carried_map
+
+    affine = r_affine(agreement_function_of(Adversary(4, _N4_FC_LIVE_SETS)))
+    task = set_consensus_task(4, 2)
+    fc = ForwardCheckingKernel(affine, task)
+    mapping = fc.search(budget=20000)
+    assert mapping is not None
+    assert fc.nodes_explored == 1093
+    assert verify_carried_map(affine, task, mapping)
+    with pytest.raises(SearchBudgetExceeded):
+        BitsetKernel(affine, task).search(budget=20000)
+
+
 # -------------------------------------------------------- certificates / CLI
 def test_certificates_are_byte_identical_across_kernels(ra_1res, wf_affine):
     for affine, budget in ((ra_1res, None), (wf_affine, None), (ra_1res, 20)):
@@ -379,9 +420,4 @@ def test_curated_exports_resolve():
         for name in module.__all__:
             assert hasattr(module, name), (module.__name__, name)
     assert TREE_IDENTICAL_KERNELS == {KERNEL_LEGACY, KERNEL_BITSET}
-    assert set(KERNELS) == {
-        KERNEL_LEGACY,
-        KERNEL_BITSET,
-        KERNEL_FC,
-        KERNEL_SYMMETRY,
-    }
+    assert KERNELS == (KERNEL_LEGACY, KERNEL_BITSET, KERNEL_FC)

@@ -72,11 +72,6 @@ RULES: Dict[str, List[Tuple[str, str, float]]] = {
         ("median_speedup_warm", MIN_RATIO, 0.75),
         ("median_speedup_cold", MIN_RATIO, 0.50),
         ("median_speedup_fc_warm", MIN_RATIO, 0.50),
-        # Symmetry quotient: cold speedup over the qualifying subset
-        # (symmetric adversary + search-dominant); null when no case
-        # qualifies on this grid — skipped, never a failure.
-        ("symmetry.qualifying_queries", EXACT, 0.0),
-        ("median_speedup_cold_symmetry", MIN_RATIO, 0.50),
     ],
     "BENCH_engine.json": [
         ("workload.adversaries_classified", EXACT, 0.0),
