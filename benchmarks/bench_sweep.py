@@ -1,15 +1,11 @@
-"""Sweep economics: cells/s, compact-vs-naive memory, resume overhead.
+"""Sweep economics: cells/s and resume overhead.
 
-Three measurements around :mod:`repro.sweep`, landing in
+Two measurements around :mod:`repro.sweep`, landing in
 ``BENCH_landscape.json`` at the repo root for the trajectory gate:
 
 * **throughput** — the ``n3-smoke`` grid end to end (cells per second,
   informational: absolute rates track the CI machine and are not
   gated);
-* **compression** — the interned :class:`~repro.sweep.compact.
-  CompactComplex` versus the naive fully-materialized
-  ``SimplicialComplex`` closure on ``Chr^2 s`` (n=3), the ratio the
-  whole compact layer exists to win;
 * **resume overhead** — a sweep interrupted after half its cells and
   resumed, versus one uninterrupted run: the resumed path must
   recompute **zero** cells, produce a byte-identical artifact, and cost
@@ -27,8 +23,7 @@ import time
 from pathlib import Path
 
 from repro.analysis import render_mapping
-from repro.sweep import GRID_PRESETS, SweepDriver, compact_census
-from repro.topology import chr_complex
+from repro.sweep import GRID_PRESETS, SweepDriver
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_landscape.json"
@@ -56,9 +51,6 @@ def bench_sweep(tmp_path):
     assert status["complete"]
     reference = straight.write_artifact(tmp_path / "straight.json")
     summary = status["artifact"]["summary"]
-
-    # Compression: interned vs naive on the ambient complex Chr^2 s.
-    census = compact_census(chr_complex(3, 2))
 
     # Resume: interrupt after half the grid, then continue.
     half = cells // 2
@@ -94,13 +86,6 @@ def bench_sweep(tmp_path):
         "t_resumed_s": round(t_resumed, 4),
         "cells_per_s": round(cells / t_straight, 1),
         "resume_overhead_ratio": round(t_resumed / t_straight, 2),
-        "compact_vs_naive_memory_ratio": census["compression_ratio"],
-        "compact": {
-            "complex": "chr(3,2)",
-            "simplices": census["simplices"],
-            "naive_bytes": census["naive_bytes"],
-            "interned_bytes": census["interned_bytes"],
-        },
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
@@ -108,7 +93,5 @@ def bench_sweep(tmp_path):
     print(render_mapping("sweep economics:", report))
     print(f"wrote {OUTPUT}")
 
-    # The compact representation must actually beat the naive one.
-    assert report["compact_vs_naive_memory_ratio"] > 1
     # Resuming replays stubs instead of recomputing cells.
     assert report["resume"]["recomputed_cells"] == 0

@@ -295,18 +295,11 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
 
 
 def _inspect_census(adversary: Adversary):
-    """The ``R_A`` complex census for a fair, powered adversary, or None.
-
-    Includes the compact-representation comparison from
-    :mod:`repro.sweep.compact` so interned-vs-naive sizes are visible
-    straight from the CLI.
-    """
+    """The ``R_A`` complex census for a fair, powered adversary, or None."""
     if not is_fair(adversary) or setcon(adversary) < 1:
         return None
-    from .sweep.compact import compact_census
-
     task = r_affine(agreement_function_of(adversary))
-    return compact_census(task.complex)
+    return complex_census(task.complex)
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
@@ -340,21 +333,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if not fair:
         print(f"fairness counterexample: {fairness_counterexample(adversary)}")
     elif setcon(adversary) >= 1:
-        alpha = agreement_function_of(adversary)
-        task = r_affine(alpha)
-        print(render_mapping("affine task R_A:", complex_census(task.complex)))
-        census = _inspect_census(adversary)
-        print(
-            render_mapping(
-                "interned form:",
-                {
-                    "f_vector": census["f_vector"],
-                    "naive bytes": census["naive_bytes"],
-                    "interned bytes": census["interned_bytes"],
-                    "compression": f'{census["compression_ratio"]}x',
-                },
-            )
-        )
+        print(render_mapping("affine task R_A:", _inspect_census(adversary)))
     return 0
 
 

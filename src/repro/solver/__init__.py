@@ -6,8 +6,11 @@ the typed query surface the engine, service and CLI share;
 :class:`BitsetKernel` is the default tree-identical integer rewrite of
 the legacy :class:`~repro.tasks.solvability.MapSearch` (same verdicts,
 maps *and node counts* — legacy stays on as the differential-testing
-oracle); :class:`ForwardCheckingKernel` is the opt-in pruning kernel;
-:func:`split_request` slices a request for the engine's split-retry.
+oracle); :class:`ForwardCheckingKernel` is the opt-in pruning kernel.
+Both search the :class:`InternTable` of a problem: one allowed-image
+set and one allowed-candidate memo per distinct participation of
+``L``.  :func:`split_request` slices a request for the engine's
+split-retry.
 See docs/solver.md.
 """
 
@@ -25,13 +28,12 @@ from .api import (
     run_request,
     solve_request_from_payload,
 )
-from .interning import CompiledConstraint, InternTable
+from .interning import InternTable
 from .kernel import BitsetKernel, ForwardCheckingKernel
 from .split import split_request
 
 __all__ = [
     "BitsetKernel",
-    "CompiledConstraint",
     "DEFAULT_KERNEL",
     "ForwardCheckingKernel",
     "InternTable",

@@ -125,18 +125,6 @@ class SolveRequest:
             return None
         return {vertex: out for vertex, out in self.resume}
 
-    def legacy_payload(self) -> Tuple:
-        """The positional tuple this request replaces (for the wire)."""
-        base = (
-            self.affine,
-            self.task,
-            self.budget,
-            self.overrides_dict(),
-        )
-        if self.resume is not None:
-            return base + (self.resume_dict(),)
-        return base
-
     @property
     def effective_kernel(self) -> str:
         """The kernel this request runs on.

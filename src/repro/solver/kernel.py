@@ -213,13 +213,15 @@ class BitsetKernel(_KernelBase):
     def _arrival_mask(self, depth: int, chosen_bit: List[int]) -> int:
         """AND of the allowed-candidate masks of every firing constraint."""
         tables = self.tables
+        simplices = tables.structure.simplices
+        group = tables.group
         ok = (1 << len(tables.domain_bits[depth])) - 1
-        for constraint in tables.firing[depth]:
+        for index in tables.structure.firing[depth]:
             others = 0
-            for position in constraint.positions:
+            for position in simplices[index]:
                 if position != depth:
                     others |= chosen_bit[position]
-            ok &= tables.allowed_candidates(constraint, depth, others)
+            ok &= tables.allowed_candidates(group[index], depth, others)
             if not ok:
                 break
         return ok
@@ -238,6 +240,7 @@ class BitsetKernel(_KernelBase):
         """
         search = self._search
         tables = self.tables
+        structure = tables.structure
         vertices = search.vertices
         depth = 0
         for vertex in vertices:
@@ -261,11 +264,11 @@ class BitsetKernel(_KernelBase):
             position = domain.index(candidate)
             chosen_bit[index] = tables.domain_bits[index][position]
             chosen_idx[index] = position
-            for constraint in tables.firing[index]:
+            for simplex in structure.firing[index]:
                 image = 0
-                for member in constraint.positions:
+                for member in structure.simplices[simplex]:
                     image |= chosen_bit[member]
-                if image not in constraint.allowed:
+                if image not in tables.allowed[tables.group[simplex]]:
                     raise ValueError(
                         "resume assignment violates a constraint"
                     )
@@ -399,15 +402,18 @@ class ForwardCheckingKernel(_KernelBase):
     ) -> bool:
         """Forward-check then propagate; ``False`` on a domain wipeout."""
         tables = self.tables
+        simplices = tables.structure.simplices
+        group = tables.group
+        involving = tables.involving
         queue: List[int] = []
-        for constraint in tables.involving[depth]:
-            positions = constraint.positions
+        for index in involving[depth]:
+            positions = simplices[index]
             unassigned = [p for p in positions if p > depth]
             if not unassigned:
                 image = 0
                 for member in positions:
                     image |= chosen_bit[member]
-                if image not in constraint.allowed:
+                if image not in tables.allowed[group[index]]:
                     self.conflict_weight[depth] += 1
                     return False
             elif len(unassigned) == 1:
@@ -416,15 +422,15 @@ class ForwardCheckingKernel(_KernelBase):
                 for member in positions:
                     if member <= depth:
                         others |= chosen_bit[member]
-                mask = tables.allowed_candidates(constraint, target, others)
+                mask = tables.allowed_candidates(group[index], target, others)
                 if not self._restrict(target, mask, live, trail, queue):
                     return False
         weights = self.conflict_weight
         while queue:
             queue.sort(key=lambda p: (-weights[p], p))
             source = queue.pop(0)
-            for constraint in tables.involving[source]:
-                positions = constraint.positions
+            for index in involving[source]:
+                positions = simplices[index]
                 unassigned = [p for p in positions if p > depth]
                 if len(unassigned) != 2 or source not in unassigned:
                     continue
@@ -438,7 +444,7 @@ class ForwardCheckingKernel(_KernelBase):
                     if member <= depth:
                         others |= chosen_bit[member]
                 supported = tables.supported_candidates(
-                    constraint, target, others, source, live[source]
+                    group[index], target, others, source, live[source]
                 )
                 if not self._restrict(
                     target, supported, live, trail, queue

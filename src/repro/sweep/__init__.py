@@ -1,17 +1,11 @@
-"""Checkpointed landscape sweeps over compressed, interned complexes.
+"""Checkpointed landscape sweeps.
 
 The n >= 4 regime of the paper's landscape (every adversary classified,
 every fair one's affine task ``R_A`` solved against the set-consensus
 grid) is combinatorially explosive: ``Chr^m s`` facet counts follow the
-Fubini numbers and the naive :class:`~repro.topology.complex.
-SimplicialComplex` materializes every simplex as nested frozensets.
-This package makes large sweeps incremental instead of monolithic:
+Fubini numbers.  This package makes large sweeps incremental instead of
+monolithic:
 
-* :mod:`repro.sweep.compact` — a structure-shared, id-interned complex
-  representation (dense vertex ids, per-dimension facet arrays) with a
-  lazy, iterator-based ``Chr^m`` subdivision that streams facets
-  instead of materializing the full complex, plus round-trip adapters
-  to/from the classic complex types;
 * :mod:`repro.sweep.cells` — one sweep cell (adversary x task) as a
   pure engine computation: classification, ``R_A`` construction and a
   budgeted FACT solve with engine split-retry escalation;
@@ -23,13 +17,6 @@ This package makes large sweeps incremental instead of monolithic:
   artifact.
 """
 
-from .compact import (
-    CompactComplex,
-    compact_census,
-    compact_chr,
-    deep_sizeof,
-    stream_chr_facets,
-)
 from .driver import (
     GRID_PRESETS,
     GridSpec,
@@ -39,11 +26,6 @@ from .driver import (
 )
 
 __all__ = [
-    "CompactComplex",
-    "compact_census",
-    "compact_chr",
-    "deep_sizeof",
-    "stream_chr_facets",
     "GRID_PRESETS",
     "GridSpec",
     "SweepDriver",

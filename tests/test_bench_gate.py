@@ -59,7 +59,6 @@ BASELINES = {
         "workload": {"grid_cells": 12, "adversaries": 6},
         "verdicts": {"solvable": 1, "unsolvable": 1, "budget": 0},
         "resume": {"recomputed_cells": 0},
-        "compact_vs_naive_memory_ratio": 6.0,
         "resume_overhead_ratio": 1.1,
     },
     "BENCH_service.json": {

@@ -45,7 +45,9 @@ from repro.solver import (
     run_request,
     split_request,
 )
+from repro.tasks.approximate_agreement import approximate_agreement_task
 from repro.tasks.set_consensus import set_consensus_task
+from repro.tasks.simplex_agreement import chromatic_simplex_agreement
 from repro.tasks.solvability import (
     MapSearch,
     SearchBudgetExceeded,
@@ -88,22 +90,52 @@ def _thinned_task(base: Task, seed: int) -> Task:
 def test_bitset_is_tree_identical_on_known_instances(
     wf_affine, ra_1res, ra_1of
 ):
-    for affine, k in (
-        (wf_affine, 2),
-        (wf_affine, 3),
-        (ra_1res, 1),
-        (ra_1res, 2),
-        (ra_1of, 1),
+    """Bitset matches the oracle node for node; fc matches its map.
+
+    The fc node counts are pinned.  The approximate-agreement and
+    simplex-agreement cases have domains of 8 or more candidates, so
+    one memo miss probes many candidates at once.
+    """
+    for affine, task, fc_nodes in (
+        (wf_affine, set_consensus_task(3, 2), 68),
+        (wf_affine, set_consensus_task(3, 3), 12),
+        (ra_1res, set_consensus_task(3, 1), 2),
+        (ra_1res, set_consensus_task(3, 2), 96),
+        (ra_1of, set_consensus_task(3, 1), 87),
+        (full_affine_task(2, 1), approximate_agreement_task(2), 1),
+        (full_affine_task(2, 2), approximate_agreement_task(2), 21),
+        (ra_1of, chromatic_simplex_agreement(3, 1), 87),
     ):
-        task = set_consensus_task(3, k)
+        case = (affine.name, task.name)
         oracle = MapSearch(affine, task)
         expected = oracle.search()
         kernel = BitsetKernel(affine, task)
-        assert kernel.search() == expected, (affine.name, k)
-        assert kernel.nodes_explored == oracle.nodes_explored, (
-            affine.name,
-            k,
-        )
+        assert kernel.search() == expected, case
+        assert kernel.nodes_explored == oracle.nodes_explored, case
+        fc = ForwardCheckingKernel(affine, task)
+        assert fc.search() == expected, case
+        assert fc.nodes_explored == fc_nodes, case
+
+
+def test_intern_table_holds_one_table_per_participation(ra_1res):
+    task = set_consensus_task(3, 2)
+    kernel = BitsetKernel(ra_1res, task)
+    tables = kernel.tables
+    structure = tables.structure
+    distinct = set(structure.participation)
+    assert len(tables.allowed) == len(tables.memo) == len(distinct)
+    assert len(tables.group) == len(structure.simplices) > len(distinct)
+    owner = {}
+    for group, participation in zip(tables.group, structure.participation):
+        assert owner.setdefault(group, participation) == participation
+    assert len(set(owner.values())) == len(owner)
+    assert kernel.search() is not None
+    # Only the fc kernel propagates through every member of a simplex.
+    assert "involving" not in vars(tables)
+    ForwardCheckingKernel(ra_1res, task).search()
+    assert sum(map(len, tables.involving)) == sum(
+        map(len, structure.simplices)
+    )
 
 
 def test_differential_fuzz_thinned_tasks(wf_affine):

@@ -108,7 +108,6 @@ RULES: Dict[str, List[Tuple[str, str, float]]] = {
         ("verdicts.unsolvable", EXACT, 0.0),
         ("verdicts.budget", EXACT, 0.0),
         ("resume.recomputed_cells", EXACT, 0.0),
-        ("compact_vs_naive_memory_ratio", MIN_RATIO, 0.75),
         ("resume_overhead_ratio", MAX_RATIO, 10.0),
     ],
     "BENCH_service.json": [
