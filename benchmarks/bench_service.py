@@ -1,8 +1,8 @@
 """Service economics: a multi-client load mix against one server.
 
-One in-process :class:`BackgroundServer` (engine ``jobs=1``, memcache
-over a persistent artifact cache) serves concurrent
-blocking clients over real TCP, in two phases:
+One in-process :class:`BackgroundServer` (engine ``jobs=1`` over a
+persistent artifact cache, a 512-entry text tier in front) serves
+concurrent blocking clients over real TCP, in two phases:
 
 1. **Coalesce burst** — every client fires the *same* cold ``solve``
    query simultaneously (barrier start): the batcher must answer all
@@ -11,7 +11,7 @@ blocking clients over real TCP, in two phases:
    rotation of the full query mix (``chr`` subdivisions, zoo
    ``classify``, the E11 ``solve`` grid) for several cycles, so the
    first cycle fills the caches and later cycles measure the
-   memcache-dominated steady state.
+   steady state answered from the text tier.
 
 Client-side latencies are exact (per-request wall clock); the coalesce
 and memcache rates come from the server's own ``stats`` op.  Beside the
@@ -35,7 +35,7 @@ from repro.adversaries import build_catalogue
 from repro.analysis import render_mapping
 from repro.certify import certified_search
 from repro.engine import ArtifactCache, Engine, serialize
-from repro.service import BackgroundServer, MemCache, ServiceClient
+from repro.service import BackgroundServer, ServiceClient
 from repro.tasks.set_consensus import set_consensus_task
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -85,13 +85,7 @@ def _codec_ratio(affines):
 
 
 def bench_service(tmp_path, ra_1of, ra_1res, ra_fig5b):
-    engine = Engine(
-        jobs=1,
-        cache=MemCache(
-            backing=ArtifactCache(tmp_path / "service-cache"),
-            max_entries=512,
-        ),
-    )
+    engine = Engine(jobs=1, cache=ArtifactCache(tmp_path / "service-cache"))
     zoo = [entry.adversary for entry in build_catalogue(3)]
     affines = [ra_1of, ra_1res, ra_fig5b]
     mix = (
@@ -108,7 +102,9 @@ def bench_service(tmp_path, ra_1of, ra_1res, ra_fig5b):
     latencies = []
     failures = []
 
-    with BackgroundServer(engine, window=0.002, max_batch=64) as server:
+    with BackgroundServer(
+        engine, window=0.002, max_batch=64, memcache_size=512
+    ) as server:
         # -- phase 1: coalesce burst --------------------------------------
         burst_payload = ("solve", (ra_1res, set_consensus_task(3, 2), None, None))
         barrier = threading.Barrier(CLIENTS)

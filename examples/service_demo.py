@@ -2,10 +2,11 @@
 
 Starts ``python -m repro serve`` as a real subprocess, drives a mixed
 query load through :class:`repro.service.client.ServiceClient` (ping,
-subdivisions, zoo classification, an ``R_A`` construction and a FACT
-solvability query), checks a value against the in-process engine,
-prints the server's stats, then sends SIGTERM and verifies the server
-drains an in-flight request and exits 0.
+subdivisions, zoo classification, an ``R_A`` construction, a FACT
+solvability query and a repeated certified query), checks values
+against the in-process engine — the repeat must come from the server's
+text tier with the same bytes — prints the server's stats, then sends
+SIGTERM and verifies the server drains an in-flight request and exits 0.
 
 Run from the repository root::
 
@@ -30,7 +31,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.adversaries import Adversary, agreement_function_of  # noqa: E402
-from repro.engine import JobSpec, serialize  # noqa: E402
+from repro.engine import Engine, JobSpec, serialize  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 from repro.tasks.set_consensus import set_consensus_task  # noqa: E402
 
@@ -88,6 +89,19 @@ def main() -> int:
                 direct = serialize(JobSpec("chr", (3, 1)).run())
                 assert response["value"] == direct
                 print("byte-identical: ok")
+
+                # A repeated certify is answered from the text tier with
+                # the bytes of the first answer and of a direct call.
+                statement = (affine, set_consensus_task(3, 2), None)
+                first = client.query_response("certify", statement)
+                again = client.query_response("certify", statement)
+                assert not first["cache_hit"] and again["cache_hit"]
+                assert again["value"] == first["value"]
+                assert again["value"] == serialize(Engine().certify(*statement))
+                print(
+                    f"repeated certify: cache_hit, identical bytes "
+                    f"({len(again['value'])} bytes)"
+                )
 
                 stats = client.stats()
                 print(

@@ -574,14 +574,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal as signal_module
 
-    from .service import MemCache, ServiceServer
+    from .service import ServiceServer
 
     engine = _build_engine(args, default_cache=True)
     cache_note = (
         str(engine.cache.root) if engine.cache.persistent else "disabled"
-    )
-    engine.cache = MemCache(
-        backing=engine.cache, max_entries=args.memcache_size
     )
 
     async def _serve() -> None:
@@ -595,6 +592,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_inflight=args.max_inflight,
             request_timeout=args.request_timeout,
             drain_grace=args.drain_grace,
+            memcache_size=args.memcache_size,
         )
         await server.start()
         # The smoke tests and deployment wrappers parse this line for
@@ -1229,7 +1227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--memcache-size",
         type=_positive_int,
         default=256,
-        help="entries in the in-memory LRU tier",
+        help="entries in the in-memory LRU of answered value texts",
     )
     serve.add_argument(
         "--window-ms",

@@ -24,9 +24,9 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Optional
 
-from .serialize import SerializationError, deserialize, digest, serialize
+from .serialize import SerializationError, deserialize, serialize
 
 #: Sentinel distinguishing "no cached artifact" from a cached ``None``
 #: (a solvability query's answer may legitimately be ``None``).
@@ -97,18 +97,6 @@ class ArtifactCache:
                 pass
             raise
 
-    def get_or_compute(
-        self, key: Any, compute: Callable[[], Any]
-    ) -> Tuple[Any, bool]:
-        """``(value, was_hit)`` — compute and store on miss."""
-        key_digest = digest(key)
-        value = self.get(key_digest)
-        if value is not MISS:
-            return value, True
-        value = compute()
-        self.put(key_digest, value)
-        return value, False
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return sum(1 for _ in self._objects.glob("*/*.json"))
@@ -143,12 +131,6 @@ class NullCache:
 
     def put(self, key_digest: str, value: Any) -> None:
         pass
-
-    def get_or_compute(
-        self, key: Any, compute: Callable[[], Any]
-    ) -> Tuple[Any, bool]:
-        self.misses += 1
-        return compute(), False
 
     def __len__(self) -> int:
         return 0

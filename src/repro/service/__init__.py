@@ -8,8 +8,9 @@ and its sibling queries as a network oracle:
   schema with typed error codes; values travel as the engine's
   canonical serialization, so service responses are byte-identical to
   direct :class:`~repro.engine.jobs.Engine` calls;
-* :mod:`~repro.service.memcache` — a bounded in-memory LRU tier in
-  front of the on-disk artifact cache;
+* :mod:`~repro.service.memcache` — the text tier: a bounded LRU of
+  answered value texts keyed by the exact request, so a repeat is
+  answered without decoding it or touching the engine;
 * :mod:`~repro.service.batcher` — micro-batching with in-flight
   request coalescing (N identical concurrent queries cost one
   computation);

@@ -5,9 +5,12 @@ the calling thread.  :class:`BackgroundServer` runs the server's event
 loop on a daemon thread, exposes the bound address once the listener is
 up, and drains gracefully on exit::
 
-    with BackgroundServer(Engine(cache=MemCache())) as server:
+    with BackgroundServer(Engine(cache=ArtifactCache(root))) as server:
         with ServiceClient(port=server.port) as client:
             client.ping()
+
+Keyword arguments go to :class:`ServiceServer`: ``memcache_size=512``
+sizes its text tier of answered values, in front of the engine's cache.
 
 This is a harness, not a deployment mode — production runs
 ``python -m repro serve`` as the process's main (and only) loop.

@@ -7,18 +7,20 @@ Orthogonally, requests for a computation that is already in flight —
 pending in the current window *or* executing in a dispatched batch —
 never start a second computation: they attach to the existing result
 future and receive the same :class:`JobResult` (marked
-``coalesced=True``) when it lands.  In-flight requests are keyed by the
-exact request the caller received (the server passes ``kind`` plus the
-payload's wire text), which costs nothing to compute; the engine's
-content digest stays the only content address, so a request written
-differently (set members permuted) but equal in value is deduplicated
-by the engine batch or answered from its cache instead.
+``coalesced=True``) when it lands.  In-flight requests are keyed by
+the server's :func:`~repro.service.memcache.request_key` — ``kind``
+plus the payload's wire text, the key of its text tier too; the
+engine's content digest stays the only content address, so a request
+written differently (set members permuted) but equal in value is
+deduplicated by the engine batch or answered from its cache instead.
+Each ``ok`` result is serialized once on the dispatch thread, however
+many requests share it, and the text enters the server's text tier
+before its key leaves the in-flight table.
 
 The engine is synchronous and CPU-bound, so batches run on a dedicated
 single worker thread (``run_in_executor``); the engine itself may still
 fan out to worker *processes* via its ``jobs`` setting.  A single
-dispatch thread also serializes all cache access, so the memcache tier
-sees a consistent request stream.
+dispatch thread also serializes all engine cache access.
 
 Waiters hold the shared future through :func:`asyncio.shield`: a
 cancelled or timed-out request abandons its *wait*, never the
@@ -31,11 +33,16 @@ import asyncio
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Hashable, List, Optional, Tuple
 
 from .. import obs
 from ..engine.jobs import Engine, JobResult, JobSpec
+from ..engine.serialize import serialize
+from .memcache import MemCache
 from .metrics import Metrics
+
+#: A job's result and, when it is ``ok``, its canonical value text.
+Answer = Tuple[JobResult, Optional[str]]
 
 
 class Batcher:
@@ -44,6 +51,7 @@ class Batcher:
     def __init__(
         self,
         engine: Engine,
+        memcache: MemCache,
         *,
         window: float = 0.002,
         max_batch: int = 64,
@@ -54,6 +62,7 @@ class Batcher:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.engine = engine
+        self.memcache = memcache
         self.window = window
         self.max_batch = max_batch
         self.metrics = metrics if metrics is not None else Metrics()
@@ -63,31 +72,53 @@ class Batcher:
         )
         self._inflight: Dict[Hashable, asyncio.Future] = {}
         self._flush_handle: Optional[asyncio.TimerHandle] = None
-        self._batch_tasks: set = set()
+        #: Decodes and dispatched batches still running.
+        self._tasks: set = set()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-engine"
         )
         self._closed = False
 
     # ------------------------------------------------------------------
-    async def submit(self, spec: JobSpec, key: Hashable) -> JobResult:
-        """One query through the batcher; returns the job's result.
+    def join(self, key: Hashable) -> Optional[Awaitable[Answer]]:
+        """The coalesced answer of the computation in flight under ``key``.
 
-        ``key`` identifies the request exactly (the server passes
-        ``(kind, payload_text)``); equal keys must mean equal specs.
-        Concurrent submissions under one key share one computation;
-        every submission gets its own :class:`JobResult` view (attachers
-        see ``coalesced=True``).
+        ``None`` when nothing is in flight under that key.  Joining needs
+        no spec, so a request for a running computation is never decoded.
+        """
+        future = self._inflight.get(key)
+        if future is None:
+            return None
+        self.metrics.inc("coalesced_total")
+        return self._coalesced(future)
+
+    def submit(
+        self, key: Hashable, decode: Callable[[], Awaitable[JobSpec]]
+    ) -> Awaitable[Answer]:
+        """Join the computation in flight under ``key``, or start one.
+
+        Equal keys must mean equal specs.  A new key is in flight from
+        this call on while ``decode()`` builds its spec, so requests
+        arriving during the decode join it, and a decode error
+        (``bad_payload``) reaches each of them.
         """
         if self._closed:
             raise RuntimeError("batcher is closed")
-        future = self._inflight.get(key)
-        if future is not None:
-            self.metrics.inc("coalesced_total")
-            result = await asyncio.shield(future)
-            return replace(result, coalesced=True)
+        joined = self.join(key)
+        if joined is not None:
+            return joined
         future = self._loop.create_future()
         self._inflight[key] = future
+        self._track(self._enqueue(key, future, decode))
+        return asyncio.shield(future)
+
+    async def _enqueue(self, key, future, decode) -> None:
+        try:
+            spec = await decode()
+        except Exception as exc:
+            self._inflight.pop(key, None)
+            future.set_exception(exc)
+            return
         self._pending[key] = (spec, future)
         if len(self._pending) >= self.max_batch:
             self._flush()
@@ -95,7 +126,16 @@ class Batcher:
             self._flush_handle = self._loop.call_later(
                 self.window, self._flush
             )
-        return await asyncio.shield(future)
+
+    def _track(self, coroutine) -> None:
+        task = self._loop.create_task(coroutine)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    @staticmethod
+    async def _coalesced(future: asyncio.Future) -> Answer:
+        result, text = await asyncio.shield(future)
+        return replace(result, coalesced=True), text
 
     # ------------------------------------------------------------------
     def _flush(self) -> None:
@@ -107,9 +147,7 @@ class Batcher:
             return
         entries = list(self._pending.items())
         self._pending.clear()
-        task = self._loop.create_task(self._run_batch(entries))
-        self._batch_tasks.add(task)
-        task.add_done_callback(self._batch_tasks.discard)
+        self._track(self._run_batch(entries))
 
     async def _run_batch(
         self, entries: List[Tuple[Hashable, Tuple[JobSpec, asyncio.Future]]]
@@ -120,7 +158,7 @@ class Batcher:
         # answer some of these from its cache tiers.
         self.metrics.inc("jobs_dispatched_total", len(specs))
         try:
-            results = await self._loop.run_in_executor(
+            answers = await self._loop.run_in_executor(
                 self._executor, self._traced_run_jobs, specs
             )
         except Exception as exc:  # engine infrastructure failure
@@ -129,19 +167,24 @@ class Batcher:
                 if not future.done():
                     future.set_exception(exc)
             return
-        for (key, (_, future)), result in zip(entries, results):
+        for (key, (_, future)), answer in zip(entries, answers):
+            if answer[1] is not None:
+                self.memcache.put(key, answer[1])
             self._inflight.pop(key, None)
             if not future.done():
-                future.set_result(result)
+                future.set_result(answer)
 
-    def _traced_run_jobs(self, specs: List[JobSpec]) -> List[JobResult]:
+    def _traced_run_jobs(self, specs: List[JobSpec]) -> List[Answer]:
         # ``run_in_executor`` does not propagate contextvars, so the
         # dispatch thread starts context-free: the ``service.batch``
         # span is deliberately a fresh trace root covering every query
         # merged into this batch (queries keep their own per-request
         # traces on the event loop side).
         with obs.span("service.batch", specs=len(specs)):
-            return self.engine.run_jobs(specs)
+            return [
+                (result, serialize(result.value) if result.ok else None)
+                for result in self.engine.run_jobs(specs)
+            ]
 
     # ------------------------------------------------------------------
     @property
@@ -150,10 +193,10 @@ class Batcher:
         return len(self._inflight)
 
     async def drain(self) -> None:
-        """Flush and wait until every in-flight batch has completed."""
-        self._flush()
-        while self._batch_tasks:
-            await asyncio.gather(*list(self._batch_tasks), return_exceptions=True)
+        """Flush and wait until every in-flight computation has completed."""
+        while self._pending or self._tasks:
+            self._flush()
+            await asyncio.gather(*list(self._tasks), return_exceptions=True)
 
     async def close(self) -> None:
         """Drain, then refuse further submissions and free the workers.

@@ -1,117 +1,72 @@
-"""Bounded in-memory LRU tier fronting a backing artifact cache.
+"""Bounded in-memory LRU of answered value texts, keyed by request.
 
-The on-disk :class:`~repro.engine.cache.ArtifactCache` makes artifacts
-cheap (one read + one canonical decode); this tier makes *hot*
-artifacts free by keeping the decoded Python values resident.  It
-speaks the same ``get``/``put`` protocol the engine expects, so a
-:class:`MemCache` simply *is* the engine's cache inside the service
-process: reads check memory first and fall back to the backing store
-(promoting on hit), writes go through to the backing store.
-
-Values are cached by reference and must be treated as immutable — true
-for every engine artifact (complexes, affine tasks, result tuples).
-All operations take an internal lock: the server's event loop and the
-batcher's dispatch thread share this object.
+A repeated query is answered from the text the service sent the first
+time, under :func:`request_key` (``kind`` plus the exact ``payload``
+string): a hit costs one hash, no decode, engine call or serialize.
+Texts are the engine's canonical serialization, the bytes the wire and
+the on-disk :class:`~repro.engine.cache.ArtifactCache` carry, so no
+decoded form is kept.  A payload equal in value but written differently
+misses here and is answered by that disk cache, which stays the only
+content address.  Only ``ok`` answers are stored.  The server's event
+loop is the only caller, so no lock is taken.
 """
 
 from __future__ import annotations
 
-import threading
+import hashlib
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Dict, Optional
 
-from ..engine.cache import MISS, NullCache
+
+def request_key(kind: str, payload_text: str) -> str:
+    """The identity of one query request: ``kind`` plus its exact payload."""
+    hasher = hashlib.sha256(kind.encode("utf-8"))
+    hasher.update(b"\0")
+    hasher.update(payload_text.encode("utf-8"))
+    return hasher.hexdigest()
 
 
 class MemCache:
-    """An LRU of decoded artifacts in front of a persistent store."""
+    """An LRU of canonical value texts keyed by :func:`request_key`."""
 
-    def __init__(self, backing=None, max_entries: int = 256):
+    def __init__(self, max_entries: int = 256):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        self.backing = backing if backing is not None else NullCache()
         self.max_entries = max_entries
-        self._lru: "OrderedDict[str, Any]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0  # answered from memory
-        self.misses = 0  # not in memory (backing may still hit)
+        self._lru: "OrderedDict[str, str]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
         self.evictions = 0
 
-    @property
-    def persistent(self) -> bool:
-        return self.backing.persistent
-
-    def __repr__(self) -> str:
-        return (
-            f"MemCache(max_entries={self.max_entries}, "
-            f"size={len(self._lru)}, hits={self.hits}, "
-            f"misses={self.misses}, backing={self.backing!r})"
-        )
-
-    # ------------------------------------------------------------------
-    def get(self, key_digest: str) -> Any:
-        """The cached value for a key digest, or :data:`MISS`."""
-        with self._lock:
-            if key_digest in self._lru:
-                self._lru.move_to_end(key_digest)
-                self.hits += 1
-                return self._lru[key_digest]
+    def get(self, key: str) -> Optional[str]:
+        """The stored value text for a request key, or ``None``."""
+        text = self._lru.get(key)
+        if text is None:
             self.misses += 1
-        value = self.backing.get(key_digest)
-        if value is not MISS:
-            self._store(key_digest, value)
-        return value
+            return None
+        self._lru.move_to_end(key)
+        self.hits += 1
+        return text
 
-    def put(self, key_digest: str, value: Any) -> None:
-        """Store a value in memory and write it through to the backing."""
-        self.backing.put(key_digest, value)
-        self._store(key_digest, value)
+    def put(self, key: str, text: str) -> None:
+        """Store a value text, evicting the least recently used beyond the bound."""
+        self._lru[key] = text
+        self._lru.move_to_end(key)
+        while len(self._lru) > self.max_entries:
+            self._lru.popitem(last=False)
+            self.evictions += 1
 
-    def _store(self, key_digest: str, value: Any) -> None:
-        with self._lock:
-            self._lru[key_digest] = value
-            self._lru.move_to_end(key_digest)
-            while len(self._lru) > self.max_entries:
-                self._lru.popitem(last=False)
-                self.evictions += 1
-
-    def get_or_compute(
-        self, key_digest: str, compute: Callable[[], Any]
-    ) -> Tuple[Any, bool]:
-        """``(value, was_hit)`` — compute and store on a full miss."""
-        value = self.get(key_digest)
-        if value is not MISS:
-            return value, True
-        value = compute()
-        self.put(key_digest, value)
-        return value, False
-
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._lru)
-
-    def clear(self) -> int:
-        """Drop the in-memory tier only; the backing store is untouched."""
-        with self._lock:
-            dropped = len(self._lru)
-            self._lru.clear()
-        return dropped
+        return len(self._lru)
 
     def stats(self) -> Dict[str, Any]:
-        """Hit/miss/eviction accounting for both tiers."""
-        with self._lock:
-            size = len(self._lru)
-            hits, misses, evictions = self.hits, self.misses, self.evictions
-        lookups = hits + misses
+        """Hit/miss/eviction accounting."""
+        lookups = self.hits + self.misses
         return {
-            "size": size,
+            "size": len(self._lru),
             "max_entries": self.max_entries,
-            "hits": hits,
-            "misses": misses,
-            "evictions": evictions,
-            "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
-            "backing_hits": self.backing.hits,
-            "backing_misses": self.backing.misses,
-            "backing_persistent": self.backing.persistent,
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "hit_rate": round(self.hits / lookups, 4) if lookups else 0.0,
         }

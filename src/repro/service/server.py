@@ -1,10 +1,14 @@
 """The asyncio query server: connections, deadlines, drain, HTTP shim.
 
 One :class:`ServiceServer` owns one :class:`~repro.engine.jobs.Engine`
-(typically fronted by a :class:`~repro.service.memcache.MemCache`) and
-serves the line-delimited JSON protocol of
-:mod:`repro.service.protocol` over TCP:
+(typically over the on-disk artifact cache) and serves the
+line-delimited JSON protocol of :mod:`repro.service.protocol` over TCP:
 
+* **Text tier** — a :class:`~repro.service.memcache.MemCache` of
+  ``memcache_size`` value texts, keyed by ``kind`` and the exact payload
+  text, answers a repeated query before its payload is decoded, without
+  the codec, the batcher or the engine; the batcher stores the text of
+  each ``ok`` miss.  A query already in flight is joined undecoded.
 * **Connection limits** — beyond ``max_connections`` concurrent
   connections, new clients get one ``overloaded`` error line and are
   disconnected.
@@ -26,7 +30,8 @@ serves the line-delimited JSON protocol of
   protocol request as the body.  One request per connection.
 
 Everything expensive — payload decode, result encode, the engine batch
-itself — runs in executor threads; the event loop only shuffles bytes.
+itself — runs in executor threads; the event loop only shuffles bytes
+and hashes request keys.
 """
 
 from __future__ import annotations
@@ -40,9 +45,10 @@ from typing import Any, Dict, Optional, Set
 from .. import obs
 from ..engine.jobs import JOB_KINDS, Engine
 from ..engine.jobs import JobSpec
-from ..engine.serialize import SerializationError, deserialize, serialize
+from ..engine.serialize import SerializationError, deserialize
 from ..solver.api import as_solve_request
 from .batcher import Batcher
+from .memcache import MemCache, request_key
 from .metrics import Metrics
 from .protocol import (
     MAX_LINE_BYTES,
@@ -53,6 +59,7 @@ from .protocol import (
     metrics_response,
     parse_request,
     ping_response,
+    query_response,
     response_for_result,
     stats_response,
 )
@@ -78,6 +85,7 @@ class ServiceServer:
         max_inflight: int = 256,
         request_timeout: Optional[float] = None,
         drain_grace: float = 10.0,
+        memcache_size: int = 256,
         metrics: Optional[Metrics] = None,
     ):
         self.engine = engine
@@ -89,6 +97,7 @@ class ServiceServer:
         self.max_inflight = max_inflight
         self.request_timeout = request_timeout
         self.drain_grace = drain_grace
+        self.memcache = MemCache(memcache_size)
         self.metrics = metrics if metrics is not None else Metrics()
         self._server: Optional[asyncio.AbstractServer] = None
         self._batcher: Optional[Batcher] = None
@@ -107,6 +116,7 @@ class ServiceServer:
         self._stopped = asyncio.Event()
         self._batcher = Batcher(
             self.engine,
+            memcache=self.memcache,
             window=self.window,
             max_batch=self.max_batch,
             metrics=self.metrics,
@@ -308,9 +318,54 @@ class ServiceServer:
             raise ProtocolError(
                 "unknown_kind", f"unknown job kind {request.kind!r}"
             )
-        loop = asyncio.get_running_loop()
+        started = time.perf_counter()
+        key = request_key(request.kind, request.payload_text)
+        # A request whose computation is in flight joins it; otherwise
+        # the text tier answers a repeat.  Neither decodes the payload.
+        waiter = self._batcher.join(key)
+        if waiter is None:
+            value_text = self.memcache.get(key)
+            if value_text is not None:
+                self.metrics.inc("cache_hits_total")
+                wall_time = time.perf_counter() - started
+                self.metrics.observe(f"query_{request.kind}", wall_time)
+                return query_response(
+                    request.id,
+                    request.kind,
+                    value_text,
+                    cache_hit=True,
+                    wall_time=wall_time,
+                )
+            waiter = self._batcher.submit(key, lambda: self._decode(request))
+        deadline = self._deadline(request.timeout)
+        self._active_requests += 1
+        with obs.span("service.query", kind=request.kind) as query_span:
+            try:
+                if deadline is not None:
+                    waiter = asyncio.wait_for(waiter, deadline)
+                result, value_text = await waiter
+            except asyncio.TimeoutError:
+                raise ProtocolError(
+                    "timeout", f"request deadline of {deadline}s expired"
+                )
+            finally:
+                self._active_requests -= 1
+                self.metrics.observe(
+                    f"query_{request.kind}", time.perf_counter() - started
+                )
+            query_span.set_attr("cache_hit", result.cache_hit)
+            query_span.set_attr("coalesced", result.coalesced)
+            if result.ok:
+                if result.cache_hit:
+                    self.metrics.inc("cache_hits_total")
+                if result.coalesced:
+                    self.metrics.inc("coalesced_responses_total")
+            return response_for_result(request.id, result, value_text)
+
+    async def _decode(self, request) -> JobSpec:
+        """The job spec of a query request; ``bad_payload`` if undecodable."""
         try:
-            payload = await loop.run_in_executor(
+            payload = await asyncio.get_running_loop().run_in_executor(
                 None, deserialize, request.payload_text
             )
         except (SerializationError, ValueError) as exc:
@@ -333,40 +388,7 @@ class ServiceServer:
                 raise ProtocolError(
                     "bad_payload", f"malformed solve payload: {exc}"
                 )
-        spec = JobSpec(request.kind, payload)
-        deadline = self._deadline(request.timeout)
-        self._active_requests += 1
-        started = time.perf_counter()
-        with obs.span("service.query", kind=request.kind) as query_span:
-            try:
-                waiter = self._batcher.submit(
-                    spec, (request.kind, request.payload_text)
-                )
-                if deadline is not None:
-                    result = await asyncio.wait_for(waiter, deadline)
-                else:
-                    result = await waiter
-            except asyncio.TimeoutError:
-                raise ProtocolError(
-                    "timeout", f"request deadline of {deadline}s expired"
-                )
-            finally:
-                self._active_requests -= 1
-                self.metrics.observe(
-                    f"query_{request.kind}", time.perf_counter() - started
-                )
-            query_span.set_attr("cache_hit", result.cache_hit)
-            query_span.set_attr("coalesced", result.coalesced)
-            value_text = None
-            if result.ok:
-                value_text = await loop.run_in_executor(
-                    None, serialize, result.value
-                )
-                if result.cache_hit:
-                    self.metrics.inc("cache_hits_total")
-                if result.coalesced:
-                    self.metrics.inc("coalesced_responses_total")
-            return response_for_result(request.id, result, value_text)
+        return JobSpec(request.kind, payload)
 
     def _deadline(self, requested: Optional[float]) -> Optional[float]:
         candidates = [
@@ -381,7 +403,7 @@ class ServiceServer:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         """The structured snapshot served by the ``stats`` op."""
-        stats: Dict[str, Any] = {
+        return {
             "server": {
                 "host": self.host,
                 "port": self.port,
@@ -399,16 +421,12 @@ class ServiceServer:
                 "inflight": self._batcher.inflight if self._batcher else 0,
             },
             "metrics": self.metrics.snapshot(),
+            "memcache": self.memcache.stats(),
         }
-        cache_stats = getattr(self.engine.cache, "stats", None)
-        if callable(cache_stats):
-            stats["memcache"] = cache_stats()
-        return stats
 
-    def memcache_capacity(self) -> Optional[int]:
-        """Entries the in-memory cache tier holds (None: no such tier)."""
-        capacity = getattr(self.engine.cache, "max_entries", None)
-        return capacity if isinstance(capacity, int) else None
+    def memcache_capacity(self) -> int:
+        """Entries the in-memory text tier holds."""
+        return self.memcache.max_entries
 
     # ------------------------------------------------------------------
     # HTTP shim

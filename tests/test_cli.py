@@ -140,9 +140,9 @@ def test_serve_and_query_round_trip(capsys):
     import json
 
     from repro.engine import Engine
-    from repro.service import BackgroundServer, MemCache
+    from repro.service import BackgroundServer
 
-    with BackgroundServer(Engine(cache=MemCache())) as server:
+    with BackgroundServer(Engine()) as server:
         port = str(server.port)
         assert main(["query", "ping", "--port", port]) == 0
         assert "pong" in capsys.readouterr().out
@@ -307,9 +307,9 @@ def test_sim_artifact_then_oracle_replay(capsys, tmp_path):
 
 def test_query_simulate_against_a_live_service(capsys):
     from repro.engine import Engine
-    from repro.service import BackgroundServer, MemCache
+    from repro.service import BackgroundServer
 
-    with BackgroundServer(Engine(cache=MemCache())) as server:
+    with BackgroundServer(Engine()) as server:
         port = str(server.port)
         assert (
             main(

@@ -1,27 +1,37 @@
-"""The in-memory LRU tier: bounds, accounting, backing fallback."""
+"""The service's text tier: bounds, accounting, and the disk tier behind it."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import MISS, ArtifactCache, Engine, NullCache, digest
-from repro.service import MemCache
-from repro.topology import chr_complex
+from repro.engine import ArtifactCache, Engine, JobSpec, digest, serialize
+from repro.service import BackgroundServer, MemCache, ServiceClient
+from repro.service.memcache import request_key
 
 
 def test_put_get_round_trip():
     cache = MemCache()
-    key = digest("memcache-roundtrip")
-    assert cache.get(key) is MISS
-    cache.put(key, (1, 2, 3))
-    assert cache.get(key) == (1, 2, 3)
+    key = request_key("chr", serialize((2, 1)))
+    assert cache.get(key) is None
+    cache.put(key, '["tuple",[1,2,3]]')
+    assert cache.get(key) == '["tuple",[1,2,3]]'
     assert cache.hits == 1
     assert cache.misses == 1
 
 
+def test_request_key_covers_kind_and_exact_payload_text():
+    payload = serialize((2, 1))
+    assert request_key("chr", payload) == request_key("chr", payload)
+    assert request_key("chr", payload) != request_key("classify", payload)
+    # The separator keeps the kind/payload boundary in the key.
+    assert request_key("ab", "c") != request_key("a", "bc")
+    # Same value, different text: a different request.
+    assert request_key("chr", payload) != request_key("chr", payload + " ")
+
+
 def test_lru_eviction_order_and_accounting():
     cache = MemCache(max_entries=2)
-    keys = [digest(("evict", i)) for i in range(3)]
+    keys = [request_key("chr", str(i)) for i in range(3)]
     cache.put(keys[0], "a")
     cache.put(keys[1], "b")
     cache.get(keys[0])  # make key 0 most-recent; key 1 becomes LRU
@@ -29,79 +39,66 @@ def test_lru_eviction_order_and_accounting():
     assert cache.evictions == 1
     assert cache.get(keys[0]) == "a"
     assert cache.get(keys[2]) == "c"
-    assert cache.get(keys[1]) is MISS
+    assert cache.get(keys[1]) is None
     assert len(cache) == 2
 
 
-def test_backing_fallback_promotes_into_memory(tmp_path):
-    backing = ArtifactCache(tmp_path)
-    key = digest("promote-me")
-    backing.put(key, chr_complex(3, 1))
-
-    cache = MemCache(backing=ArtifactCache(tmp_path))
-    assert cache.get(key) == chr_complex(3, 1)  # memory miss, disk hit
-    assert cache.misses == 1 and cache.hits == 0
-    assert cache.get(key) == chr_complex(3, 1)  # now resident
-    assert cache.hits == 1
-    assert cache.stats()["backing_hits"] == 1
-
-
-def test_put_writes_through_to_backing(tmp_path):
-    cache = MemCache(backing=ArtifactCache(tmp_path))
-    key = digest("write-through")
-    cache.put(key, [1, 2])
-    assert ArtifactCache(tmp_path).get(key) == [1, 2]
-    assert cache.persistent
-
-
-def test_clear_drops_memory_not_backing(tmp_path):
-    cache = MemCache(backing=ArtifactCache(tmp_path))
-    key = digest("clear-mem")
-    cache.put(key, "kept")
-    assert cache.clear() == 1
-    assert len(cache) == 0
-    assert cache.get(key) == "kept"  # refilled from disk
-
-
-def test_corrupt_backing_entry_is_a_full_miss_and_recovers(tmp_path):
-    backing = ArtifactCache(tmp_path)
-    cache = MemCache(backing=backing)
-    key = digest("corrupt-backing")
-    backing.put(key, (1, 2))
-    backing._path(key).write_text('["tuple",[1', encoding="utf-8")  # truncated
-    assert cache.get(key) is MISS
-    cache.put(key, (1, 2))
-    assert cache.get(key) == (1, 2)
-
-
 def test_stats_shape():
-    cache = MemCache(backing=NullCache(), max_entries=4)
-    cache.get(digest("nothing"))
+    cache = MemCache(max_entries=4)
+    cache.get(request_key("chr", "nothing"))
     stats = cache.stats()
+    assert set(stats) == {
+        "size", "max_entries", "hits", "misses", "evictions", "hit_rate"
+    }
     assert stats["misses"] == 1
     assert stats["hit_rate"] == 0.0
-    assert stats["backing_persistent"] is False
     assert stats["max_entries"] == 4
-
-
-def test_engine_runs_against_memcache_tier(tmp_path, ra_1of):
-    """A MemCache simply is the engine's cache: hits skip the executor."""
-    from repro.tasks.set_consensus import set_consensus_task
-
-    cache = MemCache(backing=ArtifactCache(tmp_path))
-    engine = Engine(cache=cache)
-    task = set_consensus_task(3, 2)
-    first = engine.solve_many([(ra_1of, task, None)])
-    again = engine.solve_many([(ra_1of, task, None)])
-    assert again == first
-    assert cache.hits == 1  # second call answered from memory
-
-    # A fresh process (fresh MemCache) falls back to the disk tier.
-    rewarmed = MemCache(backing=ArtifactCache(tmp_path))
-    assert Engine(cache=rewarmed).solve_many([(ra_1of, task, None)]) == first
-    assert rewarmed.stats()["backing_hits"] == 1
 
 
 def test_max_entries_must_be_positive():
     with pytest.raises(ValueError):
         MemCache(max_entries=0)
+
+
+# ----------------------------------------------------------------------
+# The disk tier behind a server
+# ----------------------------------------------------------------------
+def _chr_answer(port: int):
+    with ServiceClient(port=port) as client:
+        return client.query_response("chr", (3, 1))
+
+
+def test_backing_fallback_promotes_into_memory(tmp_path):
+    """A restarted server answers from disk, then from its text tier."""
+    expected = serialize(JobSpec("chr", (3, 1)).run())
+    with BackgroundServer(Engine(cache=ArtifactCache(tmp_path))) as first:
+        computed = _chr_answer(first.port)
+    assert not computed["cache_hit"] and computed["value"] == expected
+
+    engine = Engine(cache=ArtifactCache(tmp_path))
+    with BackgroundServer(engine) as restarted:
+        from_disk = _chr_answer(restarted.port)
+        from_memory = _chr_answer(restarted.port)
+        tier = restarted.server.memcache.stats()
+    assert from_disk["cache_hit"] and from_disk["value"] == expected
+    assert from_memory["cache_hit"] and from_memory["value"] == expected
+    assert (tier["misses"], tier["hits"], tier["size"]) == (1, 1, 1)
+    # The engine saw only the first ask: one disk hit, no computation.
+    assert engine.stats()["hits"] == 1 and engine.stats()["misses"] == 0
+
+
+def test_corrupt_backing_entry_is_a_full_miss_and_recovers(tmp_path):
+    """A corrupt disk entry behind the server is recomputed and rewritten."""
+    key_digest = digest(JobSpec("chr", (3, 1)).cache_key())
+    with BackgroundServer(Engine(cache=ArtifactCache(tmp_path))) as first:
+        expected = _chr_answer(first.port)["value"]
+    path = ArtifactCache(tmp_path)._path(key_digest)
+    path.write_text('["tuple",[1', encoding="utf-8")  # truncated
+
+    engine = Engine(cache=ArtifactCache(tmp_path))
+    with BackgroundServer(engine) as restarted:
+        recomputed = _chr_answer(restarted.port)
+    assert not recomputed["cache_hit"]
+    assert recomputed["value"] == expected
+    assert engine.stats()["misses"] == 1
+    assert serialize(ArtifactCache(tmp_path).get(key_digest)) == expected

@@ -6,6 +6,9 @@ The load-bearing guarantees:
   canonical serialization of a direct call;
 * N concurrent clients issuing the same query cost exactly **one**
   engine computation;
+* a repeated query is answered from the server's text tier with the
+  same bytes, without touching the engine, and only ``ok`` answers are
+  stored there;
 * SIGTERM / ``drain()`` lets in-flight requests finish before exit.
 """
 
@@ -29,12 +32,11 @@ import pytest
 
 from repro.adversaries import figure5b_adversary
 from repro.core.ra import DEFAULT_VARIANT
-from repro.engine import Engine, JobSpec, serialize
+from repro.engine import ArtifactCache, Engine, JobSpec, serialize
 from repro.runtime.algorithm1 import fuzz_case_seed
 from repro.service import (
     AsyncServiceClient,
     BackgroundServer,
-    MemCache,
     ProtocolError,
     ServiceClient,
     ServiceError,
@@ -42,6 +44,7 @@ from repro.service import (
 )
 from repro.service.protocol import ERROR_CODES, RETRYABLE_CODES
 from repro.solver import SolveRequest
+from repro.solver.api import as_solve_request
 from repro.tasks.set_consensus import set_consensus_task
 from repro.tasks.solvability import MapSearch, SearchBudgetExceeded
 
@@ -96,8 +99,8 @@ def test_parse_request_round_trip():
 # A shared server for read-mostly tests
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def server():
-    engine = Engine(cache=MemCache())
+def server(tmp_path_factory):
+    engine = Engine(cache=ArtifactCache(tmp_path_factory.mktemp("disk-tier")))
     with BackgroundServer(engine, window=0.002) as background:
         yield background
 
@@ -147,9 +150,43 @@ def test_every_kind_is_byte_identical_to_direct_engine_calls(
 
 def test_repeated_query_hits_the_memcache(client):
     first = client.query_response("chr", (2, 1))
+    before = client.stats()
     again = client.query_response("chr", (2, 1))
+    after = client.stats()
     assert again["value"] == first["value"]
-    assert again["cache_hit"]
+    assert again["cache_hit"] and not again["coalesced"]
+    assert after["memcache"]["hits"] == before["memcache"]["hits"] + 1
+    # Answered from the text tier: the engine and batcher never saw it.
+    assert after["engine"] == before["engine"]
+    counters = before["metrics"]["counters"], after["metrics"]["counters"]
+    assert counters[1]["batches_total"] == counters[0]["batches_total"]
+
+
+def test_text_tier_hits_are_byte_identical_to_an_in_process_engine(
+    server, ra_1res
+):
+    """solve, certify and check: the repeat is a tier hit, same bytes."""
+    task = set_consensus_task(3, 2)
+    direct = Engine()
+    with ServiceClient(port=server.port) as active:
+        cert = active.certify(ra_1res, task)
+        payloads = {
+            "solve": (ra_1res, task, None, None),
+            "certify": (ra_1res, task, None),
+            "check": (cert,),
+        }
+        for kind, payload in payloads.items():
+            spec_payload = payload
+            if kind == "solve":
+                spec_payload = (as_solve_request(payload, warn=False),)
+            (result,) = direct.run_jobs([JobSpec(kind, spec_payload)])
+            expected = serialize(result.value)
+            first = active.query_response(kind, payload)
+            hits = active.stats()["memcache"]["hits"]
+            again = active.query_response(kind, payload)
+            assert first["value"] == again["value"] == expected, kind
+            assert again["cache_hit"] and not again["coalesced"], kind
+            assert active.stats()["memcache"]["hits"] == hits + 1, kind
 
 
 def test_simulate_and_oracle_helpers(client):
@@ -174,7 +211,7 @@ def test_simulate_and_oracle_helpers(client):
 # Coalescing
 # ----------------------------------------------------------------------
 def test_concurrent_identical_sleeps_coalesce_to_one_execution():
-    engine = Engine(cache=MemCache())
+    engine = Engine()
     with BackgroundServer(engine, window=0.02) as background:
 
         async def fire():
@@ -204,7 +241,7 @@ def test_concurrent_identical_sleeps_coalesce_to_one_execution():
 def test_concurrent_identical_solves_compute_once(ra_1res):
     """N clients, one solve query: exactly one engine computation."""
     task23 = set_consensus_task(3, 2)
-    engine = Engine(cache=MemCache())
+    engine = Engine()
     with BackgroundServer(engine, window=0.05) as background:
 
         async def fire():
@@ -254,17 +291,25 @@ def test_non_canonical_payload_text_gets_the_canonical_value(client, ra_1res):
     assert shuffled[1][0][4][1] != encoded[1][0][4][1]
     assert shuffled[1][3][1] != encoded[1][3][1]
     permuted = json.dumps(shuffled, separators=(",", ":"))
-    answers = [
-        client.request("query", kind="solve", payload=text)
-        for text in (permuted, canonical)
-    ]
+    answers, tier_misses, disk_hits = [], [], []
+    for text in (canonical, permuted):
+        before = client.stats()
+        answers.append(client.request("query", kind="solve", payload=text))
+        after = client.stats()
+        tier_misses.append(
+            after["memcache"]["misses"] - before["memcache"]["misses"]
+        )
+        disk_hits.append(after["engine"]["hits"] - before["engine"]["hits"])
     assert answers[0]["value"] == answers[1]["value"]
     direct = JobSpec(
         "solve", (SolveRequest(ra_1res, task23, domain_overrides=overrides),)
     ).run()
     assert answers[0]["value"] == serialize(direct)
-    # Equal values share the engine's content address: the second,
-    # differently written request is a cache hit.
+    # The permuted text is a different request, so it misses the text
+    # tier; equal values share the engine's content address, so the
+    # disk tier answers it with the same bytes.
+    assert tier_misses == [1, 1]
+    assert disk_hits == [0, 1]
     assert [answer["cache_hit"] for answer in answers] == [False, True]
 
 
@@ -311,7 +356,7 @@ def test_wire_error_codes(server, client, ra_1of):
 
 
 def test_budget_exceeded_maps_back_to_the_engine_exception(ra_1res):
-    engine = Engine(cache=MemCache(), split_retries=0)
+    engine = Engine(split_retries=0)
     with BackgroundServer(engine) as background:
         with ServiceClient(port=background.port) as active:
             with pytest.raises(SearchBudgetExceeded) as info:
@@ -319,8 +364,72 @@ def test_budget_exceeded_maps_back_to_the_engine_exception(ra_1res):
             assert info.value.nodes_explored > 0
 
 
+def test_error_answers_are_never_stored(ra_1res):
+    """budget_exceeded, job_error and bad_payload: a repeat recomputes."""
+    engine = Engine(split_retries=0)
+    task = set_consensus_task(3, 2)
+    with BackgroundServer(engine) as background:
+        with ServiceClient(port=background.port, retries=0) as active:
+            for _ in range(2):
+                with pytest.raises(SearchBudgetExceeded):
+                    active.solve(ra_1res, task, budget=5)
+                with pytest.raises(ServiceError) as info:
+                    active.query("chr", (3, "not-a-depth"))
+                assert info.value.code == "job_error"
+                with pytest.raises(ServiceError) as info:
+                    active.request("query", kind="chr", payload="]not[")
+                assert info.value.code == "bad_payload"
+            stats = active.stats()
+    assert stats["memcache"]["size"] == 0
+    assert stats["memcache"]["hits"] == 0
+    # Both asks of each engine-reaching query ran the engine.
+    assert stats["engine"]["misses"] == 4
+    assert stats["metrics"]["counters"]["jobs_dispatched_total"] == 4
+
+
+def test_memcache_size_bounds_the_text_tier():
+    with BackgroundServer(Engine(), memcache_size=2) as background:
+        with ServiceClient(port=background.port) as active:
+            for depth_query in ((2, 1), (2, 2), (3, 1)):
+                assert not active.query_response("chr", depth_query)["cache_hit"]
+            stats = active.stats()
+            assert stats["memcache"]["size"] == 2
+            assert stats["memcache"]["evictions"] == 1
+            assert stats["server"]["memcache_capacity"] == 2
+            # (2, 1) was evicted; (3, 1) is resident.
+            assert not active.query_response("chr", (2, 1))["cache_hit"]
+            assert active.query_response("chr", (3, 1))["cache_hit"]
+            assert active.stats()["memcache"]["evictions"] == 2
+
+
+def test_draining_server_refuses_a_would_be_hit():
+    background = BackgroundServer(Engine(), drain_grace=10.0).start()
+    outcome = {}
+
+    def slow_query():
+        with ServiceClient(port=background.port) as active:
+            outcome["slow"] = active.query_response("sleep", (1.0, "held"))
+
+    with ServiceClient(port=background.port, retries=0) as active:
+        assert not active.query_response("chr", (2, 1))["cache_hit"]
+        assert active.query_response("chr", (2, 1))["cache_hit"]
+        worker = threading.Thread(target=slow_query)
+        worker.start()
+        time.sleep(0.3)  # the sleep holds the drain open
+        background._loop.call_soon_threadsafe(background.server.request_drain)
+        deadline = time.monotonic() + 10
+        while not background.server._draining and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with pytest.raises(ServiceError) as info:
+            active.query_response("chr", (2, 1))
+        assert info.value.code == "shutting_down"
+    worker.join(timeout=30)
+    background.stop()
+    assert outcome["slow"]["ok"]
+
+
 def test_connection_limit_returns_overloaded():
-    engine = Engine(cache=MemCache())
+    engine = Engine()
     with BackgroundServer(engine, max_connections=1) as background:
         with ServiceClient(port=background.port) as first:
             assert first.ping()
@@ -366,7 +475,7 @@ def test_http_shim_metrics_stats_health_and_query(server, client):
 # Graceful drain
 # ----------------------------------------------------------------------
 def test_drain_completes_inflight_requests_then_refuses_connections():
-    engine = Engine(cache=MemCache())
+    engine = Engine()
     background = BackgroundServer(engine, drain_grace=10.0).start()
     port = background.port
     outcome = {}
@@ -393,7 +502,10 @@ def test_sigterm_drains_the_serve_subprocess():
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0", "--no-cache"],
+        [
+            sys.executable, "-m", "repro", "serve", "--port", "0",
+            "--no-cache", "--memcache-size", "3",
+        ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -402,6 +514,8 @@ def test_sigterm_drains_the_serve_subprocess():
     try:
         announce = process.stdout.readline()
         port = int(re.search(r":(\d+) ", announce).group(1))
+        with ServiceClient(port=port) as active:
+            assert active.stats()["memcache"]["max_entries"] == 3
         outcome = {}
 
         def slow_query():
