@@ -19,14 +19,17 @@ load mix, ``codec.serialize_vs_json_ratio`` prices the wire codec: the
 time ``serialize`` takes on the certificate documents of the mix's
 ``solve`` grid (what a ``certify`` or ``check`` query carries) over the
 time ``json.dumps(sort_keys=True)`` takes on the same documents, a
-ratio that does not depend on host speed.  Results land in
-``BENCH_service.json``.
+ratio that does not depend on host speed.  The two encoders run in
+alternating passes and the median of the per-pass ratios is reported,
+so load that lands on the machine during one pass weighs on both sides
+of that pass's ratio.  Results land in ``BENCH_service.json``.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import statistics
 import threading
 import time
 from pathlib import Path
@@ -43,8 +46,9 @@ OUTPUT = REPO_ROOT / "BENCH_service.json"
 
 CLIENTS = 8
 CYCLES = 3
-#: Timed passes over the certificate documents; the fastest one counts.
-CODEC_REPEATS = 7
+#: Alternating timed passes of both encoders over the certificate
+#: documents; the median of the per-pass ratios counts.
+CODEC_PASSES = 15
 
 
 def _quantile(sorted_values, q):
@@ -54,22 +58,6 @@ def _quantile(sorted_values, q):
     return sorted_values[index]
 
 
-def _best_seconds(fn, repeats=CODEC_REPEATS):
-    # Collector off while timing, as ``timeit`` does: a full collection
-    # landing in one codec's passes would be charged to that codec.
-    gc.collect()
-    gc.disable()
-    try:
-        best = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - started)
-        return best
-    finally:
-        gc.enable()
-
-
 def _codec_ratio(affines):
     """``serialize`` time over ``json.dumps`` time on certificate documents."""
     documents = [
@@ -77,11 +65,25 @@ def _codec_ratio(affines):
         for affine in affines
         for k in (1, 2, 3)
     ]
-    codec_s = _best_seconds(lambda: [serialize(doc) for doc in documents])
-    json_s = _best_seconds(
-        lambda: [json.dumps(doc, sort_keys=True) for doc in documents]
-    )
-    return round(codec_s / json_s, 2)
+    ratios = []
+    # Collector off while timing, as ``timeit`` does: a full collection
+    # landing in one encoder's half of a pass would skew that ratio.
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(CODEC_PASSES):
+            started = time.perf_counter()
+            for document in documents:
+                serialize(document)
+            middle = time.perf_counter()
+            for document in documents:
+                json.dumps(document, sort_keys=True)
+            ratios.append(
+                (middle - started) / (time.perf_counter() - middle)
+            )
+    finally:
+        gc.enable()
+    return round(statistics.median(ratios), 2)
 
 
 def bench_service(tmp_path, ra_1of, ra_1res, ra_fig5b):
@@ -102,9 +104,7 @@ def bench_service(tmp_path, ra_1of, ra_1res, ra_fig5b):
     latencies = []
     failures = []
 
-    with BackgroundServer(
-        engine, window=0.002, max_batch=64, memcache_size=512
-    ) as server:
+    with BackgroundServer(engine, memcache_size=512) as server:
         # -- phase 1: coalesce burst --------------------------------------
         burst_payload = ("solve", (ra_1res, set_consensus_task(3, 2), None, None))
         barrier = threading.Barrier(CLIENTS)

@@ -5,8 +5,10 @@ query load through :class:`repro.service.client.ServiceClient` (ping,
 subdivisions, zoo classification, an ``R_A`` construction, a FACT
 solvability query and a repeated certified query), checks values
 against the in-process engine — the repeat must come from the server's
-text tier with the same bytes — prints the server's stats, then sends
-SIGTERM and verifies the server drains an in-flight request and exits 0.
+text tier with the same bytes — sends a ``crash`` query, which must be
+answered ``unknown_kind`` while the server keeps serving, prints the
+server's stats, then sends SIGTERM and verifies the server drains an
+in-flight request and exits 0.
 
 Run from the repository root::
 
@@ -32,7 +34,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.adversaries import Adversary, agreement_function_of  # noqa: E402
 from repro.engine import Engine, JobSpec, serialize  # noqa: E402
-from repro.service import ServiceClient  # noqa: E402
+from repro.service import ServiceClient, ServiceError  # noqa: E402
 from repro.tasks.set_consensus import set_consensus_task  # noqa: E402
 
 
@@ -102,6 +104,16 @@ def main() -> int:
                     f"repeated certify: cache_hit, identical bytes "
                     f"({len(again['value'])} bytes)"
                 )
+
+                # No job kind ends the server: ``crash`` is not one.
+                try:
+                    client.query_response("crash", (3,))
+                except ServiceError as error:
+                    assert error.code == "unknown_kind", error.code
+                else:
+                    raise AssertionError("crash query was answered")
+                assert client.query_response("chr", (2, 1))["ok"]
+                print("crash query: unknown_kind, server still serving")
 
                 stats = client.stats()
                 print(

@@ -586,8 +586,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             engine,
             host=args.host,
             port=args.port,
-            window=args.window_ms / 1000.0,
-            max_batch=args.max_batch,
             max_connections=args.max_connections,
             max_inflight=args.max_inflight,
             request_timeout=args.request_timeout,
@@ -1229,13 +1227,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=256,
         help="entries in the in-memory LRU of answered value texts",
     )
-    serve.add_argument(
-        "--window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batching window in milliseconds",
-    )
-    serve.add_argument("--max-batch", type=_positive_int, default=64)
     serve.add_argument("--max-connections", type=_positive_int, default=64)
     serve.add_argument("--max-inflight", type=_positive_int, default=256)
     serve.add_argument(

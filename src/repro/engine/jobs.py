@@ -159,19 +159,6 @@ def _compute_sleep(payload: tuple) -> Any:
     return token
 
 
-def _compute_crash(payload: tuple) -> Any:
-    # Synthetic failure injection: kill the executing process outright,
-    # mid-job, with no cleanup — ``os._exit`` skips every handler.  This
-    # is how worker-pool crash recovery (restart + bounded re-dispatch)
-    # is tested deterministically instead of racing SIGKILL from the
-    # outside.  Never run it on an in-process engine: with ``jobs=1``
-    # the "worker" is you.
-    import os as _os
-
-    (code,) = payload
-    _os._exit(code)
-
-
 #: kind -> compute function.  Worker processes resolve kinds through
 #: this registry, so adding a job type is one entry + one payload codec.
 JOB_KINDS: Dict[str, Callable[[tuple], Any]] = {
@@ -187,7 +174,6 @@ JOB_KINDS: Dict[str, Callable[[tuple], Any]] = {
     "sweep": _compute_sweep,
     "sweep_resume": _compute_sweep_resume,
     "sleep": _compute_sleep,
-    "crash": _compute_crash,
 }
 
 

@@ -11,7 +11,7 @@ through all of it visible as a tree of timed spans:
   so spans from pool workers reattach under the submitting job's span;
 * :mod:`~repro.obs.export` — JSONL trace files (byte-stable lines) and
   the ``repro_trace_*`` Prometheus-text extension of the service's
-  ``/metrics`` dump;
+  ``metrics`` op dump;
 * :mod:`~repro.obs.summary` — per-span-kind latency breakdowns behind
   the ``repro trace <jsonl>`` CLI.
 

@@ -10,7 +10,7 @@ Two read-out formats, both derived from :meth:`Span.to_dict`:
   bytes (sorted keys, no whitespace), so traces diff cleanly.
 * **Prometheus text** — :func:`render_trace_text` turns
   :meth:`Tracer.stats` into ``repro_trace_*`` lines that the service's
-  ``/metrics`` shim appends to its existing dump.
+  ``metrics`` op appends to its existing dump.
 """
 
 from __future__ import annotations

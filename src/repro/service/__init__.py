@@ -11,13 +11,13 @@ and its sibling queries as a network oracle:
 * :mod:`~repro.service.memcache` — the text tier: a bounded LRU of
   answered value texts keyed by the exact request, so a repeat is
   answered without decoding it or touching the engine;
-* :mod:`~repro.service.batcher` — micro-batching with in-flight
-  request coalescing (N identical concurrent queries cost one
-  computation);
-* :mod:`~repro.service.server` — the asyncio server: connection and
-  in-flight limits, per-request deadlines, graceful drain on SIGTERM,
-  live metrics, and a minimal HTTP shim;
-* :mod:`~repro.service.client` — sync and async clients with the
+* :mod:`~repro.service.batcher` — dispatch-when-idle batching with
+  in-flight request coalescing (N identical concurrent queries cost
+  one computation);
+* :mod:`~repro.service.server` — the asyncio line-protocol server:
+  connection and in-flight limits, per-request deadlines, graceful
+  drain on SIGTERM, live metrics;
+* :mod:`~repro.service.client` — the blocking client, with the
   engine's typed calling conventions;
 * :mod:`~repro.service.background` — a thread harness for tests,
   benchmarks and examples.
@@ -28,7 +28,7 @@ See ``docs/service.md`` for the protocol spec and deployment notes.
 
 from .background import BackgroundServer
 from .batcher import Batcher
-from .client import AsyncServiceClient, ServiceClient, ServiceError
+from .client import ServiceClient, ServiceError
 from .memcache import MemCache
 from .metrics import LatencyHistogram, Metrics
 from .protocol import (
@@ -46,7 +46,6 @@ from .protocol import (
 from .server import DEFAULT_HOST, DEFAULT_PORT, ServiceServer
 
 __all__ = [
-    "AsyncServiceClient",
     "BackgroundServer",
     "Batcher",
     "DEFAULT_HOST",

@@ -1,18 +1,19 @@
-"""Micro-batching and in-flight request coalescing for the service.
+"""Dispatch-when-idle batching and in-flight request coalescing.
 
-Queries arriving within one batching *window* are merged into a single
-:meth:`Engine.run_jobs` call, which amortizes dispatch overhead and
-lets the engine's cache and dedup layers see the whole batch at once.
-Orthogonally, requests for a computation that is already in flight —
-pending in the current window *or* executing in a dispatched batch —
-never start a second computation: they attach to the existing result
-future and receive the same :class:`JobResult` (marked
-``coalesced=True``) when it lands.  In-flight requests are keyed by
-the server's :func:`~repro.service.memcache.request_key` — ``kind``
-plus the payload's wire text, the key of its text tier too; the
-engine's content digest stays the only content address, so a request
-written differently (set members permuted) but equal in value is
-deduplicated by the engine batch or answered from its cache instead.
+A decoded query goes to the engine at once when no batch is running.
+Queries decoded while a batch runs wait; when it finishes, everything
+waiting leaves together as the next :meth:`Engine.run_jobs` call (up to
+:data:`MAX_BATCH` specs), which lets the engine's cache and dedup
+layers see the whole batch at once.  Orthogonally, requests for a
+computation that is already in flight — waiting *or* executing in a
+dispatched batch — never start a second computation: they attach to
+the existing result future and receive the same :class:`JobResult`
+(marked ``coalesced=True``) when it lands.  In-flight requests are
+keyed by the server's :func:`~repro.service.memcache.request_key` —
+``kind`` plus the payload's wire text, the key of its text tier too;
+the engine's content digest stays the only content address, so a
+request written differently (set members permuted) but equal in value
+is deduplicated by the engine batch or answered from its cache instead.
 Each ``ok`` result is serialized once on the dispatch thread, however
 many requests share it, and the text enters the server's text tier
 before its key leaves the in-flight table.
@@ -44,34 +45,30 @@ from .metrics import Metrics
 #: A job's result and, when it is ``ok``, its canonical value text.
 Answer = Tuple[JobResult, Optional[str]]
 
+#: Most specs one engine batch carries; the rest leave with the next.
+MAX_BATCH = 64
+
 
 class Batcher:
-    """Coalescing micro-batch dispatcher in front of one engine."""
+    """Coalescing batch dispatcher in front of one engine."""
 
     def __init__(
         self,
         engine: Engine,
         memcache: MemCache,
         *,
-        window: float = 0.002,
-        max_batch: int = 64,
         metrics: Optional[Metrics] = None,
     ):
-        if window < 0:
-            raise ValueError("window must be >= 0")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         self.engine = engine
         self.memcache = memcache
-        self.window = window
-        self.max_batch = max_batch
         self.metrics = metrics if metrics is not None else Metrics()
         self._loop = asyncio.get_running_loop()
         self._pending: "OrderedDict[Hashable, Tuple[JobSpec, asyncio.Future]]" = (
             OrderedDict()
         )
         self._inflight: Dict[Hashable, asyncio.Future] = {}
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
+        #: Whether an engine batch is running on the dispatch thread.
+        self._running = False
         #: Decodes and dispatched batches still running.
         self._tasks: set = set()
         self._executor = ThreadPoolExecutor(
@@ -120,12 +117,7 @@ class Batcher:
             future.set_exception(exc)
             return
         self._pending[key] = (spec, future)
-        if len(self._pending) >= self.max_batch:
-            self._flush()
-        elif self._flush_handle is None:
-            self._flush_handle = self._loop.call_later(
-                self.window, self._flush
-            )
+        self._dispatch()
 
     def _track(self, coroutine) -> None:
         task = self._loop.create_task(coroutine)
@@ -138,15 +130,14 @@ class Batcher:
         return replace(result, coalesced=True), text
 
     # ------------------------------------------------------------------
-    def _flush(self) -> None:
-        """Dispatch everything pending as one engine batch."""
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        if not self._pending:
+    def _dispatch(self) -> None:
+        """Send what is pending as one engine batch, unless one is running."""
+        if self._running or not self._pending:
             return
-        entries = list(self._pending.items())
-        self._pending.clear()
+        entries = []
+        while self._pending and len(entries) < MAX_BATCH:
+            entries.append(self._pending.popitem(last=False))
+        self._running = True
         self._track(self._run_batch(entries))
 
     async def _run_batch(
@@ -166,13 +157,16 @@ class Batcher:
                 self._inflight.pop(key, None)
                 if not future.done():
                     future.set_exception(exc)
-            return
-        for (key, (_, future)), answer in zip(entries, answers):
-            if answer[1] is not None:
-                self.memcache.put(key, answer[1])
-            self._inflight.pop(key, None)
-            if not future.done():
-                future.set_result(answer)
+        else:
+            for (key, (_, future)), answer in zip(entries, answers):
+                if answer[1] is not None:
+                    self.memcache.put(key, answer[1])
+                self._inflight.pop(key, None)
+                if not future.done():
+                    future.set_result(answer)
+        finally:
+            self._running = False
+            self._dispatch()
 
     def _traced_run_jobs(self, specs: List[JobSpec]) -> List[Answer]:
         # ``run_in_executor`` does not propagate contextvars, so the
@@ -193,9 +187,10 @@ class Batcher:
         return len(self._inflight)
 
     async def drain(self) -> None:
-        """Flush and wait until every in-flight computation has completed."""
-        while self._pending or self._tasks:
-            self._flush()
+        """Wait until every in-flight computation has completed."""
+        # A finishing batch dispatches what waits before its task is
+        # discarded, so pending work always has a task behind it.
+        while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 
     async def close(self) -> None:

@@ -1,9 +1,9 @@
-"""Service clients: a blocking socket client and an asyncio client.
+"""The service client: a blocking line-protocol socket client.
 
-Both speak protocol v1 and share the calling convention of the engine's
-typed batch API: payloads are ordinary Python values, canonically
-serialized client-side (:mod:`repro.engine.serialize`), and a
-successful query's value is deserialized back — so
+:class:`ServiceClient` speaks protocol v1 with the calling convention
+of the engine's typed batch API: payloads are ordinary Python values,
+canonically serialized client-side (:mod:`repro.engine.serialize`), and
+a successful query's value is deserialized back — so
 ``client.solve(L, T)`` returns exactly what
 ``Engine().solve_many([(L, T, None)])[0]`` returns.
 
@@ -24,7 +24,6 @@ to observe the raw first answer.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import random
 import socket
@@ -68,26 +67,7 @@ def _raise_for(response: Dict[str, Any]) -> Dict[str, Any]:
     raise ServiceError(code, message)
 
 
-class _QueryMixin:
-    """Typed helpers shared by the sync and async clients."""
-
-    def _query_fields(
-        self, kind: str, payload: tuple, timeout: Optional[float]
-    ) -> Dict[str, Any]:
-        fields: Dict[str, Any] = {
-            "kind": kind,
-            "payload": serialize(payload),
-        }
-        if timeout is not None:
-            fields["timeout"] = timeout
-        return fields
-
-    @staticmethod
-    def _decode_value(response: Dict[str, Any]) -> Any:
-        return deserialize(response["value"])
-
-
-class ServiceClient(_QueryMixin):
+class ServiceClient:
     """Blocking line-protocol client (one request in flight at a time)."""
 
     def __init__(
@@ -161,15 +141,20 @@ class ServiceClient(_QueryMixin):
         self, kind: str, payload: tuple, timeout: Optional[float] = None
     ) -> Dict[str, Any]:
         """The full wire response for one query (value still encoded)."""
-        return self.request(
-            "query", **self._query_fields(kind, payload, timeout)
-        )
+        fields: Dict[str, Any] = {"kind": kind, "payload": serialize(payload)}
+        if timeout is not None:
+            fields["timeout"] = timeout
+        return self.request("query", **fields)
 
     def query(
         self, kind: str, payload: tuple, timeout: Optional[float] = None
     ) -> Any:
         """One query; returns the decoded engine value."""
         return self._decode_value(self.query_response(kind, payload, timeout))
+
+    @staticmethod
+    def _decode_value(response: Dict[str, Any]) -> Any:
+        return deserialize(response["value"])
 
     # -- typed helpers -------------------------------------------------
     def chr(self, n: int, depth: int) -> Any:
@@ -271,147 +256,3 @@ class ServiceClient(_QueryMixin):
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-class AsyncServiceClient(_QueryMixin):
-    """Asyncio client; one connection, lockstep request/response."""
-
-    def __init__(
-        self,
-        host: str = DEFAULT_HOST,
-        port: int = DEFAULT_PORT,
-        *,
-        retries: int = 1,
-        retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-    ):
-        self.host = host
-        self.port = port
-        self.retries = max(0, retries)
-        self.retry_backoff = retry_backoff
-        self.retried = 0
-        self._rng = random.Random()
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._lock = asyncio.Lock()
-        self._next_id = 0
-
-    async def connect(self) -> "AsyncServiceClient":
-        from .protocol import MAX_LINE_BYTES
-
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port, limit=MAX_LINE_BYTES
-        )
-        return self
-
-    async def request(self, op: str, **fields: Any) -> Dict[str, Any]:
-        """As :meth:`ServiceClient.request`, with the same single
-        jittered-backoff retry on ``overloaded`` / ``shutting_down``."""
-        for attempt in range(self.retries + 1):
-            if self._writer is None:
-                await self.connect()
-            async with self._lock:
-                self._next_id += 1
-                message = {
-                    "v": PROTOCOL_VERSION,
-                    "id": self._next_id,
-                    "op": op,
-                }
-                message.update(fields)
-                self._writer.write(json.dumps(message).encode("utf-8") + b"\n")
-                await self._writer.drain()
-                line = await self._reader.readline()
-            if not line:
-                raise ConnectionError("server closed the connection")
-            response = json.loads(line)
-            if (
-                not response.get("ok")
-                and attempt < self.retries
-                and (response.get("error") or {}).get("code")
-                in RETRYABLE_CODES
-            ):
-                self.retried += 1
-                await asyncio.sleep(_jittered(self.retry_backoff, self._rng))
-                await self.close()
-                continue
-            return _raise_for(response)
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    async def query_response(
-        self, kind: str, payload: tuple, timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
-        return await self.request(
-            "query", **self._query_fields(kind, payload, timeout)
-        )
-
-    async def query(
-        self, kind: str, payload: tuple, timeout: Optional[float] = None
-    ) -> Any:
-        return self._decode_value(
-            await self.query_response(kind, payload, timeout)
-        )
-
-    async def solve(
-        self,
-        affine,
-        task,
-        budget: Optional[int] = None,
-    ) -> Tuple[Optional[Dict], int]:
-        return await self.query("solve", (affine, task, budget, None))
-
-    async def certify(
-        self,
-        affine,
-        task,
-        budget: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        return await self.query("certify", (affine, task, budget))
-
-    async def check(self, cert: Dict[str, Any]) -> Dict[str, Any]:
-        return await self.query("check", (cert,))
-
-    async def simulate(
-        self,
-        protocol: str,
-        adversary=None,
-        *,
-        n: int = 3,
-        t: int = 0,
-        k: int = 1,
-        schedules: int = 4,
-        seed: int = 7,
-    ) -> Dict[str, Any]:
-        return await self.query(
-            "simulate", (protocol, adversary, n, t, k, schedules, seed)
-        )
-
-    async def oracle(
-        self,
-        protocol: str,
-        adversary=None,
-        *,
-        n: int = 3,
-        t: int = 0,
-        k: int = 1,
-        schedules: int = 4,
-        seed: int = 7,
-    ) -> Dict[str, Any]:
-        return await self.query(
-            "oracle", (protocol, adversary, n, t, k, schedules, seed)
-        )
-
-    async def ping(self) -> bool:
-        return bool((await self.request("ping")).get("pong"))
-
-    async def stats(self) -> Dict[str, Any]:
-        return (await self.request("stats"))["stats"]
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
-            self._reader = None
-
-    async def __aenter__(self) -> "AsyncServiceClient":
-        return await self.connect()
-
-    async def __aexit__(self, *exc) -> None:
-        await self.close()

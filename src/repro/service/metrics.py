@@ -8,7 +8,7 @@ registry lock).  Two read-out forms:
   protocol's ``stats`` op;
 * :meth:`Metrics.render_text` — a plain-text dump (one
   ``repro_service_<name> <value>`` line each, Prometheus-style),
-  returned by the ``metrics`` op and the HTTP shim's ``GET /metrics``.
+  returned by the ``metrics`` op.
 
 Histogram quantiles are read from the bucket boundaries (the value
 reported for p50/p99 is the upper bound of the containing bucket), so
@@ -87,22 +87,6 @@ class LatencyHistogram:
         self.total += seconds
         if seconds > self.max:
             self.max = seconds
-
-    def quantile(self, q: float) -> float:
-        """The bucket upper bound containing the q-quantile (0 if empty)."""
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= rank:
-                if index < len(BUCKET_BOUNDS):
-                    # The bucket's upper bound, clamped to the observed
-                    # max so quantiles never exceed a real measurement.
-                    return min(BUCKET_BOUNDS[index], self.max)
-                return self.max
-        return self.max
 
     def raw(self):
         """Copied raw state: ``(counts, count, total, max)``."""

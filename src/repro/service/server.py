@@ -1,4 +1,4 @@
-"""The asyncio query server: connections, deadlines, drain, HTTP shim.
+"""The asyncio query server: connections, deadlines, drain.
 
 One :class:`ServiceServer` owns one :class:`~repro.engine.jobs.Engine`
 (typically over the on-disk artifact cache) and serves the
@@ -24,10 +24,10 @@ line-delimited JSON protocol of :mod:`repro.service.protocol` over TCP:
   listener closes, in-flight requests get ``drain_grace`` seconds to
   finish and flush, then connections close and :meth:`wait_stopped`
   returns.
-* **HTTP shim** — a connection whose first line is an HTTP request gets
-  minimal HTTP/1.1 handling: ``GET /metrics`` (plain-text dump),
-  ``GET /stats`` (JSON), ``GET /healthz``, and ``POST /query`` with a
-  protocol request as the body.  One request per connection.
+
+The line protocol is the only transport: every line, an HTTP request
+line included, is parsed as a protocol request.  The ``stats`` and
+``metrics`` ops are the introspection surface.
 
 Everything expensive — payload decode, result encode, the engine batch
 itself — runs in executor threads; the event loop only shuffles bytes
@@ -37,7 +37,6 @@ and hashes request keys.
 from __future__ import annotations
 
 import asyncio
-import json
 import signal
 import time
 from typing import Any, Dict, Optional, Set
@@ -67,8 +66,6 @@ from .protocol import (
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7341
 
-_HTTP_METHODS = (b"GET ", b"POST ", b"HEAD ")
-
 
 class ServiceServer:
     """A resident query server on top of one compute engine."""
@@ -79,8 +76,6 @@ class ServiceServer:
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         *,
-        window: float = 0.002,
-        max_batch: int = 64,
         max_connections: int = 64,
         max_inflight: int = 256,
         request_timeout: Optional[float] = None,
@@ -91,8 +86,6 @@ class ServiceServer:
         self.engine = engine
         self.host = host
         self.port = port  # updated to the bound port after start()
-        self.window = window
-        self.max_batch = max_batch
         self.max_connections = max_connections
         self.max_inflight = max_inflight
         self.request_timeout = request_timeout
@@ -117,8 +110,6 @@ class ServiceServer:
         self._batcher = Batcher(
             self.engine,
             memcache=self.memcache,
-            window=self.window,
-            max_batch=self.max_batch,
             metrics=self.metrics,
         )
         self._server = await asyncio.start_server(
@@ -199,7 +190,6 @@ class ServiceServer:
             return
         self._connections.add(writer)
         write_lock = asyncio.Lock()
-        first = True
         try:
             while True:
                 try:
@@ -218,10 +208,6 @@ class ServiceServer:
                     break
                 if not line:
                     break
-                if first and line.startswith(_HTTP_METHODS):
-                    await self._handle_http(line, reader, writer)
-                    break
-                first = False
                 if not line.strip():
                     continue
                 task = asyncio.create_task(
@@ -408,7 +394,6 @@ class ServiceServer:
                 "host": self.host,
                 "port": self.port,
                 "protocol_version": PROTOCOL_VERSION,
-                "memcache_capacity": self.memcache_capacity(),
                 "connections": len(self._connections),
                 "active_requests": self._active_requests,
                 "draining": self._draining,
@@ -416,78 +401,8 @@ class ServiceServer:
             },
             "engine": {"jobs": self.engine.jobs, **self.engine.stats()},
             "batcher": {
-                "window_s": self.window,
-                "max_batch": self.max_batch,
                 "inflight": self._batcher.inflight if self._batcher else 0,
             },
             "metrics": self.metrics.snapshot(),
             "memcache": self.memcache.stats(),
         }
-
-    def memcache_capacity(self) -> int:
-        """Entries the in-memory text tier holds."""
-        return self.memcache.max_entries
-
-    # ------------------------------------------------------------------
-    # HTTP shim
-    # ------------------------------------------------------------------
-    async def _handle_http(
-        self,
-        first_line: bytes,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.metrics.inc("http_requests_total")
-        try:
-            method, path, _ = first_line.decode("ascii").split(" ", 2)
-        except ValueError:
-            method, path = "GET", "/"
-        content_length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = 0
-        status, content_type, body = "404 Not Found", "text/plain", "not found\n"
-        if method in ("GET", "HEAD") and path == "/metrics":
-            status, body = "200 OK", self.metrics.render_text()
-        elif method in ("GET", "HEAD") and path == "/stats":
-            status, content_type = "200 OK", "application/json"
-            body = json.dumps(self.stats(), sort_keys=True) + "\n"
-        elif method in ("GET", "HEAD") and path == "/healthz":
-            # JSON health document: the router sanity-checks a shard's
-            # protocol version and memcache capacity at registration.
-            status, content_type = "200 OK", "application/json"
-            body = (
-                json.dumps(
-                    {
-                        "status": "draining" if self._draining else "ok",
-                        "protocol_version": PROTOCOL_VERSION,
-                        "memcache_capacity": self.memcache_capacity(),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-        elif method == "POST" and path == "/query":
-            raw = await reader.readexactly(min(content_length, MAX_LINE_BYTES))
-            response = await self._process_line(raw)
-            status, content_type = "200 OK", "application/json"
-            body = encode_message(response) + "\n"
-        payload = b"" if method == "HEAD" else body.encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status}\r\n"
-            f"Content-Type: {content_type}; charset=utf-8\r\n"
-            f"Content-Length: {len(body.encode('utf-8'))}\r\n"
-            f"Connection: close\r\n\r\n"
-        )
-        try:
-            writer.write(head.encode("ascii") + payload)
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass

@@ -14,7 +14,6 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import random
@@ -35,7 +34,6 @@ from repro.core.ra import DEFAULT_VARIANT
 from repro.engine import ArtifactCache, Engine, JobSpec, serialize
 from repro.runtime.algorithm1 import fuzz_case_seed
 from repro.service import (
-    AsyncServiceClient,
     BackgroundServer,
     ProtocolError,
     ServiceClient,
@@ -49,6 +47,32 @@ from repro.tasks.set_consensus import set_consensus_task
 from repro.tasks.solvability import MapSearch, SearchBudgetExceeded
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _barrier_start(port: int, queries) -> list:
+    """Each ``query(client)`` on its own connection, all started at once.
+
+    Every thread connects first and then waits at one barrier, so the
+    requests reach the server as close together as threads allow.
+    Returns the answers in ``queries`` order (``None`` where a thread
+    failed).
+    """
+    barrier = threading.Barrier(len(queries))
+    answers: list = [None] * len(queries)
+
+    def run(index, query):
+        with ServiceClient(port=port) as active:
+            barrier.wait(timeout=60)
+            answers[index] = query(active)
+
+    threads = [
+        threading.Thread(target=run, args=item) for item in enumerate(queries)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    return answers
 
 
 def _raw_request(port: int, line: bytes) -> dict:
@@ -101,7 +125,7 @@ def test_parse_request_round_trip():
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     engine = Engine(cache=ArtifactCache(tmp_path_factory.mktemp("disk-tier")))
-    with BackgroundServer(engine, window=0.002) as background:
+    with BackgroundServer(engine) as background:
         yield background
 
 
@@ -212,25 +236,12 @@ def test_simulate_and_oracle_helpers(client):
 # ----------------------------------------------------------------------
 def test_concurrent_identical_sleeps_coalesce_to_one_execution():
     engine = Engine()
-    with BackgroundServer(engine, window=0.02) as background:
-
-        async def fire():
-            clients = [
-                await AsyncServiceClient(port=background.port).connect()
-                for _ in range(6)
-            ]
-            try:
-                return await asyncio.gather(
-                    *[
-                        active.query_response("sleep", (0.5, "shared"))
-                        for active in clients
-                    ]
-                )
-            finally:
-                for active in clients:
-                    await active.close()
-
-        responses = asyncio.run(fire())
+    with BackgroundServer(engine) as background:
+        responses = _barrier_start(
+            background.port,
+            [lambda active: active.query_response("sleep", (0.5, "shared"))]
+            * 6,
+        )
         assert all(response["ok"] for response in responses)
         assert sorted(r["coalesced"] for r in responses) == [False] + [True] * 5
         metrics = background.server.metrics
@@ -242,27 +253,48 @@ def test_concurrent_identical_solves_compute_once(ra_1res):
     """N clients, one solve query: exactly one engine computation."""
     task23 = set_consensus_task(3, 2)
     engine = Engine()
-    with BackgroundServer(engine, window=0.05) as background:
-
-        async def fire():
-            clients = [
-                await AsyncServiceClient(port=background.port).connect()
-                for _ in range(5)
-            ]
-            try:
-                return await asyncio.gather(
-                    *[active.solve(ra_1res, task23) for active in clients]
-                )
-            finally:
-                for active in clients:
-                    await active.close()
-
-        answers = asyncio.run(fire())
+    with BackgroundServer(engine) as background:
+        answers = _barrier_start(
+            background.port,
+            [lambda active: active.solve(ra_1res, task23)] * 5,
+        )
         expected = Engine().solve_many([(ra_1res, task23, None)])[0]
         assert all(answer == expected for answer in answers)
         # One full cache miss == one computation; every other request
         # was coalesced onto it or answered from the memcache.
         assert engine.stats()["misses"] == 1
+
+
+def test_misses_arriving_during_a_batch_leave_together_as_the_next():
+    """Dispatch when idle: misses that wait on a running batch share one."""
+    tokens = ("a", "b", "c", "d")
+    with BackgroundServer(Engine()) as background:
+        metrics = background.server.metrics
+        answers = {}
+
+        def ask(token, seconds):
+            with ServiceClient(port=background.port) as active:
+                answers[token] = active.query("sleep", (seconds, token))
+
+        threads = [threading.Thread(target=ask, args=("head", 1.0))]
+        threads[0].start()
+        deadline = time.monotonic() + 10
+        while (
+            metrics.counter("batches_total") < 1
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        # The head batch is running; four distinct cold queries arrive
+        # one after another, spaced well apart.
+        for token in tokens:
+            threads.append(threading.Thread(target=ask, args=(token, 0.05)))
+            threads[-1].start()
+            time.sleep(0.05)
+        for thread in threads:
+            thread.join(timeout=30)
+        assert answers == {token: token for token in ("head",) + tokens}
+        assert metrics.counter("batches_total") == 2
+        assert metrics.counter("jobs_dispatched_total") == 5
 
 
 def _permuted(encoded, rng):
@@ -325,14 +357,19 @@ def test_per_request_timeout_returns_typed_error(client):
 
 
 def test_wire_error_codes(server, client, ra_1of):
-    assert _raw_request(server.port, b"{broken\n")["error"]["code"] == "bad_request"
+    # An HTTP request line is one more malformed protocol line.
+    for line in (b"{broken\n", b"GET /metrics HTTP/1.1\r\n"):
+        assert _raw_request(server.port, line)["error"]["code"] == "bad_request"
     assert (
         _raw_request(server.port, b'{"v": 99, "op": "ping"}\n')["error"]["code"]
         == "unsupported_version"
     )
-    with pytest.raises(ServiceError) as info:
-        client.query("no_such_kind", (1,))
-    assert info.value.code == "unknown_kind"
+    # ``crash`` names no job kind: the server has none that ends it.
+    for kind in ("no_such_kind", "crash"):
+        with pytest.raises(ServiceError) as info:
+            client.query(kind, (3,))
+        assert info.value.code == "unknown_kind"
+        assert client.ping()
     with pytest.raises(ServiceError) as info:
         client.request("query", kind="chr", payload="]not canonical[")
     assert info.value.code == "bad_payload"
@@ -395,7 +432,7 @@ def test_memcache_size_bounds_the_text_tier():
             stats = active.stats()
             assert stats["memcache"]["size"] == 2
             assert stats["memcache"]["evictions"] == 1
-            assert stats["server"]["memcache_capacity"] == 2
+            assert stats["memcache"]["max_entries"] == 2
             # (2, 1) was evicted; (3, 1) is resident.
             assert not active.query_response("chr", (2, 1))["cache_hit"]
             assert active.query_response("chr", (3, 1))["cache_hit"]
@@ -437,38 +474,6 @@ def test_connection_limit_returns_overloaded():
                 background.port, b'{"v": 1, "op": "ping"}\n'
             )
             assert response["error"]["code"] == "overloaded"
-
-
-# ----------------------------------------------------------------------
-# HTTP shim
-# ----------------------------------------------------------------------
-def test_http_shim_metrics_stats_health_and_query(server, client):
-    import urllib.request
-
-    client.ping()  # ensure at least one counter exists
-    base = f"http://127.0.0.1:{server.port}"
-    metrics = urllib.request.urlopen(f"{base}/metrics", timeout=30).read()
-    assert b"repro_service_requests_total" in metrics
-    stats = json.loads(urllib.request.urlopen(f"{base}/stats", timeout=30).read())
-    assert stats["server"]["port"] == server.port
-    health = json.loads(
-        urllib.request.urlopen(f"{base}/healthz", timeout=30).read()
-    )
-    assert health["status"] == "ok"
-    assert health["protocol_version"] == 1
-    assert health["memcache_capacity"] == 256
-    body = json.dumps(
-        {"v": 1, "id": 1, "op": "query", "kind": "chr", "payload": serialize((2, 1))}
-    ).encode()
-    reply = json.loads(
-        urllib.request.urlopen(
-            urllib.request.Request(f"{base}/query", data=body, method="POST"),
-            timeout=30,
-        ).read()
-    )
-    assert reply["ok"] and reply["value"] == serialize(JobSpec("chr", (2, 1)).run())
-    with pytest.raises(urllib.error.HTTPError):
-        urllib.request.urlopen(f"{base}/nope", timeout=30)
 
 
 # ----------------------------------------------------------------------
@@ -621,41 +626,12 @@ def test_sync_client_retries_transient_codes_once(code):
             assert client.retried == 1
 
 
-@pytest.mark.parametrize("code", sorted(RETRYABLE_CODES))
-def test_async_client_retries_transient_codes_once(code):
-    answers = {"count": 0}
-
-    def respond(request):
-        answers["count"] += 1
-        return _error(request, code) if answers["count"] == 1 else _ok(request)
-
-    async def scenario(port: int) -> int:
-        async with AsyncServiceClient(
-            port=port, retries=1, retry_backoff=0.01
-        ) as client:
-            assert await client.ping()
-            return client.retried
-
-    with ScriptedServer(respond) as server:
-        assert asyncio.run(scenario(server.port)) == 1
-
-
 def test_clients_with_retries_zero_surface_the_raw_error():
     with ScriptedServer(lambda r: _error(r, "overloaded")) as server:
         with ServiceClient(port=server.port, retries=0) as client:
             with pytest.raises(ServiceError) as info:
                 client.ping()
             assert info.value.code == "overloaded"
-
-        async def scenario() -> None:
-            async with AsyncServiceClient(
-                port=server.port, retries=0
-            ) as client:
-                await client.ping()
-
-        with pytest.raises(ServiceError) as info:
-            asyncio.run(scenario())
-        assert info.value.code == "overloaded"
 
 
 def test_sync_client_does_not_retry_permanent_codes():
@@ -673,7 +649,7 @@ def test_sync_client_does_not_retry_permanent_codes():
 
 
 # ----------------------------------------------------------------------
-# Every typed error code round-trips through both clients
+# Every typed error code round-trips through the client
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("code", sorted(ERROR_CODES))
 def test_every_error_code_round_trips_through_the_sync_client(code):
@@ -686,19 +662,3 @@ def test_every_error_code_round_trips_through_the_sync_client(code):
                 with pytest.raises(ServiceError) as info:
                     client.ping()
                 assert info.value.code == code
-
-
-@pytest.mark.parametrize("code", sorted(ERROR_CODES))
-def test_every_error_code_round_trips_through_the_async_client(code):
-    async def scenario(port: int) -> None:
-        async with AsyncServiceClient(port=port, retries=0) as client:
-            await client.ping()
-
-    with ScriptedServer(lambda r: _error(r, code)) as server:
-        if code == "budget_exceeded":
-            with pytest.raises(SearchBudgetExceeded):
-                asyncio.run(scenario(server.port))
-        else:
-            with pytest.raises(ServiceError) as info:
-                asyncio.run(scenario(server.port))
-            assert info.value.code == code

@@ -10,6 +10,7 @@ load must complete every accepted job.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -17,6 +18,7 @@ import time
 import pytest
 
 from repro.engine import Engine, JobSpec
+from repro.engine.jobs import JOB_KINDS
 from repro.solver import SolveRequest
 from repro.tasks.set_consensus import set_consensus_task
 from repro.workers import WorkerPool, affinity_key, decompose, recompose
@@ -161,13 +163,23 @@ def test_sigkilled_worker_restarts_and_job_redispatches_exactly_once():
     assert stats["completed"] == 1
 
 
-def test_crashing_job_fails_alone_after_bounded_redispatch():
+def _exit_worker(payload: tuple):
+    # Kills the executing worker outright, mid-job, with no cleanup:
+    # ``os._exit`` skips every handler.
+    (code,) = payload
+    os._exit(code)
+
+
+def test_crashing_job_fails_alone_after_bounded_redispatch(monkeypatch):
+    # A poison kind registered for this test only; forked workers
+    # inherit the patched registry.
+    monkeypatch.setitem(JOB_KINDS, "crash", _exit_worker)
     specs = [
         JobSpec("crash", (9,)),
         JobSpec("chr", (3, 1)),
         JobSpec("chr", (2, 1)),
     ]
-    with WorkerPool(2) as pool:
+    with WorkerPool(2, mp_context=multiprocessing.get_context("fork")) as pool:
         results = pool.run_batch(list(enumerate(specs)))
         stats = pool.stats()
     crash, good_a, good_b = results
