@@ -16,13 +16,16 @@ The claims worth recording honestly: extraction is a read-out of state
 the search already computed, not a second search, though on these
 few-millisecond searches its fixed costs (the statement's encodings
 and digests) still show.  Checking a *positive* certificate verifies
-one assignment instead of searching the space, but the search it
-checks is now cheaper than that: the committed baseline reads
-``check_positive_speedup_vs_search`` below 1 (single core of a 2-vCPU
-Intel Xeon VM).  Checking a *negative* certificate replays the
-exhaustive backtrack and therefore costs the same order as the
-refuting search — there is no free lunch for refutations.  Numbers
-land in ``BENCH_certify.json`` at the repo root.
+one assignment instead of searching the space, yet it re-derives the
+closure, the carriers and the digests from the certificate body, and
+on these small complexes that still costs more than the search: the
+committed baseline reads ``check_positive_speedup_vs_search`` below 1
+(single core of a 2-vCPU Intel Xeon VM), though the checker now folds
+each vertex's carrier and renders each vertex encoding once per check.
+Checking a *negative* certificate replays the exhaustive backtrack and
+therefore costs the same order as the refuting search — there is no
+free lunch for refutations.  Numbers land in ``BENCH_certify.json`` at
+the repo root.
 """
 
 from __future__ import annotations

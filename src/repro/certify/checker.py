@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 #: Format identifier/versions this checker understands (mirrors
@@ -141,44 +142,100 @@ def _freeze_set(encoded: Any, read: Callable[[Any], Any]) -> Any:
     return _freeze(encoded)
 
 
-def _vertex_reader() -> Callable[[Any], Any]:
-    """A ``_freeze`` that freezes each distinct vertex text once.
+class _Reader:
+    """One check's tables over the document's vertex encodings.
 
-    Interned by the exact JSON text of the encoding; a miss falls back
-    to ``_freeze``, so an equal vertex written differently (set members
-    permuted) freezes to the same value it always did.  An encoding
-    object met again (a document built in memory shares them) is
-    answered by identity, without rendering its text: the object is
-    held, and nothing mutates the document during a check.  One reader
-    per check: nothing is carried from one certificate to the next.
+    Each vertex is keyed by its exact JSON text from the C encoder.
+    ``read`` freezes each distinct key once: a hit returns the value a
+    fresh ``_freeze`` would, and an equal vertex written differently
+    (set members permuted) misses and freezes in full, to the value it
+    always did.  ``canonical`` renders the canonical text (set members
+    sorted) once per distinct key, for the digest binding, and keeps the
+    key for the vertex's first read.
+
+    An encoding object met again (a document built in memory shares
+    them) is answered by identity, without rendering it again: the
+    tables hold the objects, and nothing mutates the document during a
+    check.  One reader per check: nothing is carried from one
+    certificate to the next.
     """
-    interned: Dict[str, Any] = {}
-    by_id: Dict[int, Tuple[Any, Any]] = {}
 
-    def read(encoded: Any) -> Any:
+    def __init__(self) -> None:
+        #: Identity memo of ``_canonical`` (see there).
+        self.memo: Dict[int, Tuple[Any, str]] = {}
+        #: id -> (encoding, exact text) of the vertices ``canonical`` saw.
+        self.keys: Dict[int, Tuple[Any, str]] = {}
+        #: exact text -> canonical text.
+        self.texts: Dict[str, str] = {}
+        interned: Dict[str, Any] = {}  # exact text -> frozen value
+        by_id: Dict[int, Tuple[Any, Any]] = {}  # id -> (encoding, frozen value)
+        seen_get, known_get = by_id.get, self.keys.get
+
+        def read(encoded: Any) -> Any:
+            """``_freeze(encoded)``, frozen once per distinct text."""
+            if not isinstance(encoded, list):
+                return _freeze(encoded)
+            seen = seen_get(id(encoded))
+            if seen is not None:
+                return seen[1]
+            known = known_get(id(encoded))
+            if known is not None:
+                key = known[1]
+            else:
+                try:
+                    key = _canon_text(encoded)
+                except (TypeError, ValueError):
+                    return _freeze(encoded)
+            frozen = interned.get(key)
+            if frozen is None:
+                # ``_freeze``, with a carrier's members (the sub-vertices
+                # shared by many vertices) read through this reader.
+                if len(encoded) == 3 and encoded[0] == "chrv":
+                    frozen = (
+                        "chrv",
+                        _freeze(encoded[1]),
+                        _freeze_set(encoded[2], read),
+                    )
+                else:
+                    frozen = _freeze(encoded)
+                interned[key] = frozen
+            by_id[id(encoded)] = (encoded, frozen)
+            return frozen
+
+        self.read = read
+
+    def canonical(self, encoded: Any) -> str:
+        """``_canonical(encoded)`` of a vertex, rendered once per key."""
         if not isinstance(encoded, list):
-            return _freeze(encoded)
-        seen = by_id.get(id(encoded))
-        if seen is not None:
-            return seen[1]
-        try:
-            key = _canon_text(encoded)
-        except (TypeError, ValueError):
-            return _freeze(encoded)
-        frozen = interned.get(key)
-        if frozen is None:
-            frozen = interned[key] = freeze(encoded)
-        by_id[id(encoded)] = (encoded, frozen)
-        return frozen
+            return _canonical(encoded, self.memo)
+        known = self.keys.get(id(encoded))
+        if known is not None:
+            key = known[1]
+        else:
+            try:
+                key = _canon_text(encoded)
+            except (TypeError, ValueError):
+                return _canonical(encoded, self.memo)
+            self.keys[id(encoded)] = (encoded, key)
+        text = self.texts.get(key)
+        if text is None:
+            text = self.texts[key] = _canonical(encoded, self.memo)
+        return text
 
-    def freeze(encoded: Any) -> Any:
-        # ``_freeze``, with a carrier's members (the sub-vertices shared
-        # by many vertices) read through this reader.
-        if len(encoded) == 3 and encoded[0] == "chrv":
-            return ("chrv", _freeze(encoded[1]), _freeze_set(encoded[2], read))
-        return _freeze(encoded)
-
-    return read
+    def set_text(self, encoded: Any) -> str:
+        """``_canonical`` of an encoded set of vertices (a facet)."""
+        if not (
+            isinstance(encoded, list)
+            and len(encoded) == 2
+            and encoded[0] == "fset"
+            and isinstance(encoded[1], list)
+        ):
+            return _canonical(encoded, self.memo)
+        members = [
+            str(member) if type(member) is int else self.canonical(member)
+            for member in encoded[1]
+        ]
+        return '["fset",' + _join(sorted(members)) + "]"
 
 
 # ----------------------------------------------------------------------
@@ -297,24 +354,80 @@ def _carrier_in_s(vertices: FrozenSet[Any]) -> FrozenSet[int]:
     return current
 
 
+def _carrier_folds() -> Callable[[Iterable[Any]], FrozenSet[int]]:
+    """``_carrier_in_s`` for one check, lowering each vertex once.
+
+    A vertex that lowers to process ids in ``r`` rounds through
+    non-empty sets of subdivision vertices folds to ``(r, ids)``, from
+    its carrier members' folds.  Lowering a simplex level by level
+    lowers each vertex, so a simplex whose vertices all fold in the
+    same number of rounds lowers to the union of their ids.  Any other
+    simplex (mixed depths, an empty carrier, a member that is no
+    process id, a carrier that is no set) goes through
+    ``_carrier_in_s`` itself, so it is lowered or rejected exactly as
+    the direct fold does.  The folds are keyed by identity and hold
+    their vertices; one table per check.
+    """
+    folds: Dict[int, Tuple[Any, Optional[Tuple[int, FrozenSet[int]]]]] = {}
+
+    def fold(vertex: Any) -> Optional[Tuple[int, FrozenSet[int]]]:
+        seen = folds.get(id(vertex))
+        if seen is not None:
+            return seen[1]
+        result = None
+        if type(vertex) is int:
+            result = (0, frozenset((vertex,)))
+        elif _is_chrv(vertex):
+            carrier = vertex[2]
+            if isinstance(carrier, tuple) and len(carrier) == 2 and carrier[0] == "fset":
+                members = [fold(member) for member in carrier[1]]
+                if None not in members:
+                    rounds = {member[0] for member in members}
+                    if len(rounds) == 1:  # none for an empty carrier
+                        result = (
+                            rounds.pop() + 1,
+                            frozenset().union(*[member[1] for member in members]),
+                        )
+        folds[id(vertex)] = (vertex, result)
+        return result
+
+    def carrier_of(simplex: Iterable[Any]) -> FrozenSet[int]:
+        rounds = None
+        ids = []
+        for vertex in simplex:
+            seen = folds.get(id(vertex))
+            folded = fold(vertex) if seen is None else seen[1]
+            if folded is None or (rounds is not None and folded[0] != rounds):
+                return _carrier_in_s(simplex)
+            rounds = folded[0]
+            ids.append(folded[1])
+        return ids[0] if len(ids) == 1 else frozenset().union(*ids)
+
+    return carrier_of
+
+
 def _closure(facets: List[FrozenSet[Any]]) -> FrozenSet[FrozenSet[Any]]:
-    """All non-empty faces of the given facets."""
-    closed: set = set()
+    """All non-empty faces of the given facets.
+
+    The vertices and the facets are faces already; only the sizes
+    between are enumerated, facet by facet.
+    """
+    closed = set(map(frozenset, zip(frozenset().union(*facets))))
+    closed.update(facet for facet in facets if facet)
     for facet in facets:
         members = tuple(facet)
-        count = len(members)
-        for mask in range(1, 1 << count):
-            closed.add(
-                frozenset(
-                    members[i] for i in range(count) if mask >> i & 1
-                )
-            )
+        for size in range(2, len(members)):
+            closed.update(map(frozenset, combinations(members, size)))
     return frozenset(closed)
 
 
 # ----------------------------------------------------------------------
 # Statement parsing and digest binding
 # ----------------------------------------------------------------------
+#: ``Delta`` of a participation the table does not list.
+_NOTHING_ALLOWED: FrozenSet[FrozenSet[Any]] = frozenset()
+
+
 class _Statement:
     """The parsed claim: complex facets + tabulated ``Delta``."""
 
@@ -336,9 +449,10 @@ class _Statement:
             raise _Reject("bad_format", "facets/delta must be arrays")
 
         # Digest binding: recompute the engine's content addresses from
-        # the body and require them to match the claimed digests.  The
-        # facets share their vertex encodings: each is rendered once.
-        memo: Dict[int, Tuple[Any, str]] = {}
+        # the body and require them to match the claimed digests.  Each
+        # distinct vertex encoding of the facets is rendered once, and
+        # the text it was keyed by is kept for the reader below.
+        reader = _Reader()
         affine_text = _join(
             (
                 '"affine"',
@@ -348,9 +462,7 @@ class _Statement:
                 _join(
                     (
                         '"ccx"',
-                        _join(
-                            sorted([_canonical(f, memo) for f in facets_enc])
-                        ),
+                        _join(sorted([reader.set_text(f) for f in facets_enc])),
                     )
                 ),
             )
@@ -360,7 +472,7 @@ class _Statement:
                 '"task"',
                 str(self.n),
                 _canon_text(self.task_name),
-                _join(sorted(map(_canonical, delta_enc))),
+                _join(sorted([_canonical(e, reader.memo) for e in delta_enc])),
             )
         )
         if _digest(affine_text) != claimed_affine:
@@ -376,8 +488,9 @@ class _Statement:
         self.affine_digest = claimed_affine
         self.task_digest = claimed_task
 
-        #: This check's vertex reader (see ``_vertex_reader``).
-        self.read = read = _vertex_reader()
+        #: This check's vertex reader and carrier lowering.
+        self.read = read = reader.read
+        self.carrier = _carrier_folds()
         self.facets: List[FrozenSet[Any]] = []
         for facet_enc in facets_enc:
             frozen = _freeze_set(facet_enc, read)
@@ -396,7 +509,10 @@ class _Statement:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise _Reject("bad_format", "malformed delta entry")
             participants_frozen = _freeze(entry[0])
-            outputs_frozen = _freeze(entry[1])
+            # The output vertices through the reader: frozen once each.
+            outputs_frozen = _freeze_set(
+                entry[1], lambda sigma: _freeze_set(sigma, read)
+            )
             if not (
                 isinstance(participants_frozen, tuple)
                 and participants_frozen[0] == "fset"
@@ -418,26 +534,31 @@ class _Statement:
                     )
                 outputs.add(frozenset(sigma[1]))
             self.delta[participants] = frozenset(outputs)
+        self._domains: Dict[Tuple[FrozenSet[int], int], FrozenSet[Any]] = {}
 
     def allowed(self, participants: FrozenSet[int]) -> FrozenSet[FrozenSet[Any]]:
-        return self.delta.get(frozenset(participants), frozenset())
+        return self.delta.get(participants, _NOTHING_ALLOWED)
 
     def domain(self, vertex: Any) -> FrozenSet[Any]:
         """The natural candidate set of ``vertex`` under ``Delta``.
 
         Mirrors the decision procedure's domain rule: output vertices of
         the vertex's color drawn from allowed simplices of its witnessed
-        participation, whose singleton is itself allowed.
+        participation, whose singleton is itself allowed.  A function of
+        the participation and the color, computed once for each.
         """
-        participation = _carrier_in_s(frozenset([vertex]))
-        allowed = self.allowed(participation)
+        participation = self.carrier((vertex,))
         color = _color(vertex)
-        return frozenset(
-            out
-            for sigma in allowed
-            for out in sigma
-            if _color(out) == color and frozenset([out]) in allowed
-        )
+        domain = self._domains.get((participation, color))
+        if domain is None:
+            allowed = self.allowed(participation)
+            domain = self._domains[participation, color] = frozenset(
+                out
+                for sigma in allowed
+                for out in sigma
+                if _color(out) == color and frozenset([out]) in allowed
+            )
+        return domain
 
 
 # ----------------------------------------------------------------------
@@ -468,41 +589,43 @@ def _check_solvable(cert: Dict[str, Any], statement: _Statement) -> CheckReport:
     entries = cert.get("simplices")
     if not isinstance(entries, list):
         raise _Reject("bad_format", "missing per-simplex entries")
-    seen: set = set()
     # Image texts by the identity of the frozen output: ``mapping`` keeps
     # every output alive, and an equal output of another type (``true``
     # for ``1``) must not borrow a text that is not its own.
     image_text: Dict[int, str] = {}
+    for out in mapping.values():
+        if id(out) not in image_text:
+            image_text[id(out)] = _frozen_text(out)
+    closure, carrier_of, image_of = (
+        statement.simplices,
+        statement.carrier,
+        mapping.__getitem__,
+    )
+    seen: set = set()
     for entry in entries:
         if not isinstance(entry, dict):
             raise _Reject("bad_format", "malformed simplex entry")
         try:
-            simplex = frozenset(read(v) for v in entry["simplex"])
+            simplex = frozenset(map(read, entry["simplex"]))
             claimed_carrier = frozenset(entry["carrier"])
             claimed_image = frozenset(entry["image"])
         except (KeyError, TypeError) as exc:
             raise _Reject("bad_format", f"incomplete simplex entry: {exc}")
-        if simplex not in statement.simplices:
+        if simplex not in closure:
             raise _Reject(
                 "not_closed",
                 "entry lists a simplex outside the complex closure",
             )
         seen.add(simplex)
-        carrier = _carrier_in_s(simplex)
+        carrier = carrier_of(simplex)
         if carrier != claimed_carrier:
             raise _Reject(
                 "carrier_mismatch",
                 f"claimed carrier {sorted(claimed_carrier)} != "
                 f"recomputed {sorted(carrier)}",
             )
-        image = frozenset(mapping[v] for v in simplex)
-        texts = set()
-        for out in image:
-            text = image_text.get(id(out))
-            if text is None:
-                text = image_text[id(out)] = _frozen_text(out)
-            texts.add(text)
-        if claimed_image != texts:
+        image = frozenset(map(image_of, simplex))
+        if claimed_image != {image_text[id(out)] for out in image}:
             raise _Reject(
                 "image_mismatch",
                 "entry image differs from the map's image of the simplex",
@@ -600,12 +723,15 @@ def _replay(
     refutation trace replays to the identical node count.
     """
     rank = {vertex: index for index, vertex in enumerate(order)}
-    firing: Dict[Any, List[Tuple[FrozenSet[Any], FrozenSet[int]]]] = {
+    # Per vertex: the simplices it completes, each with its allowed images.
+    firing: Dict[Any, List[Tuple[Tuple[Any, ...], FrozenSet[FrozenSet[Any]]]]] = {
         vertex: [] for vertex in order
     }
     for sigma in statement.simplices:
         last = max(sigma, key=lambda v: rank[v])
-        firing[last].append((sigma, _carrier_in_s(sigma)))
+        firing[last].append(
+            (tuple(sigma), statement.allowed(statement.carrier(sigma)))
+        )
 
     assignment: Dict[Any, Any] = {}
     nodes = 0
@@ -624,9 +750,9 @@ def _replay(
             nodes += 1
             assignment[vertex] = candidate
             consistent = True
-            for sigma, carrier in firing[vertex]:
-                image = frozenset(assignment[v] for v in sigma)
-                if image not in statement.allowed(carrier):
+            for sigma, allowed in firing[vertex]:
+                image = frozenset([assignment[v] for v in sigma])
+                if image not in allowed:
                     consistent = False
                     break
             if consistent:
@@ -674,7 +800,7 @@ def _check_budget(cert: Dict[str, Any], statement: _Statement) -> CheckReport:
     for sigma in statement.simplices:
         if all(v in partial for v in sigma):
             image = frozenset(partial[v] for v in sigma)
-            if image not in statement.allowed(_carrier_in_s(sigma)):
+            if image not in statement.allowed(statement.carrier(sigma)):
                 raise _Reject(
                     "inconsistent_partial",
                     "partial assignment violates a carrier constraint",

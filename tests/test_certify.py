@@ -7,7 +7,10 @@ The important invariants:
   certificate the *independent* checker validates (fuzzed over random
   task mutations);
 * forged certificates are rejected with the right machine-readable
-  reason;
+  reason, one tamper per rejection code;
+* a certificate in memory, parsed back from its bytes and read from
+  its bytes gets one report, and the E11 reports are pinned by digest;
+* the checker's per-vertex carrier folds agree with the direct fold;
 * the negative verdict agrees with the Sperner counting obstruction;
 * budget stubs resume to the same map a fresh search finds;
 * the checker is genuinely independent (stdlib-only, AST-enforced) yet
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -27,6 +31,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversaries.agreement import agreement_function_of
+from repro.adversaries.fairness import is_fair
+from repro.analysis.landscape import all_adversaries
 from repro.analysis.sperner import fuzz_sperner
 from repro.certify import (
     CERT_FORMAT,
@@ -44,7 +51,7 @@ from repro.certify import (
 )
 from repro.certify import checker as checker_module
 from repro.cli import main
-from repro.core import full_affine_task
+from repro.core import full_affine_task, r_affine
 from importlib import import_module
 
 from repro.engine import ArtifactCache, Engine
@@ -203,6 +210,314 @@ def test_mutation_truncated_trace_rejected(unsolvable_cert_wf):
     truncated["domains"][0] = truncated["domains"][0][:-1]
     report = check(truncated)
     assert not report.valid and report.reason == "domain_mismatch"
+
+
+# ------------------------------------------ one tamper per rejection code
+def _drop_middle_entry(cert):
+    cert["simplices"].pop(len(cert["simplices"]) // 2)
+
+
+def _add_entry_outside_closure(cert):
+    # A facet's vertices plus one more span no simplex of the complex.
+    facet = cert["statement"]["facets"][0][1]
+    stranger = next(vertex for vertex, _ in cert["map"] if vertex not in facet)
+    cert["simplices"].append(
+        {"simplex": facet + [stranger], "carrier": [0, 1, 2], "image": []}
+    )
+
+
+def _drop_map_pair(cert):
+    cert["map"].pop()
+
+
+def _remap_outside_carrier(cert):
+    """Map one vertex to a value no participant of its carrier proposed,
+    with every entry's image rewritten to the new map: only ``Delta``
+    can tell."""
+    canon = checker_module._canon_text
+    entry = next(
+        e for e in cert["simplices"] if len(e["simplex"]) == 1 and len(e["carrier"]) < 3
+    )
+    vertex = entry["simplex"][0]
+    value = min(set(range(3)) - set(entry["carrier"]))
+    for pair in cert["map"]:
+        if pair[0] == vertex:
+            pair[1] = ["outv", pair[1][1], value]
+    image_of = {canon(v): canon(out) for v, out in cert["map"]}
+    for each in cert["simplices"]:
+        each["image"] = sorted({image_of[canon(v)] for v in each["simplex"]})
+
+
+def _drop_last_ordered_vertex(cert):
+    cert["order"].pop()
+    cert["domains"].pop()
+
+
+def _repeat_first_ordered_vertex(cert):
+    cert["order"][-1] = cert["order"][0]
+
+
+def _add_stray_partial_vertex(cert):
+    cert["partial"].append([["chrv", 0, ["fset", [0]]], ["outv", 0, 0]])
+
+
+def _recolor_partial_image(cert):
+    vertex, out = cert["partial"][0]
+    cert["partial"][0] = [vertex, ["outv", (out[1] + 1) % 3, out[2]]]
+
+
+def _partial_image_outside_domain(cert):
+    vertex, out = cert["partial"][0]
+    cert["partial"][0] = [vertex, ["outv", out[1], 7]]
+
+
+#: name -> (base certificate fixture, mutation, expected rejection code).
+TAMPERS = {
+    "dropped_entry": ("solvable", _drop_middle_entry, "not_closed"),
+    "entry_outside_closure": ("solvable", _add_entry_outside_closure, "not_closed"),
+    "dropped_map_pair": ("solvable", _drop_map_pair, "missing_map_entry"),
+    "image_outside_delta": ("solvable", _remap_outside_carrier, "image_not_allowed"),
+    "order_missing_vertex": (
+        "unsolvable", _drop_last_ordered_vertex, "order_not_permutation"
+    ),
+    "order_repeats_vertex": (
+        "unsolvable", _repeat_first_ordered_vertex, "order_not_permutation"
+    ),
+    "map_found_by_replay": ("found_map", None, "map_exists"),
+    "stray_partial_vertex": ("budget", _add_stray_partial_vertex, "inconsistent_partial"),
+    "recolored_partial": ("budget", _recolor_partial_image, "inconsistent_partial"),
+    "out_of_domain_partial": (
+        "budget", _partial_image_outside_domain, "inconsistent_partial"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def tamper_bases(solvable_pair, unsolvable_cert_wf, ra_1res):
+    task = set_consensus_task(3, 2)
+    # An "unsolvable" certificate written for a search that found a map.
+    search = MapSearch(ra_1res, task)
+    assert search.search() is not None
+    _, stub = certified_search(ra_1res, task, budget=20)
+    assert stub["kind"] == "budget" and stub["partial"]
+    return {
+        "solvable": solvable_pair[1],
+        "unsolvable": unsolvable_cert_wf,
+        "found_map": unsolvable_cert(ra_1res, task, search),
+        "budget": stub,
+    }
+
+
+def _tampered(bases, name):
+    base, mutate, _ = TAMPERS[name]
+    cert = copy.deepcopy(bases[base])
+    if mutate is not None:
+        mutate(cert)
+    return cert
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERS))
+def test_tampered_certificate_rejected_with_its_code(tamper_bases, name):
+    report = check(_tampered(tamper_bases, name))
+    assert not report.valid and report.verdict == "invalid"
+    assert report.reason == TAMPERS[name][2], report.detail
+
+
+def _reports_three_ways(cert):
+    """``check`` on the in-memory document, on the same document parsed
+    back from its bytes, and on the bytes: one report, three times."""
+    data = cert_to_bytes(cert)
+    report = check(cert).to_dict()
+    assert check(json.loads(data)).to_dict() == report
+    assert check_bytes(data).to_dict() == report
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERS))
+def test_tampered_reports_agree_in_memory_and_parsed(tamper_bases, name):
+    report = _reports_three_ways(_tampered(tamper_bases, name))
+    assert report["reason"] == TAMPERS[name][2]
+
+
+#: SHA-256 of the 129 E11 reports (``to_dict``, in table order, as
+#: sorted-key JSON), recorded from the checker before its carrier folds
+#: and canonical texts were shared per vertex: the reports must not move.
+E11_REPORTS_SHA256 = "fa93c9054e08f450fb28cc825cdc286dc08ea53de9e09464164024dc80851b34"
+
+
+def test_e11_reports_agree_in_memory_and_parsed_and_are_pinned():
+    tasks = {k: set_consensus_task(3, k) for k in (1, 2, 3)}
+    reports = []
+    for adversary in all_adversaries(3):
+        if not is_fair(adversary):
+            continue
+        affine = r_affine(agreement_function_of(adversary))
+        for k in (1, 2, 3):
+            _, cert = certified_search(affine, tasks[k], 20000)
+            reports.append(_reports_three_ways(cert))
+    assert len(reports) == 129
+    assert {r["kind"] for r in reports} == {"solvable", "unsolvable", "budget"}
+    assert all(r["valid"] for r in reports)
+    text = json.dumps(reports, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == E11_REPORTS_SHA256
+
+
+# ------------------------------------ hand-built vertices and their carriers
+def _chrv(color, members):
+    return ["chrv", color, ["fset", members]]
+
+
+def _true_and_one_facets():
+    """One vertex written with carrier ``[true,1]`` (read as ``{true}``)
+    and once with ``[1,true]`` (read as ``{1}``).  The two share a
+    canonical text, so each must be read by its own exact text.  The
+    last facet's entry, checked first, holds the ``{1}`` one; the
+    vertex object shared by two facets is how a document built in
+    memory looks."""
+    shared = _chrv(2, [2])
+    return [
+        [_chrv(1, [1]), shared],
+        [shared, _chrv(0, [True, 1])],
+        [_chrv(0, [1, True]), _chrv(1, [0])],
+    ]
+
+
+#: name -> (facets, (reason, detail) of the solvable and the budget check).
+HAND_BUILT = {
+    "mixed_depth": (
+        [[_chrv(0, [_chrv(0, [0])]), _chrv(1, [0, 1])]],
+        ("bad_format", "carrier does not lower to process ids"),
+        ("bad_format", "carrier does not lower to process ids"),
+    ),
+    "mixed_depth_in_carrier": (
+        [[_chrv(0, [_chrv(0, [0]), 1]), _chrv(1, [0, 1])]],
+        ("bad_format", "carrier does not lower to process ids"),
+        ("bad_format", "carrier does not lower to process ids"),
+    ),
+    "empty_carrier": (
+        [[_chrv(0, []), _chrv(1, [1])]],
+        ("carrier_mismatch", "claimed carrier [] != recomputed [1]"),
+        ("inconsistent_partial", "partial assignment uses an out-of-domain candidate"),
+    ),
+    "empty_carrier_below": (
+        [[_chrv(0, [_chrv(0, [])]), _chrv(1, [_chrv(1, [1])])]],
+        ("carrier_mismatch", "claimed carrier [] != recomputed [1]"),
+        ("inconsistent_partial", "partial assignment uses an out-of-domain candidate"),
+    ),
+    "empty_carrier_alone": (
+        [[_chrv(0, [])]],
+        ("image_not_allowed", "image not in Delta([])"),
+        ("inconsistent_partial", "partial assignment uses an out-of-domain candidate"),
+    ),
+    # No other member equals ``true``: the direct fold's set would keep
+    # whichever of ``true`` and ``1`` it met first.
+    "true_member": (
+        [[_chrv(0, [True]), _chrv(2, [0, 2])]],
+        ("bad_format", "carrier does not lower to process ids"),
+        ("bad_format", "carrier does not lower to process ids"),
+    ),
+    "non_set_carrier": (
+        [[["chrv", 0, 5], _chrv(1, [1])]],
+        ("bad_format", "carrier of ('chrv', 0, 5) is not a set"),
+        ("bad_format", "carrier of ('chrv', 0, 5) is not a set"),
+    ),
+    "true_and_one_members": (
+        _true_and_one_facets(),
+        ("carrier_mismatch", "claimed carrier [] != recomputed [0, 1]"),
+        ("inconsistent_partial", "partial assignment uses an out-of-domain candidate"),
+    ),
+}
+
+
+def _over_facets(cert, facets):
+    """``cert`` restated over hand-written facets, its affine digest
+    recomputed so that only the vertices themselves can be at fault:
+    each vertex maps to value 0, each facet has one entry claiming an
+    empty carrier and the map's image, the last facet's entry first."""
+    canon = checker_module._canon_text
+    join = checker_module._join
+    cert = copy.deepcopy(cert)
+    statement = cert["statement"]
+    statement["facets"] = [["fset", facet] for facet in facets]
+    facet_texts = sorted(checker_module._canonical(f) for f in statement["facets"])
+    statement["affine_digest"] = checker_module._digest(
+        join(
+            (
+                '"affine"',
+                str(statement["n"]),
+                str(statement["depth"]),
+                canon(statement["affine_name"]),
+                join(('"ccx"', join(facet_texts))),
+            )
+        )
+    )
+    vertices = []
+    for facet in facets:
+        vertices.extend(v for v in facet if v not in vertices)
+    pairs = [[vertex, ["outv", vertex[1], 0]] for vertex in vertices]
+    if cert["kind"] == "budget":
+        cert["partial"] = pairs
+    else:
+        cert["map"] = pairs
+        cert["simplices"] = [
+            {
+                "simplex": facet,
+                "carrier": [],
+                "image": sorted({canon(["outv", v[1], 0]) for v in facet}),
+            }
+            for facet in reversed(facets)
+        ]
+    return cert
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_vertices_keep_their_rejection(tamper_bases, name):
+    facets, solvable, budget = HAND_BUILT[name]
+    for base, expected in (("solvable", solvable), ("budget", budget)):
+        report = _reports_three_ways(_over_facets(tamper_bases[base], facets))
+        assert (report["reason"], report["detail"]) == expected
+
+
+def _lowering(carrier_of, simplex):
+    """A carrier lowering's outcome: the ids, or the rejection."""
+    try:
+        return carrier_of(simplex)
+    except checker_module._Reject as rejection:
+        return (rejection.reason, rejection.detail)
+
+
+def _frozen_closure(facets_enc):
+    read = checker_module._Reader().read
+    facets = [checker_module._freeze_set(facet, read)[1] for facet in facets_enc]
+    return checker_module._closure(facets)
+
+
+def test_per_vertex_carrier_folds_match_the_direct_fold(chr2, monkeypatch):
+    """On every closure simplex of ``Chr²`` at n=3, the union of the
+    vertices' folds is the direct level-by-level lowering, and no
+    simplex needs the direct fold."""
+    closure = _frozen_closure([serialize_module.encode(facet) for facet in chr2.facets])
+    assert len(closure) == len(chr2.simplices)
+    direct = {simplex: checker_module._carrier_in_s(simplex) for simplex in closure}
+
+    def no_fallback(simplex):
+        raise AssertionError(f"direct fold taken for {simplex!r}")
+
+    monkeypatch.setattr(checker_module, "_carrier_in_s", no_fallback)
+    carrier_of = checker_module._carrier_folds()
+    assert {simplex: carrier_of(simplex) for simplex in closure} == direct
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_vertices_lower_as_by_the_direct_fold(name):
+    """Mixed depths, empty carriers, ``true`` members and non-set
+    carriers fall back to the direct fold: same ids, same rejection."""
+    facets = [["fset", facet] for facet in HAND_BUILT[name][0]]
+    carrier_of = checker_module._carrier_folds()
+    for simplex in _frozen_closure(facets):
+        assert _lowering(carrier_of, simplex) == _lowering(
+            checker_module._carrier_in_s, simplex
+        )
 
 
 # ------------------------------------------- the checker's interned reads
@@ -388,7 +703,7 @@ def test_cert_file_roundtrip(tmp_path, solvable_pair):
 def test_checker_is_stdlib_only():
     """The checker must not import the library it is checking."""
     source = Path(checker_module.__file__).read_text()
-    allowed = {"__future__", "hashlib", "json", "dataclasses", "typing"}
+    allowed = {"__future__", "hashlib", "itertools", "json", "dataclasses", "typing"}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             for alias in node.names:
