@@ -9,7 +9,12 @@ Two measurements around :mod:`repro.sweep`, landing in
 * **resume overhead** — a sweep interrupted after half its cells and
   resumed, versus one uninterrupted run: the resumed path must
   recompute **zero** cells, produce a byte-identical artifact, and cost
-  only checkpoint-reload overhead.
+  only checkpoint-reload overhead;
+* **``R_A`` construction** — over the n=3 fair agreement functions,
+  Definition 9 folded face by face (``RABuilder.facet_allowed``) versus
+  ``RABuilder.build``'s fold of the once-per-``n`` contention table
+  (warm): ``ra_speedup_vs_definition`` is the first time over the
+  second, and ``ra_facets_total`` the facets both keep.
 
 Verdict counts are parity-gated: the grid is content-addressed and the
 kernels are tree-identical, so any drift in solvable/unsolvable/budget
@@ -22,8 +27,12 @@ import json
 import time
 from pathlib import Path
 
+from repro.adversaries import agreement_function_of, is_fair
 from repro.analysis import render_mapping
+from repro.analysis.landscape import all_adversaries, alpha_signature
+from repro.core.ra import RABuilder, contention_table
 from repro.sweep import GRID_PRESETS, SweepDriver
+from repro.topology import chr_complex
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_landscape.json"
@@ -35,6 +44,45 @@ def _timed(stage):
     started = time.perf_counter()
     value = stage()
     return value, time.perf_counter() - started
+
+
+#: Each ``R_A`` construction is timed this many times; the minimum is kept.
+RA_REPEATS = 3
+
+
+def _ra_construction():
+    """Definition 9 face by face vs the contention table, per fair alpha.
+
+    Returns the summed per-alpha minimum times of both and the number
+    of facets kept, which must be the same facets both ways.
+    """
+    chr2 = chr_complex(3, 2)
+    alphas = {}
+    for adversary in all_adversaries(3):
+        if is_fair(adversary):
+            alpha = agreement_function_of(adversary)
+            alphas.setdefault(alpha_signature(alpha), alpha)
+    contention_table(3)
+
+    def definition(alpha):
+        builder = RABuilder(alpha)
+        return [facet for facet in chr2.facets if builder.facet_allowed(facet)]
+
+    def table(alpha):
+        return RABuilder(alpha).build(3)
+
+    def fastest(stage, alpha):
+        return min(_timed(lambda: stage(alpha))[1] for _ in range(RA_REPEATS))
+
+    t_definition = t_table = 0.0
+    facets = 0
+    for alpha in alphas.values():
+        kept = definition(alpha)
+        assert table(alpha).complex.facets == frozenset(kept)
+        t_definition += fastest(definition, alpha)
+        t_table += fastest(table, alpha)
+        facets += len(kept)
+    return t_definition, t_table, facets
 
 
 def bench_sweep(tmp_path):
@@ -71,6 +119,8 @@ def bench_sweep(tmp_path):
     replay = SweepDriver(GRID, tmp_path / "resumed").run(resume=True)
     assert replay["complete"]
 
+    t_definition, t_table, ra_facets = _ra_construction()
+
     report = {
         "workload": {
             "grid": GRID.name,
@@ -86,6 +136,8 @@ def bench_sweep(tmp_path):
         "t_resumed_s": round(t_resumed, 4),
         "cells_per_s": round(cells / t_straight, 1),
         "resume_overhead_ratio": round(t_resumed / t_straight, 2),
+        "ra_speedup_vs_definition": round(t_definition / t_table, 2),
+        "ra_facets_total": ra_facets,
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 

@@ -340,12 +340,21 @@ def _carrier_members(vertex: Any) -> FrozenSet[Any]:
 
 
 def _carrier_in_s(vertices: FrozenSet[Any]) -> FrozenSet[int]:
-    """Lower a simplex's carrier to a face of ``s`` (process ids)."""
+    """Lower a simplex's carrier to a face of ``s`` (process ids).
+
+    A ``true`` member is rejected once its level is read, before a
+    union could keep it or an equal ``1`` by iteration order.
+    """
     current = frozenset(vertices)
     while current and all(_is_chrv(v) for v in current):
         lowered: set = set()
+        boolean = False
         for vertex in current:
-            lowered.update(_carrier_members(vertex))
+            members = _carrier_members(vertex)
+            boolean = boolean or any(isinstance(m, bool) for m in members)
+            lowered.update(members)
+        if boolean:
+            raise _Reject("bad_format", "carrier does not lower to process ids")
         current = frozenset(lowered)
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in current):
         raise _Reject(

@@ -397,9 +397,12 @@ class Engine:
             followers: Dict[str, List[int]] = {}
 
             hits = 0
+            #: A key feeds a cache that stores values or dedup across a
+            #: batch; a lone spec over a ``NullCache`` needs neither.
+            keyed = self.cache.persistent or len(specs) > 1
             with obs.span("engine.cache.lookup") as lookup_span:
                 for index, spec in enumerate(specs):
-                    key_digest = digest(spec.cache_key())
+                    key_digest = digest(spec.cache_key()) if keyed else ""
                     digests.append(key_digest)
                     started = time.perf_counter()
                     value = self.cache.get(key_digest)

@@ -268,7 +268,8 @@ class SimplicialComplex:
 
     def is_sub_complex_of(self, other: "SimplicialComplex") -> bool:
         """True when every simplex of this complex belongs to ``other``."""
-        return self.simplices <= other.simplices
+        simplices = other.simplices
+        return all(facet in simplices for facet in self._facets)
 
 
 def closure(simplices: Iterable[Iterable[Vertex]]) -> SimplicialComplex:

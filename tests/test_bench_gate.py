@@ -60,6 +60,8 @@ BASELINES = {
         "verdicts": {"solvable": 1, "unsolvable": 1, "budget": 0},
         "resume": {"recomputed_cells": 0},
         "resume_overhead_ratio": 1.1,
+        "ra_speedup_vs_definition": 6.0,
+        "ra_facets_total": 4423,
     },
     "BENCH_service.json": {
         "requests_total": 488,

@@ -23,7 +23,10 @@ import ast
 import copy
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -416,6 +419,13 @@ HAND_BUILT = {
         ("bad_format", "carrier does not lower to process ids"),
         ("bad_format", "carrier does not lower to process ids"),
     ),
+    # ``true`` in one vertex's carrier, ``1`` in the other's: the union
+    # used to keep whichever it met first, by ``PYTHONHASHSEED``.
+    "true_beside_one": (
+        [[_chrv(0, [True]), _chrv(1, [1])]],
+        ("bad_format", "carrier does not lower to process ids"),
+        ("bad_format", "carrier does not lower to process ids"),
+    ),
     "non_set_carrier": (
         [[["chrv", 0, 5], _chrv(1, [1])]],
         ("bad_format", "carrier of ('chrv', 0, 5) is not a set"),
@@ -518,6 +528,33 @@ def test_hand_built_vertices_lower_as_by_the_direct_fold(name):
         assert _lowering(carrier_of, simplex) == _lowering(
             checker_module._carrier_in_s, simplex
         )
+
+
+def test_true_beside_one_is_rejected_under_every_hash_seed(tamper_bases):
+    """``true_beside_one`` gets its one report in fresh interpreters
+    under several hash seeds, not only under this one."""
+    facets, solvable, _ = HAND_BUILT["true_beside_one"]
+    cert = _over_facets(tamper_bases["solvable"], facets)
+    script = (
+        "import json, sys\n"
+        "from repro.certify.checker import check_bytes\n"
+        "report = check_bytes(sys.stdin.buffer.read())\n"
+        "print(json.dumps([report.reason, report.detail]))\n"
+    )
+    src = str(Path(checker_module.__file__).resolve().parents[2])
+    seen = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=cert_to_bytes(cert),
+            capture_output=True,
+            env=env,
+            check=True,
+            timeout=60,
+        )
+        seen.add(done.stdout.decode().strip())
+    assert seen == {json.dumps(list(solvable))}
 
 
 # ------------------------------------------- the checker's interned reads

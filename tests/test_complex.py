@@ -149,6 +149,28 @@ def test_is_sub_complex_of(two_triangles, triangle):
     assert not two_triangles.is_sub_complex_of(triangle)
 
 
+@pytest.mark.parametrize(
+    "facets, expected",
+    [
+        # A proper sub-complex: one triangle and a pendant edge of it.
+        ([{0, 1, 2}, {2, 3}], True),
+        # The edge {0, 3} is a face of neither triangle.
+        ([{0, 1, 2}, {0, 3}], False),
+        # A facet that is a proper face of one of ``other``'s facets.
+        ([{1, 2}], True),
+        ([{0, 1, 2, 3}], False),
+    ],
+)
+def test_is_sub_complex_of_checks_facets_against_the_closure(
+    two_triangles, facets, expected
+):
+    """The answer is the one the whole closure would give."""
+    candidate = SimplicialComplex(facets)
+    assert candidate.is_sub_complex_of(two_triangles) is expected
+    assert candidate._simplices is None  # its own closure never built
+    assert (candidate.simplices <= two_triangles.simplices) is expected
+
+
 def test_closure_helper():
     K = closure([{1, 2, 3}])
     assert {1, 3} in K

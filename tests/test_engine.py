@@ -346,6 +346,26 @@ def test_run_jobs_computes_identical_specs_once(tmp_path):
     assert sorted(result.index for result in seen) == [0, 1, 2, 3]
 
 
+def test_lone_spec_without_a_storing_cache_is_not_digested(
+    monkeypatch, ra_1res, task23
+):
+    """A key that feeds no cache and no dedup is never computed, yet
+    the miss is still counted and a pair of specs still coalesces."""
+    from repro.engine import jobs
+
+    def refuse(obj):
+        raise AssertionError("digest computed for a lone uncached spec")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jobs, "digest", refuse)
+        engine = Engine()
+        ((mapping, nodes),) = engine.solve_many([(ra_1res, task23, None)])
+    assert mapping is not None and nodes > 0
+    assert engine.stats() == {"hits": 0, "misses": 1, "deduped": 0}
+    pair = Engine().run_jobs([JobSpec("chr", (3, 1))] * 2)
+    assert [result.coalesced for result in pair] == [False, True]
+
+
 def test_dedup_fans_out_error_results_too():
     bad = JobSpec("chr", (3, "not-a-depth"))
     results = Engine().run_jobs([bad, bad])

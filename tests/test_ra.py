@@ -1,13 +1,24 @@
 """Unit tests for R_A (Definition 9) — the paper's central construction."""
 
+import pytest
 
 from repro.adversaries import (
     agreement_function_of,
     figure5b_adversary,
+    is_fair,
     k_concurrency_alpha,
     unfair_example,
 )
-from repro.core.ra import DEFAULT_VARIANT, RABuilder, r_affine, r_affine_of_adversary
+from repro.analysis.landscape import all_adversaries, alpha_signature
+from repro.core.ra import (
+    DEFAULT_VARIANT,
+    RABuilder,
+    contention_table,
+    r_affine,
+    r_affine_of_adversary,
+)
+from repro.sweep.driver import sample_adversaries
+from repro.topology import chr_complex
 
 
 def test_default_variant_is_union():
@@ -98,3 +109,65 @@ def test_ra_synchronized_runs_always_survive(ra_1of, ra_1res, ra_fig5b):
     ).facet()
     for task in (ra_1of, ra_1res, ra_fig5b):
         assert sync in task.complex
+
+
+# ------------------------------------------ the contention-table fold
+def _definition(alpha, variant, n):
+    """Definition 9 face by face over ``Chr² s``, in its facet order."""
+    builder = RABuilder(alpha, variant)
+    return [f for f in chr_complex(n, 2).facets if builder.facet_allowed(f)]
+
+
+def _n3_alphas():
+    alphas = {}
+    for adversary in all_adversaries(3):
+        alpha = agreement_function_of(adversary)
+        alphas.setdefault(alpha_signature(alpha), alpha)
+    return [alphas[key] for key in sorted(alphas)]
+
+
+@pytest.mark.parametrize("variant", ["union", "intersection"])
+def test_table_fold_is_definition_9_for_every_n3_alpha(variant):
+    alphas = _n3_alphas()
+    assert len(alphas) == 37
+    for alpha in alphas:
+        kept = RABuilder(alpha, variant).kept_facets(3)
+        assert kept == _definition(alpha, variant, 3)
+
+
+def _fair_n4_alphas():
+    return [
+        agreement_function_of(adversary)
+        for adversary in sample_adversaries(4, 11, 24)
+        if is_fair(adversary)
+    ]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_table_fold_is_definition_9_at_n4(index):
+    alpha = _fair_n4_alphas()[index]
+    kept = RABuilder(alpha).kept_facets(4)
+    assert 0 < len(kept) < len(chr_complex(4, 2).facets)
+    assert kept == _definition(alpha, DEFAULT_VARIANT, 4)
+
+
+def test_contention_table_shape():
+    """One row per ``Chr²`` facet, its singletons first; the carriers
+    are the facets of ``Chr s`` and the contention faces' carriers."""
+    for n, rhos, taus in ((3, 13, 49), (4, 75, 415)):
+        table = contention_table(n)
+        assert table.facets == tuple(chr_complex(n, 2).facets)
+        assert (len(table.rhos), len(table.taus)) == (rhos, taus)
+        assert set(table.rhos) == set(chr_complex(n, 1).facets)
+        for facet, (_, thetas) in zip(table.facets, table.rows):
+            assert [d for _, d, _ in thetas[:n]] == [0] * n
+            assert sorted(c for c, d, _ in thetas if d == 0) == [
+                1 << v.color for v in sorted(facet)
+            ]
+
+
+def test_ra_validation_builds_no_closure_of_its_own(alpha_fig5b):
+    """``AffineTask`` checks ``R_A``'s facets against ``Chr²``'s closure
+    and leaves ``R_A``'s own closure unbuilt until something asks."""
+    task = r_affine(alpha_fig5b)
+    assert task.complex.complex._simplices is None

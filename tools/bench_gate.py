@@ -109,6 +109,10 @@ RULES: Dict[str, List[Tuple[str, str, float]]] = {
         ("verdicts.budget", EXACT, 0.0),
         ("resume.recomputed_cells", EXACT, 0.0),
         ("resume_overhead_ratio", MAX_RATIO, 10.0),
+        # Definition 9 face by face over the contention-table fold
+        # (same run, same facets): the table must stay the cheap path.
+        ("ra_speedup_vs_definition", MIN_RATIO, 0.5),
+        ("ra_facets_total", EXACT, 0.0),
     ],
     "BENCH_service.json": [
         ("requests_total", EXACT, 0.0),
