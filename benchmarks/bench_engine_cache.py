@@ -4,7 +4,8 @@ The workload is the expensive half of the reproduction — the complete
 n=3 landscape classification (127 adversaries) plus the E11 FACT grid
 (5 affine tasks x k in 1..3 solvability searches) — run several ways:
 
-* legacy in-process calls (the baseline the engine must not distort),
+* the default engine path — ``Engine()``: in-process, no cache — the
+  baseline every command runs on without options (``t_direct_s``),
 * engine, cold persistent cache, ``jobs`` = 1..min(4, cpu_count)
   (the saturation series),
 * engine, warm persistent cache, same worker counts,
@@ -13,8 +14,9 @@ n=3 landscape classification (127 adversaries) plus the E11 FACT grid
   worker setups and interned wire components, which is the number the
   pool exists for (``speedup_multiworker_warm``).
 
-In-process ``lru_cache`` state is cleared before every cold stage so a
-"cold" measurement is genuinely cold.  The numbers land in
+In-process ``lru_cache`` state is cleared, and garbage collected,
+before every stage so a "cold" measurement is genuinely cold and no
+stage times a collection an earlier stage left pending.  The numbers land in
 ``BENCH_engine.json`` at the repo root; multi-worker scaling is
 recorded honestly together with ``cpu_count`` — on a single-CPU box a
 process pool cannot beat sequential execution for CPU-bound work, so
@@ -27,6 +29,7 @@ never absent, so the gate catches a silently narrowed series.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -44,7 +47,6 @@ from repro.analysis.landscape import classify_all
 from repro.core import full_affine_task, r_affine
 from repro.engine import ArtifactCache, Engine, NullCache
 from repro.tasks.set_consensus import set_consensus_task
-from repro.tasks.solvability import MapSearch
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_engine.json"
@@ -66,17 +68,12 @@ def _solve_queries():
 
 
 def _go_cold():
-    """Reset in-process memoization so cold stages measure real work."""
+    """Reset in-process memoization so cold stages measure real work,
+    and collect garbage so no stage pays for an earlier stage's: a full
+    collection over the live query objects costs more than a whole
+    warm stage."""
     _setcon_of_live_sets.cache_clear()
-
-
-def _run_legacy(queries):
-    entries = classify_all(3)
-    solved = [
-        (MapSearch(affine, task).search(), None)
-        for affine, task, _ in queries
-    ]
-    return entries, solved
+    gc.collect()
 
 
 def _run_engine(engine, queries):
@@ -93,10 +90,13 @@ def _timed(stage):
 
 def bench_engine_cache(tmp_path):
     queries = _solve_queries()
+    # Its own query objects: solver set-ups cache on the task objects,
+    # and the cold stages below must not find them warm.
+    default_queries = _solve_queries()
 
     _go_cold()
-    (legacy_entries, legacy_solved), t_direct = _timed(
-        lambda: _run_legacy(queries)
+    (default_entries, default_solved), t_direct = _timed(
+        lambda: _run_engine(Engine(), default_queries)
     )
 
     cpu_count = os.cpu_count() or 1
@@ -117,8 +117,8 @@ def bench_engine_cache(tmp_path):
             lambda: _run_engine(warm_engine, queries)
         )
         warm_engine.close()
-        assert entries == legacy_entries == warm_entries
-        assert [m for m, _ in solved] == [m for m, _ in legacy_solved]
+        assert entries == default_entries == warm_entries
+        assert solved == default_solved
         assert warm_solved == solved
         timings[jobs] = (t_cold, t_warm)
         entries_by_stage[jobs] = len(ArtifactCache(cache_dir))
@@ -139,7 +139,7 @@ def bench_engine_cache(tmp_path):
             lambda: pool_engine.solve_many(queries)
         )
         pool_engine.close()
-        assert [m for m, _ in pool_first] == [m for m, _ in legacy_solved]
+        assert pool_first == default_solved
         assert pool_second == pool_first
 
     t_cold_1, t_warm_1 = timings[1]
@@ -152,7 +152,7 @@ def bench_engine_cache(tmp_path):
     }
     report = {
         "workload": {
-            "adversaries_classified": len(legacy_entries),
+            "adversaries_classified": len(default_entries),
             "solvability_queries": len(queries),
         },
         "cpu_count": cpu_count,

@@ -49,16 +49,16 @@ def bench_classify_all_engine_warm(benchmark, tmp_path):
     from repro.engine import ArtifactCache, Engine
 
     cache_dir = tmp_path / "landscape-cache"
-    legacy = classify_all(3)
+    default = classify_all(3)  # in-process Engine(), no cache
     Engine(cache=ArtifactCache(cache_dir)).classify_many(
-        [entry.adversary for entry in legacy]
+        [entry.adversary for entry in default]
     )
 
     def classify_warm():
         return classify_all(3, engine=Engine(cache=ArtifactCache(cache_dir)))
 
     entries = benchmark(classify_warm)
-    assert entries == legacy
+    assert entries == default
 
 
 def bench_model_order(benchmark):

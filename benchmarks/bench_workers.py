@@ -28,6 +28,7 @@ from pathlib import Path
 
 from repro.analysis import render_mapping
 from repro.engine import JobSpec
+from repro.engine.jobs import JOB_KINDS
 from repro.solver import SolveRequest
 from repro.tasks.set_consensus import set_consensus_task
 from repro.workers import WorkerPool
@@ -52,6 +53,12 @@ def _affinity_specs(ra_1of, ra_1res):
     ], len(setups)
 
 
+def _sleep(payload: tuple):
+    seconds, token = payload
+    time.sleep(seconds)
+    return token
+
+
 def _sleep_specs():
     return [
         JobSpec("sleep", (SLEEP_SECONDS, f"job-{index}"))
@@ -65,7 +72,10 @@ def _timed(stage):
     return value, time.perf_counter() - started
 
 
-def bench_workers(ra_1of, ra_1res):
+def bench_workers(ra_1of, ra_1res, monkeypatch):
+    # The sleep kind exists for this bench only; the pools below fork
+    # from this process and see it.
+    monkeypatch.setitem(JOB_KINDS, "sleep", _sleep)
     # ------------------------------------------------------------------
     # Affinity: one-at-a-time submissions against an idle 2-worker pool
     # pin deterministically — no spill is ever forced, so every job

@@ -9,8 +9,8 @@ set-consensus table — twice, through one persistent
    on-disk cache;
 2. a *warm* pass answers the identical batch from cache reads alone.
 
-Both passes print the same tables (the engine is required to reproduce
-the legacy sequential results exactly); the closing statistics show the
+Both passes print the same tables (a warm cache must reproduce the
+cold results exactly); the closing statistics show the
 hit/miss ledger and the measured warm-over-cold speedup.
 
 Run:  python examples/batch_solvability.py [--jobs N]

@@ -7,8 +7,8 @@ solvability query and a repeated certified query), checks values
 against the in-process engine — the repeat must come from the server's
 text tier with the same bytes — sends a ``crash`` query, which must be
 answered ``unknown_kind`` while the server keeps serving, prints the
-server's stats, then sends SIGTERM and verifies the server drains an
-in-flight request and exits 0.
+server's stats, then sends SIGTERM while a cold n=4 certificate query
+is in flight and verifies the server finishes it and exits 0.
 
 Run from the repository root::
 
@@ -32,7 +32,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.adversaries import Adversary, agreement_function_of  # noqa: E402
+from repro.adversaries import (  # noqa: E402
+    Adversary,
+    agreement_function_of,
+    t_resilience_alpha,
+)
 from repro.engine import Engine, JobSpec, serialize  # noqa: E402
 from repro.service import ServiceClient, ServiceError  # noqa: E402
 from repro.tasks.set_consensus import set_consensus_task  # noqa: E402
@@ -122,22 +126,29 @@ def main() -> int:
                     f"memcache_hit_rate={stats['memcache']['hit_rate']}"
                 )
 
-            # Graceful drain: SIGTERM while a slow request is in flight.
+            # Graceful drain: SIGTERM while a cold n=4 certificate is
+            # being computed.
+            with ServiceClient(port=port) as client:
+                affine4 = client.r_affine(t_resilience_alpha(4, 1))
             outcome = {}
 
             def slow_query():
                 with ServiceClient(port=port) as draining_client:
-                    outcome["value"] = draining_client.query(
-                        "sleep", (1.0, "drained")
+                    outcome["value"] = draining_client.certify(
+                        affine4, set_consensus_task(4, 1)
                     )
 
             worker = threading.Thread(target=slow_query)
             worker.start()
-            time.sleep(0.4)
+            with ServiceClient(port=port) as client:
+                deadline = time.monotonic() + 30
+                while client.stats()["batcher"]["inflight"] < 1:
+                    assert time.monotonic() < deadline, "query never in flight"
+                    time.sleep(0.01)
             process.send_signal(signal.SIGTERM)
             output, _ = process.communicate(timeout=60)
             worker.join(timeout=30)
-            assert outcome.get("value") == "drained", outcome
+            assert outcome.get("value", {}).get("kind") == "unsolvable", outcome
             assert process.returncode == 0, process.returncode
             assert "drained cleanly" in output
             print("graceful drain: ok (exit 0, in-flight request served)")

@@ -31,6 +31,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.adversaries import k_concurrency_alpha  # noqa: E402
 from repro.core import r_affine  # noqa: E402
 from repro.engine import JobSpec  # noqa: E402
+from repro.engine.jobs import JOB_KINDS  # noqa: E402
 from repro.solver import SolveRequest  # noqa: E402
 from repro.tasks.set_consensus import set_consensus_task  # noqa: E402
 from repro.workers import WorkerPool  # noqa: E402
@@ -43,7 +44,16 @@ def check(condition: bool, label: str) -> None:
         raise SystemExit(1)
 
 
+def _sleep(payload: tuple):
+    seconds, token = payload
+    time.sleep(seconds)
+    return token
+
+
 def main() -> int:
+    # A slow job kind for the crash-recovery check, registered for this
+    # demo only; the pool's workers fork from this process and see it.
+    JOB_KINDS["sleep"] = _sleep
     affine = r_affine(k_concurrency_alpha(3, 1))
     task = set_consensus_task(3, 2)
 

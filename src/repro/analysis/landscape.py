@@ -24,10 +24,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from ..adversaries.adversary import Adversary
 from ..adversaries.agreement import AgreementFunction, agreement_function_of
-from ..adversaries.fairness import is_fair
-from ..adversaries.setcon import setcon
 from ..core.affine import AffineTask
-from ..core.ra import r_affine
 
 
 def all_adversaries(n: int) -> Iterator[Adversary]:
@@ -71,29 +68,21 @@ def alpha_signature(alpha: AgreementFunction) -> Tuple:
     )
 
 
+def _engine_or_default(engine):
+    """``engine``, or an in-process :class:`repro.engine.Engine`."""
+    # Imported here: the engine imports this module for its records.
+    from ..engine.jobs import Engine
+
+    return engine or Engine()
+
+
 def classify_all(n: int = 3, engine=None) -> List[LandscapeEntry]:
     """Classify every adversary over ``n`` processes.
 
-    With an :class:`repro.engine.Engine`, classification runs as one
-    batch (cached, optionally parallel) and produces entries equal to
-    the sequential ones; without, the legacy in-process loop runs.
+    Classification runs as one engine batch (``engine``, or an
+    in-process ``Engine()`` when none is given).
     """
-    if engine is not None:
-        return engine.classify_many(all_adversaries(n))
-    entries = []
-    for adversary in all_adversaries(n):
-        alpha = agreement_function_of(adversary)
-        entries.append(
-            LandscapeEntry(
-                adversary=adversary,
-                fair=is_fair(adversary),
-                superset_closed=adversary.is_superset_closed(),
-                symmetric=adversary.is_symmetric(),
-                power=setcon(adversary),
-                alpha_key=alpha_signature(alpha),
-            )
-        )
-    return entries
+    return _engine_or_default(engine).classify_many(all_adversaries(n))
 
 
 @dataclass
@@ -139,14 +128,10 @@ def summarize(
         for entry in entries:
             if entry.fair and entry.alpha_key not in representatives:
                 representatives[entry.alpha_key] = entry.adversary
-        alphas = [
+        tasks = _engine_or_default(engine).r_affine_many(
             agreement_function_of(adversary)
             for adversary in representatives.values()
-        ]
-        if engine is not None:
-            tasks = engine.r_affine_many(alphas)
-        else:
-            tasks = [r_affine(alpha) for alpha in alphas]
+        )
         for task in tasks:
             seen_complexes.add(task.complex)
         distinct_tasks = len(seen_complexes)
@@ -169,38 +154,19 @@ def fair_task_classes(
     """Group fair adversaries by their affine task ``R_A``.
 
     Theorem 15 says members of one class solve exactly the same tasks.
-    With an engine, fairness comes from the batched classification and
-    the per-α ``R_A`` constructions run as one batch.
+    Fairness comes from the batched classification and the per-α
+    ``R_A`` constructions run as one batch.
     """
+    engine = _engine_or_default(engine)
+    fair = [entry for entry in classify_all(n, engine=engine) if entry.fair]
+    alphas: Dict[Tuple, AgreementFunction] = {}
+    for entry in fair:
+        if entry.alpha_key not in alphas:
+            alphas[entry.alpha_key] = agreement_function_of(entry.adversary)
+    alpha_to_task = dict(zip(alphas, engine.r_affine_many(alphas.values())))
     classes: Dict[AffineTask, List[Adversary]] = {}
-    alpha_to_task: Dict[Tuple, AffineTask] = {}
-    if engine is not None:
-        entries = classify_all(n, engine=engine)
-        fair_adversaries = [e.adversary for e in entries if e.fair]
-        pairs = [
-            (agreement_function_of(adversary), adversary)
-            for adversary in fair_adversaries
-        ]
-        fresh = {}
-        for alpha, _ in pairs:
-            key = alpha_signature(alpha)
-            if key not in alpha_to_task and key not in fresh:
-                fresh[key] = alpha
-        for key, task in zip(
-            fresh, engine.r_affine_many(fresh.values())
-        ):
-            alpha_to_task[key] = task
-        for alpha, adversary in pairs:
-            task = alpha_to_task[alpha_signature(alpha)]
-            classes.setdefault(task, []).append(adversary)
-        return classes
-    for adversary in all_adversaries(n):
-        if not is_fair(adversary):
-            continue
-        alpha = agreement_function_of(adversary)
-        key = alpha_signature(alpha)
-        if key not in alpha_to_task:
-            alpha_to_task[key] = r_affine(alpha)
-        task = alpha_to_task[key]
-        classes.setdefault(task, []).append(adversary)
+    for entry in fair:
+        classes.setdefault(alpha_to_task[entry.alpha_key], []).append(
+            entry.adversary
+        )
     return classes

@@ -10,7 +10,6 @@ Commands regenerate the paper's artifacts from the terminal:
 * ``crossover``  — the ε-agreement depth crossover (E14);
 * ``inspect``    — classify one adversary given as live sets
   (``--json`` emits the service response schema);
-* ``batch``      — zoo classification + E11 through the compute engine;
 * ``serve``      — run the resident query service (``repro.service``);
 * ``query``      — issue queries against a running service;
 * ``certify``    — one certified FACT query, written as a portable
@@ -28,10 +27,10 @@ Commands regenerate the paper's artifacts from the terminal:
   a killed run, ``--limit`` bounds one slice;
 * ``trace``      — summarize a JSONL trace file (``repro.obs``).
 
-``classify``, ``landscape``, ``fact`` and ``algorithm1`` accept
-``--jobs N`` / ``--cache-dir PATH`` / ``--no-cache``; with the defaults
-(``--jobs 1``, no cache) they bypass the engine entirely and run the
-legacy in-process code, so default invocations stay byte-identical.
+Every command that computes runs its work through one
+:class:`repro.engine.Engine` and accepts ``--jobs N`` / ``--cache-dir
+PATH`` / ``--no-cache`` / ``--kernel``; the defaults (``--jobs 1``, no
+cache) run every job in this process, in submission order.
 
 Any command accepts span tracing via ``--trace FILE.jsonl`` (where the
 engine options are available) or the ``REPRO_TRACE`` environment
@@ -94,21 +93,6 @@ def _build_engine(args: argparse.Namespace, default_cache: bool = False):
     )
 
 
-def _engine_from_args(args: argparse.Namespace):
-    """An engine when the user opted in, else ``None`` (legacy path).
-
-    An explicit ``--kernel`` is an opt-in too: kernel selection lives in
-    the engine, so asking for one routes the command through it.
-    """
-    if (
-        getattr(args, "jobs", 1) == 1
-        and getattr(args, "cache_dir", None) is None
-        and getattr(args, "kernel", None) is None
-    ):
-        return None
-    return _build_engine(args)
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
     print(banner("Figure 1 — subdivisions"))
     for depth in (1, 2):
@@ -149,39 +133,22 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     print(banner(f"Figure 2 — classification (n = {args.n})"))
     catalogue = build_catalogue(args.n)
-    engine = _engine_from_args(args)
-    rows = []
-    if engine is not None:
+    with _build_engine(args) as engine:
         classified = engine.classify_many(
             [entry.adversary for entry in catalogue]
         )
-        for entry, record in zip(catalogue, classified):
-            rows.append(
-                [
-                    entry.name,
-                    "yes" if record.superset_closed else "no",
-                    "yes" if record.symmetric else "no",
-                    "yes" if record.fair else "NO",
-                    record.power,
-                    csize(entry.adversary),
-                ]
-            )
-    else:
-        for entry in catalogue:
-            adversary = entry.adversary
-            rows.append(
-                [
-                    entry.name,
-                    "yes" if adversary.is_superset_closed() else "no",
-                    "yes" if adversary.is_symmetric() else "no",
-                    "yes" if is_fair(adversary) else "NO",
-                    setcon(adversary),
-                    csize(adversary),
-                ]
-            )
+    rows = [
+        [
+            entry.name,
+            "yes" if record.superset_closed else "no",
+            "yes" if record.symmetric else "no",
+            "yes" if record.fair else "NO",
+            record.power,
+            csize(entry.adversary),
+        ]
+        for entry, record in zip(catalogue, classified)
+    ]
     print(render_table(["adversary", "ssc", "sym", "fair", "setcon", "csize"], rows))
-    if engine is not None:
-        engine.close()
     return 0
 
 
@@ -189,8 +156,8 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
     from .analysis.landscape import classify_all, summarize
 
     print(banner("E15 — the complete n=3 adversary landscape"))
-    engine = _engine_from_args(args)
-    summary = summarize(classify_all(3, engine=engine), engine=engine)
+    with _build_engine(args) as engine:
+        summary = summarize(classify_all(3, engine=engine), engine=engine)
     print(
         render_mapping(
             "summary:",
@@ -205,14 +172,10 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
             },
         )
     )
-    if engine is not None:
-        engine.close()
     return 0
 
 
 def _cmd_fact(args: argparse.Namespace) -> int:
-    from .tasks import minimal_set_consensus
-
     print(banner("E11 — FACT set-consensus table"))
     cases = [
         ("wait-free (Chr s)", full_affine_task(3, 1)),
@@ -221,51 +184,30 @@ def _cmd_fact(args: argparse.Namespace) -> int:
         ("R_A(1-res)", r_affine(t_resilience_alpha(3, 1))),
         ("R_A(fig5b)", r_affine(agreement_function_of(figure5b_adversary()))),
     ]
-    engine = _engine_from_args(args)
-    if engine is not None:
+    with _build_engine(args) as engine:
         answers = engine.minimal_set_consensus_many(
             [task for _, task in cases]
         )
-        rows = [(name, k) for (name, _), k in zip(cases, answers)]
-    else:
-        rows = [(name, minimal_set_consensus(task)) for name, task in cases]
+    rows = [(name, k) for (name, _), k in zip(cases, answers)]
     print(render_table(["affine task", "min k-set consensus"], rows))
-    if engine is not None:
-        engine.close()
     return 0
 
 
 def _cmd_algorithm1(args: argparse.Namespace) -> int:
-    from .runtime import fuzz_algorithm1
-
     print(banner(f"E8 — Algorithm 1, {args.runs} fuzzed α-model runs"))
     alpha = t_resilience_alpha(3, 1)
     task = r_affine(alpha)
-    engine = _engine_from_args(args)
-    if engine is not None:
-        # Per-case seeds: reproducible, worker-count independent — but a
-        # different schedule stream than the legacy single-RNG fuzzer.
-        cases = engine.fuzz_many(
-            alpha, task, runs=args.runs, seed=args.seed
-        )
-        steps = [steps_taken for _, steps_taken in cases]
-        violations = sum(1 for ok, _ in cases if not ok)
-        run_count = len(cases)
-    else:
-        outcomes = fuzz_algorithm1(
-            alpha, task, runs=args.runs, seed=args.seed
-        )
-        steps = [outcome.result.steps_taken for outcome in outcomes]
-        violations = 0
-        run_count = len(outcomes)
-    if engine is not None:
-        engine.close()
+    # Per-case seeds: the same schedules as ``fuzz_algorithm1`` for this
+    # seed, whatever ``--jobs`` is.
+    with _build_engine(args) as engine:
+        cases = engine.fuzz_many(alpha, task, runs=args.runs, seed=args.seed)
+    steps = [steps_taken for _, steps_taken in cases]
     print(
         render_mapping(
             "1-resilient model:",
             {
-                "runs": run_count,
-                "safety violations": violations,
+                "runs": len(cases),
+                "safety violations": sum(1 for ok, _ in cases if not ok),
                 "min/median/max steps": (
                     min(steps),
                     sorted(steps)[len(steps) // 2],
@@ -397,176 +339,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"{remaining} cell(s) pending; rerun with --resume to continue")
     driver.close()
     return 2
-
-
-#: ``repro batch`` sections, keyed by the engine job kind they exercise.
-_BATCH_SECTIONS = ("classify", "solve", "simulate", "oracle")
-
-
-def _batch_sections(args: argparse.Namespace) -> List[str]:
-    """Resolve ``--only`` into batch sections; bad kinds exit cleanly."""
-    from .engine.jobs import JOB_KINDS
-
-    requested = list(dict.fromkeys(getattr(args, "only", None) or []))
-    for kind in requested:
-        if kind not in JOB_KINDS:
-            raise SystemExit(
-                f"repro batch: unknown job kind {kind!r}; valid kinds: "
-                + ", ".join(sorted(JOB_KINDS))
-            )
-    for kind in requested:
-        if kind not in _BATCH_SECTIONS:
-            raise SystemExit(
-                f"repro batch: job kind {kind!r} has no batch section; "
-                "batch sections: " + ", ".join(_BATCH_SECTIONS)
-            )
-    # Default = the historical batch (zoo + E11); sim/oracle opt in.
-    return requested or ["classify", "solve"]
-
-
-def _cmd_batch(args: argparse.Namespace) -> int:
-    """Zoo classification + the E11 FACT table as one engine session.
-
-    Unlike the other commands, ``batch`` always runs through the engine
-    and caches by default (to ``--cache-dir``, ``$REPRO_CACHE_DIR`` or
-    ``~/.cache/repro-engine``); a warm second invocation does no
-    expensive computation at all.  ``--only`` restricts the run to the
-    sections for specific job kinds (e.g. ``--only simulate oracle``).
-    """
-    from .solver import SolveRequest
-    from .tasks.set_consensus import set_consensus_task
-
-    sections = _batch_sections(args)
-    engine = _build_engine(args, default_cache=True)
-    cache_note = (
-        str(engine.cache.root) if engine.cache.persistent else "disabled"
-    )
-    print(
-        banner(
-            f"engine batch — jobs={engine.jobs}, cache={cache_note}, "
-            f"kernel={engine.kernel}"
-        )
-    )
-
-    exit_code = 0
-    if "classify" in sections:
-        catalogue = build_catalogue(3)
-        classified = engine.classify_many(
-            [entry.adversary for entry in catalogue]
-        )
-        rows = [
-            [
-                entry.name,
-                "yes" if record.superset_closed else "no",
-                "yes" if record.symmetric else "no",
-                "yes" if record.fair else "NO",
-                record.power,
-            ]
-            for entry, record in zip(catalogue, classified)
-        ]
-        print(
-            render_table(["adversary", "ssc", "sym", "fair", "setcon"], rows)
-        )
-
-    if "solve" in sections:
-        cases = [
-            ("wait-free (Chr s)", full_affine_task(3, 1)),
-            ("R_A(1-OF)", r_affine(k_concurrency_alpha(3, 1))),
-            ("R_A(2-OF)", r_affine(k_concurrency_alpha(3, 2))),
-            ("R_A(1-res)", r_affine(t_resilience_alpha(3, 1))),
-            (
-                "R_A(fig5b)",
-                r_affine(agreement_function_of(figure5b_adversary())),
-            ),
-        ]
-        queries = [
-            SolveRequest(
-                affine=task,
-                task=set_consensus_task(task.n, k),
-                kernel=engine.kernel,
-            )
-            for _, task in cases
-            for k in range(1, 4)
-        ]
-        solved = engine.solve_many(queries)
-        fact_rows = []
-        for row, (name, _) in enumerate(cases):
-            answers = solved[row * 3 : row * 3 + 3]
-            min_k = next(
-                k for k, (mapping, _) in enumerate(answers, start=1)
-                if mapping is not None
-            )
-            nodes = sum(nodes for _, nodes in answers)
-            fact_rows.append((name, min_k, nodes))
-        print(
-            render_table(
-                ["affine task", "min k-set consensus", "search nodes"],
-                fact_rows,
-            )
-        )
-
-    if "simulate" in sections:
-        from .sim import standard_grid
-
-        grid = standard_grid()
-        reports = engine.simulate_many(case.payload() for case in grid)
-        sim_rows = [
-            [
-                case.name,
-                report["plans"],
-                report["schedules"],
-                report["blocked_runs"],
-                "pass" if report["pass"] else "VIOLATION",
-            ]
-            for case, report in zip(grid, reports)
-        ]
-        print(
-            render_table(
-                ["sim case", "plans", "schedules", "blocked", "verdict"],
-                sim_rows,
-            )
-        )
-
-    if "oracle" in sections:
-        from .sim import standard_grid
-
-        grid = standard_grid()
-        reports = engine.oracle_many(case.payload() for case in grid)
-        oracle_rows = []
-        for case, report in zip(grid, reports):
-            reference = report["reference"]
-            agree = report["agree"]
-            if not agree:
-                exit_code = 1
-            oracle_rows.append(
-                [
-                    case.name,
-                    reference["method"],
-                    "yes" if reference["solvable"] else "no",
-                    "pass" if report["sim"]["pass"] else "VIOLATION",
-                    "yes" if agree else "DISAGREE",
-                ]
-            )
-        print(
-            render_table(
-                ["oracle case", "reference", "solvable", "sim", "agree"],
-                oracle_rows,
-            )
-        )
-
-    stats = engine.stats()
-    print(
-        render_mapping(
-            "engine:",
-            {
-                "jobs": engine.jobs,
-                "cache hits": stats["hits"],
-                "cache misses": stats["misses"],
-            },
-        )
-    )
-    engine.close()
-    return exit_code
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -833,9 +605,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     affine = _certify_affine(args)
     task = set_consensus_task(args.n, args.k)
-    engine = _build_engine(args)
-    cert = engine.certify(affine, task, args.budget)
-    engine.close()
+    with _build_engine(args) as engine:
+        cert = engine.certify(affine, task, args.budget)
     if args.output is not None:
         write_cert(args.output, cert)
         print(
@@ -900,16 +671,16 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     """
     from .sim import write_artifact
 
-    engine = _build_engine(args, default_cache=True)
-    report = engine.simulate(
-        args.protocol,
-        _sim_adversary(args),
-        n=args.n,
-        t=args.t,
-        k=args.k,
-        schedules=args.schedules,
-        seed=args.seed,
-    )
+    with _build_engine(args, default_cache=True) as engine:
+        report = engine.simulate(
+            args.protocol,
+            _sim_adversary(args),
+            n=args.n,
+            t=args.t,
+            k=args.k,
+            schedules=args.schedules,
+            seed=args.seed,
+        )
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
@@ -939,7 +710,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     if report["first_violation"] is not None and args.artifact is not None:
         write_artifact(args.artifact, report["first_violation"])
         print(f"wrote replay artifact to {args.artifact}", file=sys.stderr)
-    engine.close()
     return 0 if report["pass"] else 1
 
 
@@ -1004,8 +774,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         )
     except KeyError as exc:
         raise SystemExit(str(exc.args[0]))
-    engine = _build_engine(args, default_cache=True)
-    reports = engine.oracle_many(case.payload() for case in cases)
+    with _build_engine(args, default_cache=True) as engine:
+        reports = engine.oracle_many(case.payload() for case in cases)
     disagreements = 0
     if args.json:
         for case, report in zip(cases, reports):
@@ -1040,7 +810,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             )
             write_artifact(path, report["artifact"])
             print(f"wrote replay artifact to {path}", file=sys.stderr)
-    engine.close()
     if disagreements:
         print(
             f"oracle: {disagreements} of {len(cases)} cases DISAGREE",
@@ -1064,7 +833,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes (1 = legacy in-process path)",
+        help="worker processes (1 = run in this process)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -1080,7 +849,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--kernel",
         choices=KERNELS,
         default=None,
-        help="solve kernel for FACT queries (implies the engine path)",
+        help="solve kernel for FACT queries",
     )
     parser.add_argument(
         "--trace",
@@ -1118,20 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
     algorithm1.add_argument("--runs", type=int, default=30)
     algorithm1.add_argument("--seed", type=int, default=0)
     _add_engine_options(algorithm1)
-
-    batch = sub.add_parser(
-        "batch",
-        help="zoo classification + E11 through the compute engine",
-    )
-    batch.add_argument(
-        "--only",
-        nargs="+",
-        metavar="KIND",
-        default=None,
-        help="run only the sections for these job kinds "
-        "(e.g. --only simulate oracle)",
-    )
-    _add_engine_options(batch)
 
     from .sim.library import PROTOCOL_NAMES
 
@@ -1453,7 +1208,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 _HANDLERS = {
-    "batch": _cmd_batch,
     "export": _cmd_export,
     "serve": _cmd_serve,
     "query": _cmd_query,
@@ -1503,16 +1257,6 @@ def _main(argv: Optional[List[str]] = None) -> int:
         count = obs.export_jsonl(trace_path, tracer.drain())
         obs.disable()
         print(f"trace: wrote {count} spans to {trace_path}", file=sys.stderr)
-        if count == 0:
-            # Tracing never reroutes the computation, so the legacy
-            # direct paths (no engine opt-in) produce no spans.
-            print(
-                "trace: 0 spans means the command ran on the legacy "
-                "direct path; add an engine opt-in (--jobs, "
-                "--cache-dir, --no-cache with batch, or --kernel) "
-                "to trace it.",
-                file=sys.stderr,
-            )
 
 
 if __name__ == "__main__":  # pragma: no cover

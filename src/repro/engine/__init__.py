@@ -16,7 +16,8 @@ queries, and Algorithm-1 fuzz batches:
   deterministic result order, per-job timeouts, and structured budget
   outcomes.
 
-The sequential in-process path (``jobs=1``, no cache) is the default
+Every CLI command runs its work through an :class:`Engine`.  The
+sequential in-process path (``jobs=1``, no cache) is the default
 everywhere and stays bit-identical with calling the underlying
 functions directly; parallelism and persistence are strictly opt-in
 (``--jobs N`` / ``--cache-dir`` on the CLI).  See ``docs/engine.md``.

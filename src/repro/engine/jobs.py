@@ -11,8 +11,8 @@ worker processes without pickling closures.
 :class:`Engine` is the façade the rest of the library talks to:
 ``run_jobs`` executes any batch with caching, parallelism, per-job
 timing and deterministic result order; ``classify_many`` /
-``solve_many`` / ``r_affine_many`` / ``fuzz_many`` wrap the common
-batch shapes with typed results.
+``solve_many`` / ``r_affine_many`` / ``fuzz_many`` and friends wrap
+the batch shapes the commands and library modules issue.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from ..solver.api import (
     DEFAULT_KERNEL,
     KERNELS,
     SolveRequest,
-    SolveResult,
     as_solve_request,
     run_request,
 )
@@ -150,15 +149,6 @@ def _compute_sweep_resume(payload: tuple) -> Any:
     return compute_cell_resume(payload)
 
 
-def _compute_sleep(payload: tuple) -> Any:
-    # Synthetic workload: sleep for a wall-clock duration, then return
-    # the token.  Exists so timeout handling and service load tests can
-    # exercise slow jobs deterministically without heavy computation.
-    seconds, token = payload
-    time.sleep(seconds)
-    return token
-
-
 #: kind -> compute function.  Worker processes resolve kinds through
 #: this registry, so adding a job type is one entry + one payload codec.
 JOB_KINDS: Dict[str, Callable[[tuple], Any]] = {
@@ -173,7 +163,6 @@ JOB_KINDS: Dict[str, Callable[[tuple], Any]] = {
     "oracle": _compute_oracle,
     "sweep": _compute_sweep,
     "sweep_resume": _compute_sweep_resume,
-    "sleep": _compute_sleep,
 }
 
 
@@ -378,7 +367,7 @@ class Engine:
 
         Cache hits never reach the workers, and identical specs in one
         batch are computed once: later duplicates receive the leader's
-        result with ``coalesced=True`` (so CLI ``batch`` and the service
+        result with ``coalesced=True`` (so CLI commands and the service
         batcher both pay for each distinct computation exactly once).
         ``solve`` jobs that blow their node budget are retried as
         domain-partitioned sub-jobs (see
@@ -567,16 +556,11 @@ class Engine:
     # ------------------------------------------------------------------
     # Typed batch wrappers
     # ------------------------------------------------------------------
-    def chr_many(self, requests: Iterable[Tuple[int, int]]) -> List[Any]:
-        """Batch ``Chr^m s`` subdivisions for ``(n, m)`` requests."""
-        specs = [JobSpec("chr", (n, m)) for n, m in requests]
-        return [self._value(r) for r in self.run_jobs(specs)]
-
     def classify_many(self, adversaries: Iterable[Adversary]) -> List[Any]:
         """Per-adversary landscape classification (Figure 2 / E15).
 
-        Returns :class:`repro.analysis.landscape.LandscapeEntry` records
-        equal to the ones the legacy sequential path produces.
+        Returns one :class:`repro.analysis.landscape.LandscapeEntry`
+        record per adversary, in input order.
         """
         from ..analysis.landscape import LandscapeEntry
 
@@ -634,21 +618,6 @@ class Engine:
         ]
         return [self._value(r) for r in self.run_jobs(specs)]
 
-    def solve_results(self, queries: Iterable) -> List[SolveResult]:
-        """Like :meth:`solve_many`, but typed: one
-        :class:`SolveResult` (verdict/map/nodes/kernel) per query."""
-        requests = [self._request_of(query) for query in queries]
-        pairs = self.solve_many(requests)
-        return [
-            SolveResult(
-                verdict="solvable" if mapping is not None else "unsolvable",
-                mapping=mapping,
-                nodes=nodes,
-                kernel=request.effective_kernel,
-            )
-            for request, (mapping, nodes) in zip(requests, pairs)
-        ]
-
     def solve(
         self,
         affine: AffineTask,
@@ -691,17 +660,6 @@ class Engine:
     ) -> Dict:
         """One certified FACT query; returns the certificate document."""
         return self.certify_many([(affine, task, budget)])[0]
-
-    def check_cert(self, cert: Dict) -> Dict:
-        """Run the independent checker on one certificate (cached).
-
-        Returns :meth:`repro.certify.checker.CheckReport.to_dict` output.
-        The check itself only trusts :mod:`repro.certify.checker`; the
-        engine merely caches the report under the certificate's content
-        address.
-        """
-        specs = [JobSpec("check", (cert,))]
-        return self._value(self.run_jobs(specs)[0])
 
     def resume_solve(
         self,

@@ -199,18 +199,18 @@ def fuzz_algorithm1(
 ) -> List[Algorithm1Outcome]:
     """Experiment E8: many random α-model executions, all validated.
 
+    Case ``i`` runs :func:`run_fuzz_case` on ``fuzz_case_seed(seed, i)``
+    — the schedules the engine's ``fuzz`` jobs explore for this seed.
     Raises ``AssertionError`` on any safety violation and
     :class:`LivenessViolation` on any liveness failure.
     """
-    rng = random.Random(seed)
     outcomes = []
-    for _ in range(runs):
-        plan = random_alpha_model_plan(alpha, rng)
-        outcome = run_algorithm1(alpha, plan, affine_task)
+    for index in range(runs):
+        outcome = run_fuzz_case(alpha, affine_task, fuzz_case_seed(seed, index))
         if not outcome.in_affine_task:
             raise AssertionError(
                 f"Theorem 7 safety violated: outputs {outcome.simplex} "
-                f"outside {affine_task.name} under plan {plan}"
+                f"outside {affine_task.name} under plan {outcome.plan}"
             )
         outcomes.append(outcome)
     return outcomes

@@ -1,10 +1,13 @@
 """Shared fixtures: the standard complexes and agreement functions.
 
-Everything here is cached at session scope — ``Chr s`` / ``Chr² s`` and
-the affine tasks are pure values reused by most test modules.
+The complexes and affine tasks are cached at session scope — ``Chr s``
+/ ``Chr² s`` and the affine tasks are pure values reused by most test
+modules.  ``sleep_kind`` registers a slow job kind for one test.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.adversaries import (
     wait_free_alpha,
 )
 from repro.core import r_affine, r_k_obstruction_free, r_t_resilient
+from repro.engine.jobs import JOB_KINDS
 from repro.topology import chr_complex, standard_simplex
 
 
@@ -92,3 +96,20 @@ def rkof_1():
 @pytest.fixture(scope="session")
 def rtres_1():
     return r_t_resilient(3, 1)
+
+
+def _sleep(payload: tuple):
+    seconds, token = payload
+    time.sleep(seconds)
+    return token
+
+
+@pytest.fixture
+def sleep_kind(monkeypatch):
+    """A slow ``sleep`` job kind — ``(seconds, token) -> token`` — for
+    this test only.
+
+    In-process engines and servers resolve kinds at run time, and
+    worker pools fork from the patched parent, so both see it.
+    """
+    monkeypatch.setitem(JOB_KINDS, "sleep", _sleep)

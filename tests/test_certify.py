@@ -57,7 +57,7 @@ from repro.cli import main
 from repro.core import full_affine_task, r_affine
 from importlib import import_module
 
-from repro.engine import ArtifactCache, Engine
+from repro.engine import ArtifactCache, Engine, JobSpec
 from repro.solver import KERNELS
 from repro.topology.chromatic import ChrVertex
 
@@ -820,7 +820,8 @@ def test_engine_certify_and_check_jobs(tmp_path, ra_1res):
     engine = Engine(cache=ArtifactCache(tmp_path))
     cert = engine.certify(ra_1res, task)
     assert cert["kind"] == "solvable"
-    report = engine.check_cert(cert)
+    (checked,) = engine.run_jobs([JobSpec("check", (cert,))])
+    report = checked.value
     assert report["valid"] and report["verdict"] == "solvable"
 
     warm = Engine(cache=ArtifactCache(tmp_path))

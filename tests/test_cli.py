@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -161,11 +163,32 @@ def test_serve_and_query_round_trip(capsys):
         assert stats["engine"]["jobs"] == 1
 
 
-def test_classify_engine_output_matches_legacy(capsys):
-    assert main(["classify"]) == 0
-    legacy = capsys.readouterr().out
-    assert main(["classify", "--jobs", "2", "--no-cache"]) == 0
-    assert capsys.readouterr().out == legacy
+#: SHA-256 of the default stdout of the table commands: any change to
+#: a printed table, however it is computed, fails here.
+DEFAULT_STDOUT_SHA256 = {
+    "classify": "de50af68a7f7bcab95a2821d5c781b76fe345c9cba43fd29dd0be065d3ba332c",
+    "landscape": "cf811f9819ea3763ed8bf4133b1069f85674427dddbdf11241425d155caee906",
+    "fact": "919b95dcfef8f3c76e2bf8e7b448c2b1b8863b605ea764fb0a8fa38bd044b9c1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_STDOUT_SHA256))
+def test_default_stdout_is_pinned(capsys, command):
+    assert main([command]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == DEFAULT_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["landscape"], ["fact"], ["algorithm1", "--runs", "6"]],
+    ids=lambda argv: argv[0],
+)
+def test_default_output_matches_two_workers(capsys, argv):
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--jobs", "2", "--no-cache"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_fact_engine_output_matches_legacy(capsys, tmp_path):
@@ -178,39 +201,28 @@ def test_fact_engine_output_matches_legacy(capsys, tmp_path):
     assert capsys.readouterr().out == legacy
 
 
-def test_batch_command_cold_then_warm(capsys, tmp_path):
-    assert main(["batch", "--cache-dir", str(tmp_path)]) == 0
-    cold = capsys.readouterr().out
-    assert "min k-set consensus" in cold
-    assert "cache misses" in cold
+def _span_names(path) -> set:
+    from repro import obs
 
-    assert main(["batch", "--cache-dir", str(tmp_path)]) == 0
-    warm = capsys.readouterr().out
-    assert "cache misses: 0" in warm
-    # Tables (everything above the stats block) must be identical.
-    assert cold.split("engine:")[0] == warm.split("engine:")[0]
+    return {span["name"] for span in obs.load_spans(str(path))}
 
 
-def test_batch_unknown_kind_exits_with_the_valid_kinds(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["batch", "--only", "bogus"])
-    message = str(excinfo.value)
-    assert "unknown job kind 'bogus'" in message
-    assert "simulate" in message and "oracle" in message
-    assert "solve" in message
+def test_default_fact_trace_has_engine_and_solver_spans(capsys, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    assert main(["fact", "--trace", str(trace)]) == 0
+    names = _span_names(trace)
+    assert {"engine.batch", "solver.search"} <= names
 
 
-def test_batch_rejects_kinds_without_a_section(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["batch", "--only", "sleep"])
-    assert "no batch section" in str(excinfo.value)
-
-
-def test_batch_only_classify_skips_the_fact_table(capsys):
-    assert main(["batch", "--only", "classify", "--no-cache"]) == 0
-    out = capsys.readouterr().out
-    assert "adversary" in out
-    assert "min k-set consensus" not in out
+def test_warm_fact_trace_computes_nothing(capsys, tmp_path):
+    cache = str(tmp_path / "cache")
+    cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
+    assert main(["fact", "--cache-dir", cache, "--trace", str(cold)]) == 0
+    assert "engine.compute" in _span_names(cold)
+    assert main(["fact", "--cache-dir", cache, "--trace", str(warm)]) == 0
+    names = _span_names(warm)
+    assert "engine.batch" in names
+    assert "engine.compute" not in names
 
 
 def test_sim_command_pass_and_violation(capsys):

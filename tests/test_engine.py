@@ -20,6 +20,7 @@ from repro.adversaries import (
 )
 from repro.analysis.landscape import (
     LandscapeEntry,
+    all_adversaries,
     alpha_signature,
     classify_all,
     summarize,
@@ -32,6 +33,7 @@ from repro.engine import (
     NullCache,
     digest,
 )
+from repro.runtime.algorithm1 import fuzz_algorithm1
 from repro.tasks.set_consensus import set_consensus_task
 from repro.tasks.solvability import (
     MapSearch,
@@ -192,9 +194,9 @@ def test_exhausted_retries_surface_the_budget_error(ra_1res, task23):
 # ----------------------------------------------------------------------
 # Typed batches
 # ----------------------------------------------------------------------
-def test_chr_many_matches_direct_construction():
-    (built,) = Engine().chr_many([(3, 1)])
-    assert built == chr_complex(3, 1)
+def test_chr_job_matches_direct_construction():
+    (result,) = Engine().run_jobs([JobSpec("chr", (3, 1))])
+    assert result.ok and result.value == chr_complex(3, 1)
 
 
 def test_minimal_set_consensus_table(ra_1of, ra_2of, ra_1res):
@@ -208,9 +210,16 @@ def test_minimal_set_consensus_table(ra_1of, ra_2of, ra_1res):
 
 def test_fuzz_many_is_worker_count_independent(alpha_1res, ra_1res):
     sequential = Engine(jobs=1).fuzz_many(alpha_1res, ra_1res, 4, seed=11)
-    pooled = Engine(jobs=2).fuzz_many(alpha_1res, ra_1res, 4, seed=11)
+    with Engine(jobs=2) as engine:
+        pooled = engine.fuzz_many(alpha_1res, ra_1res, 4, seed=11)
     assert pooled == sequential
     assert all(in_task for in_task, _ in sequential)
+    # The library fuzzer explores the same schedules for the same seed.
+    library = fuzz_algorithm1(alpha_1res, ra_1res, runs=4, seed=11)
+    assert sequential == [
+        (outcome.in_affine_task, outcome.result.steps_taken)
+        for outcome in library
+    ]
 
 
 def test_progress_callback_sees_every_job(ra_1of, ra_1res, task23):
@@ -266,16 +275,27 @@ def test_zoo_and_fact_equal_via_engine_and_legacy(tmp_path, ra_1res, task23):
 
 
 def test_landscape_classify_all_engine_equals_legacy():
-    legacy = classify_all(3)
-    via_engine = classify_all(3, engine=Engine(jobs=1))
-    assert via_engine == legacy
-    assert summarize(via_engine, engine=Engine(jobs=1)) == summarize(legacy)
+    """The landscape helpers, default or pooled, equal direct calls."""
+    legacy = [
+        LandscapeEntry(
+            adversary=adversary,
+            fair=is_fair(adversary),
+            superset_closed=adversary.is_superset_closed(),
+            symmetric=adversary.is_symmetric(),
+            power=setcon(adversary),
+            alpha_key=alpha_signature(agreement_function_of(adversary)),
+        )
+        for adversary in all_adversaries(3)
+    ]
+    with Engine(jobs=2) as pooled:
+        assert classify_all(3) == classify_all(3, engine=pooled) == legacy
+        assert summarize(legacy, engine=pooled) == summarize(legacy)
 
 
 # ----------------------------------------------------------------------
 # Failure paths surfaced by serving: timeouts, corruption, propagation
 # ----------------------------------------------------------------------
-def test_pool_per_job_timeout_surfaces_timeout_results():
+def test_pool_per_job_timeout_surfaces_timeout_results(sleep_kind):
     """Slow jobs on the pool path become ``error="timeout"`` results."""
     engine = Engine(jobs=2, timeout=0.2)
     results = engine.run_jobs(

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, Optional
 
 import pytest
 
-from repro.adversaries import figure5b_adversary
+from repro.adversaries import figure5b_adversary, t_resilience_alpha
 from repro.core.ra import DEFAULT_VARIANT
 from repro.engine import ArtifactCache, Engine, JobSpec, serialize
 from repro.runtime.algorithm1 import fuzz_case_seed
@@ -234,7 +234,7 @@ def test_simulate_and_oracle_helpers(client):
 # ----------------------------------------------------------------------
 # Coalescing
 # ----------------------------------------------------------------------
-def test_concurrent_identical_sleeps_coalesce_to_one_execution():
+def test_concurrent_identical_sleeps_coalesce_to_one_execution(sleep_kind):
     engine = Engine()
     with BackgroundServer(engine) as background:
         responses = _barrier_start(
@@ -265,7 +265,7 @@ def test_concurrent_identical_solves_compute_once(ra_1res):
         assert engine.stats()["misses"] == 1
 
 
-def test_misses_arriving_during_a_batch_leave_together_as_the_next():
+def test_misses_arriving_during_a_batch_leave_together_as_the_next(sleep_kind):
     """Dispatch when idle: misses that wait on a running batch share one."""
     tokens = ("a", "b", "c", "d")
     with BackgroundServer(Engine()) as background:
@@ -348,7 +348,7 @@ def test_non_canonical_payload_text_gets_the_canonical_value(client, ra_1res):
 # ----------------------------------------------------------------------
 # Deadlines, errors, limits
 # ----------------------------------------------------------------------
-def test_per_request_timeout_returns_typed_error(client):
+def test_per_request_timeout_returns_typed_error(client, sleep_kind):
     with pytest.raises(ServiceError) as info:
         client.query("sleep", (3.0, "late"), timeout=0.2)
     assert info.value.code == "timeout"
@@ -364,8 +364,9 @@ def test_wire_error_codes(server, client, ra_1of):
         _raw_request(server.port, b'{"v": 99, "op": "ping"}\n')["error"]["code"]
         == "unsupported_version"
     )
-    # ``crash`` names no job kind: the server has none that ends it.
-    for kind in ("no_such_kind", "crash"):
+    # ``crash`` and ``sleep`` name no job kind: the server has none that
+    # ends it or holds its dispatch thread.
+    for kind in ("no_such_kind", "crash", "sleep"):
         with pytest.raises(ServiceError) as info:
             client.query(kind, (3,))
         assert info.value.code == "unknown_kind"
@@ -439,7 +440,7 @@ def test_memcache_size_bounds_the_text_tier():
             assert active.stats()["memcache"]["evictions"] == 2
 
 
-def test_draining_server_refuses_a_would_be_hit():
+def test_draining_server_refuses_a_would_be_hit(sleep_kind):
     background = BackgroundServer(Engine(), drain_grace=10.0).start()
     outcome = {}
 
@@ -479,7 +480,7 @@ def test_connection_limit_returns_overloaded():
 # ----------------------------------------------------------------------
 # Graceful drain
 # ----------------------------------------------------------------------
-def test_drain_completes_inflight_requests_then_refuses_connections():
+def test_drain_completes_inflight_requests_then_refuses_connections(sleep_kind):
     engine = Engine()
     background = BackgroundServer(engine, drain_grace=10.0).start()
     port = background.port
@@ -521,15 +522,23 @@ def test_sigterm_drains_the_serve_subprocess():
         port = int(re.search(r":(\d+) ", announce).group(1))
         with ServiceClient(port=port) as active:
             assert active.stats()["memcache"]["max_entries"] == 3
+            affine = active.r_affine(t_resilience_alpha(4, 1))
         outcome = {}
 
         def slow_query():
+            # A cold n=4 certificate: real work, in flight at SIGTERM.
             with ServiceClient(port=port) as active:
-                outcome["value"] = active.query("sleep", (1.0, "survived"))
+                outcome["value"] = active.certify(
+                    affine, set_consensus_task(4, 1)
+                )
 
         worker = threading.Thread(target=slow_query)
         worker.start()
-        time.sleep(0.4)
+        with ServiceClient(port=port) as active:
+            deadline = time.monotonic() + 30
+            while active.stats()["batcher"]["inflight"] < 1:
+                assert time.monotonic() < deadline, "query never in flight"
+                time.sleep(0.01)
         process.send_signal(signal.SIGTERM)
         output, _ = process.communicate(timeout=60)
         worker.join(timeout=30)
@@ -537,7 +546,7 @@ def test_sigterm_drains_the_serve_subprocess():
         if process.poll() is None:
             process.kill()
     assert process.returncode == 0
-    assert outcome["value"] == "survived"
+    assert outcome["value"]["kind"] == "unsolvable"
     assert "drained cleanly" in output
 
 

@@ -366,10 +366,12 @@ def test_engine_results_carry_the_kernel(ra_1res):
         [JobSpec("solve", (SolveRequest(affine=ra_1res, task=task),))]
     )
     assert result.ok and result.kernel == KERNEL_BITSET
-    (typed,) = engine.solve_results([(ra_1res, task, None)])
-    assert typed.kernel == KERNEL_FC and typed.solvable
+    (typed,) = engine.run_jobs(
+        [JobSpec("solve", (SolveRequest(ra_1res, task, kernel=KERNEL_FC),))]
+    )
+    assert typed.kernel == KERNEL_FC and typed.value[0] is not None
     # fc prunes, so node counts differ — but the map is the oracle's.
-    assert typed.mapping == Engine().solve(ra_1res, task)
+    assert typed.value[0] == Engine().solve(ra_1res, task)
 
 
 def test_engine_fc_resume_coerces_to_tree_identical(ra_1res):

@@ -146,7 +146,7 @@ def test_distinct_setups_do_not_count_as_hits(ra_1of, ra_1res, task23):
 # ----------------------------------------------------------------------
 # Failure paths
 # ----------------------------------------------------------------------
-def test_sigkilled_worker_restarts_and_job_redispatches_exactly_once():
+def test_sigkilled_worker_restarts_and_job_redispatches_exactly_once(sleep_kind):
     with WorkerPool(2) as pool:
         ticket = pool.submit(JobSpec("sleep", (0.5, "survivor")))
         assert ticket.worker is not None  # dispatched immediately
@@ -193,7 +193,7 @@ def test_crashing_job_fails_alone_after_bounded_redispatch(monkeypatch):
     assert stats["redispatched"] == 1
 
 
-def test_poisoned_payload_fails_alone_at_submit_time():
+def test_poisoned_payload_fails_alone_at_submit_time(sleep_kind):
     with WorkerPool(2) as pool:
         poisoned = pool.submit(JobSpec("sleep", (0.01, object())), index=0)
         healthy = pool.submit(JobSpec("chr", (2, 1)), index=1)
@@ -206,7 +206,7 @@ def test_poisoned_payload_fails_alone_at_submit_time():
     assert stats["worker_restarts"] == 0
 
 
-def test_drain_under_load_completes_every_accepted_job():
+def test_drain_under_load_completes_every_accepted_job(sleep_kind):
     specs = []
     for round_index in range(5):
         specs.append(JobSpec("sleep", (0.01, f"s{round_index}")))
@@ -224,7 +224,7 @@ def test_drain_under_load_completes_every_accepted_job():
     assert stats["dispatched"] >= len(specs)
 
 
-def test_timeout_kills_worker_and_pool_stays_usable():
+def test_timeout_kills_worker_and_pool_stays_usable(sleep_kind):
     with WorkerPool(1, timeout=0.3) as pool:
         stuck = pool.submit(JobSpec("sleep", (30.0, "never")))
         pool.drain()
@@ -237,7 +237,7 @@ def test_timeout_kills_worker_and_pool_stays_usable():
     assert stats["worker_restarts"] == 1
 
 
-def test_close_resolves_unfinished_jobs_as_errors():
+def test_close_resolves_unfinished_jobs_as_errors(sleep_kind):
     pool = WorkerPool(1)
     ticket = pool.submit(JobSpec("sleep", (30.0, "abandoned")))
     pool.close()
