@@ -143,14 +143,16 @@ def bench_obs():
     # loop is the densest span call site outside the solver.  With the
     # tracer off those calls must hit the shared-noop fast path; with it
     # on, one exploration has a deterministic span census.
-    from repro.sim import BoscoWeakAgreement, byzantine_plans, explore
+    from repro.adversaries.catalogue import catalogue_by_name
+    from repro.sim import HittingSetConsensus, crash_plans_from_adversary, explore
 
     assert obs.span("sim.schedule") is obs.NOOP_SPAN
     assert obs.span("sim.round") is obs.NOOP_SPAN
     assert obs.span("sim.guard_wait") is obs.NOOP_SPAN
 
-    protocol = BoscoWeakAgreement(4, 1)
-    plans = byzantine_plans(4, 1, seed=0)
+    adversary = catalogue_by_name(3)["1-resilient"]
+    protocol = HittingSetConsensus(adversary, 2)
+    plans = crash_plans_from_adversary(adversary, seed=0)
 
     def run_sim():
         return explore(protocol, plans, 2, seed=0)

@@ -22,7 +22,8 @@ from repro import (
 )
 from repro.analysis import banner, complex_census, render_mapping, render_table
 from repro.core import concurrency_census
-from repro.topology import fubini_number, homology_summary
+from repro.topology import fubini_number
+from repro.topology.connectivity import homology_summary
 
 
 def main() -> None:

@@ -1,4 +1,9 @@
-"""Derived analyses: censuses, compactness, Sperner parity, reporting."""
+"""Derived analyses: censuses, compactness, Sperner parity, reporting.
+
+:mod:`~repro.analysis.figure_geometry` and
+:mod:`~repro.analysis.model_order` pull in numpy and networkx; their
+callers import those submodules directly.
+"""
 
 from .stats import (
     compare_affine_tasks,
@@ -37,15 +42,6 @@ from .figure_data import (
     fact_table_data,
     landscape_data,
 )
-from .figure_geometry import all_drawings, complex_drawing, planar_position
-from .model_order import (
-    ModelClass,
-    OrderSummary,
-    hasse_diagram,
-    inclusion_order,
-    model_classes,
-    summarize_order,
-)
 from .reporting import banner, render_check, render_mapping, render_table
 
 __all__ = [
@@ -73,18 +69,9 @@ __all__ = [
     "random_admissible_labeling",
     "sperner_parity_holds",
     "all_figure_data",
-    "all_drawings",
-    "complex_drawing",
-    "planar_position",
     "export_json",
     "fact_table_data",
     "landscape_data",
-    "ModelClass",
-    "OrderSummary",
-    "hasse_diagram",
-    "inclusion_order",
-    "model_classes",
-    "summarize_order",
     "banner",
     "render_check",
     "render_mapping",

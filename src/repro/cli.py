@@ -16,11 +16,10 @@ Commands regenerate the paper's artifacts from the terminal:
   certificate JSON file (``repro.certify``);
 * ``check``      — validate certificate files with the independent
   checker (imports only ``repro.certify.checker``);
-* ``sim``        — explore one executable protocol under generated
-  fault plans (``repro.sim``);
+* ``sim``        — explore hitting-set k-set consensus under crash
+  plans derived from an adversary (``repro.sim``);
 * ``oracle``     — differential oracle: simulator verdicts versus
-  FACT / resilience-regime references, with replayable
-  disagreement artifacts;
+  FACT, with replayable disagreement artifacts;
 * ``sweep``      — run or resume a checkpointed landscape sweep
   (``repro.sweep``): ``--grid`` names a preset or a grid JSON file,
   progress persists after every completed cell, ``--resume`` continues
@@ -441,25 +440,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 )
             return 0
         if args.what in ("simulate", "oracle"):
-            adversary = (
-                Adversary(
-                    args.n,
-                    [set(live) for live in json.loads(args.live_sets)],
-                )
-                if args.live_sets is not None
-                else None
-            )
             response = client.query_response(
                 args.what,
-                (
-                    args.protocol,
-                    adversary,
-                    args.n,
-                    args.t,
-                    args.k,
-                    args.schedules,
-                    args.seed,
-                ),
+                (_adversary(), args.k, args.schedules, args.seed),
             )
             if args.json:
                 _emit(response)
@@ -468,7 +451,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             if args.what == "simulate":
                 print(
                     render_mapping(
-                        f"sim {args.protocol}:",
+                        f"sim k={args.k}:",
                         {
                             "fault plans": report["plans"],
                             "schedules": report["schedules"],
@@ -484,7 +467,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 reference = report["reference"]
                 print(
                     render_mapping(
-                        f"oracle {args.protocol}:",
+                        f"oracle k={args.k}:",
                         {
                             "reference": reference["method"],
                             "solvable": reference["solvable"],
@@ -653,17 +636,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if all_valid else 1
 
 
-def _sim_adversary(args: argparse.Namespace):
-    """The adversary a sim/oracle invocation names, or ``None``."""
-    if getattr(args, "live_sets", None) is None:
-        return None
-    return Adversary(
-        args.n, [set(live) for live in json.loads(args.live_sets)]
-    )
-
-
 def _cmd_sim(args: argparse.Namespace) -> int:
-    """Explore one protocol instance under generated fault plans.
+    """Explore hitting-set k-set consensus under the adversary's crash plans.
 
     Exit 0 means no explored schedule violated the protocol spec —
     exactly the simulator half of the differential oracle, so a
@@ -671,22 +645,19 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     """
     from .sim import write_artifact
 
+    adversary = Adversary(
+        args.n, [set(live) for live in json.loads(args.live_sets)]
+    )
     with _build_engine(args, default_cache=True) as engine:
         report = engine.simulate(
-            args.protocol,
-            _sim_adversary(args),
-            n=args.n,
-            t=args.t,
-            k=args.k,
-            schedules=args.schedules,
-            seed=args.seed,
+            adversary, k=args.k, schedules=args.schedules, seed=args.seed
         )
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
         print(
             banner(
-                f"sim {args.protocol} — n={report['n']}, t={report['t']}, "
+                f"sim hitting-set k-set consensus — n={report['n']}, "
                 f"k={report['k']}"
             )
         )
@@ -714,7 +685,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    """Differential oracle: simulator verdicts versus FACT / regime.
+    """Differential oracle: simulator verdicts versus FACT.
 
     Without arguments this re-checks the whole committed grid; exit 0
     iff every case agrees.  ``--replay`` re-executes a disagreement
@@ -748,7 +719,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                 render_mapping(
                     f"replay of {args.replay}:",
                     {
-                        "protocol": artifact["protocol"],
+                        "k": artifact["k"],
                         "decisions": outcome["decisions"],
                         "blocked": outcome["blocked"],
                         "violations": len(outcome["violations"]),
@@ -760,10 +731,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
     if args.list:
         for case in standard_grid():
-            print(
-                f"{case.name}: {case.protocol} n={case.n} t={case.t} "
-                f"k={case.k}"
-            )
+            print(f"{case.name}: n={case.adversary.n} k={case.k}")
         return 0
 
     try:
@@ -888,26 +856,17 @@ def build_parser() -> argparse.ArgumentParser:
     algorithm1.add_argument("--seed", type=int, default=0)
     _add_engine_options(algorithm1)
 
-    from .sim.library import PROTOCOL_NAMES
-
     sim = sub.add_parser(
-        "sim", help="explore one executable protocol (repro.sim)"
+        "sim",
+        help="explore hitting-set k-set consensus under crash plans "
+        "(repro.sim)",
     )
-    sim.add_argument("protocol", choices=PROTOCOL_NAMES)
     sim.add_argument(
         "live_sets",
-        nargs="?",
-        default=None,
-        help='adversary live sets JSON (crash-model protocols), '
-        'e.g. "[[0],[0,1]]"',
+        help='adversary live sets JSON, e.g. "[[0],[0,1]]"',
     )
     sim.add_argument("--n", type=int, default=3)
-    sim.add_argument(
-        "--t", type=int, default=0, help="Byzantine fault budget"
-    )
-    sim.add_argument(
-        "--k", type=int, default=1, help="set-consensus k (hitting-set)"
-    )
+    sim.add_argument("--k", type=int, default=1, help="set-consensus k")
     sim.add_argument(
         "--schedules",
         type=int,
@@ -1021,7 +980,8 @@ def build_parser() -> argparse.ArgumentParser:
         "live_sets",
         nargs="?",
         default=None,
-        help="JSON live sets (classify / r_affine / solve / certify / fuzz)",
+        help="JSON live sets (classify / r_affine / solve / certify / "
+        "fuzz / simulate / oracle)",
     )
     query.add_argument("--host", default="127.0.0.1")
     query.add_argument("--port", type=int, default=7341)
@@ -1029,22 +989,13 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--n", type=int, default=3)
     query.add_argument("--depth", type=int, default=1, help="chr depth m")
     query.add_argument(
-        "--k", type=int, default=2, help="set-consensus k for solve"
+        "--k",
+        type=int,
+        default=2,
+        help="set-consensus k (solve / simulate / oracle)",
     )
     query.add_argument("--budget", type=int, default=None)
     query.add_argument("--seed", type=int, default=0, help="fuzz case seed")
-    query.add_argument(
-        "--protocol",
-        choices=PROTOCOL_NAMES,
-        default="hitting-set-consensus",
-        help="sim protocol (query simulate / oracle)",
-    )
-    query.add_argument(
-        "--t",
-        type=int,
-        default=0,
-        help="Byzantine fault budget (query simulate / oracle)",
-    )
     query.add_argument(
         "--schedules",
         type=int,

@@ -111,23 +111,23 @@ def _compute_fuzz(payload: tuple) -> Any:
 
 
 def _compute_simulate(payload: tuple) -> Any:
-    # Explore schedules of one library protocol under generated fault
-    # plans; the value is the JSON-safe exploration report (including
-    # the first violating schedule as a replayable artifact).
-    protocol, adversary, n, t, k, schedules, seed = payload
+    # Explore schedules of hitting-set k-set consensus under crash plans
+    # derived from the adversary; the value is the JSON-safe exploration
+    # report (including the first violating schedule as a replayable
+    # artifact).
+    adversary, k, schedules, seed = payload
     from ..sim.oracle import simulate_params
 
-    return simulate_params(protocol, adversary, n, t, k, schedules, seed)
+    return simulate_params(adversary, k, schedules, seed)
 
 
 def _compute_oracle(payload: tuple) -> Any:
-    # One differential-oracle check: the simulate report plus the
-    # reference verdict (FACT for crash cases, the n > 3t regime for
-    # Byzantine ones) and the agreement bit.
-    protocol, adversary, n, t, k, schedules, seed = payload
+    # One differential-oracle check: the simulate report plus the FACT
+    # reference verdict and the agreement bit.
+    adversary, k, schedules, seed = payload
     from ..sim.oracle import oracle_params
 
-    return oracle_params(protocol, adversary, n, t, k, schedules, seed)
+    return oracle_params(adversary, k, schedules, seed)
 
 
 def _compute_sweep(payload: tuple) -> Any:
@@ -732,30 +732,20 @@ class Engine:
 
     def simulate(
         self,
-        protocol: str,
-        adversary: Optional[Adversary] = None,
+        adversary: Adversary,
         *,
-        n: int = 3,
-        t: int = 0,
         k: int = 1,
         schedules: int = 4,
         seed: int = 7,
     ) -> Dict:
-        """Explore one protocol under generated fault plans (cached)."""
-        spec = JobSpec(
-            "simulate", (protocol, adversary, n, t, k, schedules, seed)
-        )
+        """Explore hitting-set k-set consensus under crash plans (cached)."""
+        spec = JobSpec("simulate", (adversary, k, schedules, seed))
         return self._value(self.run_jobs([spec])[0])
-
-    def simulate_many(self, payloads: Iterable[tuple]) -> List[Dict]:
-        """Batch protocol explorations (same payload shape as ``oracle``)."""
-        specs = [JobSpec("simulate", tuple(p)) for p in payloads]
-        return [self._value(r) for r in self.run_jobs(specs)]
 
     def oracle_many(self, payloads: Iterable[tuple]) -> List[Dict]:
         """Batch differential-oracle checks.
 
-        Each payload is the 7-tuple an :class:`OracleCase
+        Each payload is the 4-tuple an :class:`OracleCase
         <repro.sim.oracle.OracleCase>` produces via ``payload()`` —
         the full parameter set is the cache identity, so a changed
         grid never serves a stale verdict.

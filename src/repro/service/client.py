@@ -202,38 +202,6 @@ class ServiceClient:
     def fuzz(self, alpha, affine, case_seed: int) -> Tuple[bool, int]:
         return self.query("fuzz", (alpha, affine, case_seed))
 
-    def simulate(
-        self,
-        protocol: str,
-        adversary=None,
-        *,
-        n: int = 3,
-        t: int = 0,
-        k: int = 1,
-        schedules: int = 4,
-        seed: int = 7,
-    ) -> Dict[str, Any]:
-        """Explore one protocol under generated fault plans (repro.sim)."""
-        return self.query(
-            "simulate", (protocol, adversary, n, t, k, schedules, seed)
-        )
-
-    def oracle(
-        self,
-        protocol: str,
-        adversary=None,
-        *,
-        n: int = 3,
-        t: int = 0,
-        k: int = 1,
-        schedules: int = 4,
-        seed: int = 7,
-    ) -> Dict[str, Any]:
-        """Differential simulator-versus-reference check for one pair."""
-        return self.query(
-            "oracle", (protocol, adversary, n, t, k, schedules, seed)
-        )
-
     def ping(self) -> bool:
         return bool(self.request("ping").get("pong"))
 

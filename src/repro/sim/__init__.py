@@ -1,13 +1,13 @@
-"""repro.sim — deterministic executable-protocol simulator + oracle.
+"""repro.sim — deterministic crash-fault protocol simulator + oracle.
 
-The subsystem that *runs* protocols instead of reasoning about them:
+The subsystem that *runs* a protocol instead of reasoning about it:
 
 * :mod:`~repro.sim.runtime` — guard-based message-passing runtime with
   an adversary-driven event scheduler and replayable traces;
-* :mod:`~repro.sim.faults` — crash / omission / Byzantine fault plans,
-  generated from the ``repro.adversaries`` catalogue;
-* :mod:`~repro.sim.library` — reliable broadcast, Bosco-style weak
-  agreement, hitting-set k-set consensus, each with a spec checker;
+* :mod:`~repro.sim.faults` — crash / omission fault plans, generated
+  from the ``repro.adversaries`` catalogue;
+* :mod:`~repro.sim.library` — hitting-set k-set consensus with its spec
+  checker;
 * :mod:`~repro.sim.oracle` — the differential oracle comparing
   simulator outcomes against FACT verdicts, with serialized replay
   artifacts on disagreement.
@@ -16,22 +16,8 @@ Everything is seeded and platform-deterministic: the same seed yields
 a byte-identical schedule trace.
 """
 
-from .faults import (
-    BYZANTINE_STRATEGIES,
-    FaultPlan,
-    byzantine_emissions,
-    byzantine_plans,
-    byzantine_regime_ok,
-    crash_plans_from_adversary,
-)
-from .library import (
-    PROTOCOL_NAMES,
-    BoscoWeakAgreement,
-    HittingSetConsensus,
-    Protocol,
-    ReliableBroadcast,
-    build_protocol,
-)
+from .faults import FaultPlan, crash_plans_from_adversary
+from .library import HittingSetConsensus
 from .oracle import (
     ARTIFACT_VERSION,
     STANDARD_GRID,
@@ -46,8 +32,6 @@ from .oracle import (
     write_artifact,
 )
 from .runtime import (
-    AnyGuard,
-    Guard,
     ReplayChooser,
     ReplayError,
     Runtime,
@@ -63,16 +47,9 @@ from .runtime import (
 
 __all__ = [
     "ARTIFACT_VERSION",
-    "AnyGuard",
-    "BYZANTINE_STRATEGIES",
-    "BoscoWeakAgreement",
     "FaultPlan",
-    "Guard",
     "HittingSetConsensus",
     "OracleCase",
-    "PROTOCOL_NAMES",
-    "Protocol",
-    "ReliableBroadcast",
     "ReplayChooser",
     "ReplayError",
     "Runtime",
@@ -80,10 +57,6 @@ __all__ = [
     "SimError",
     "SimRun",
     "ThresholdGuard",
-    "build_protocol",
-    "byzantine_emissions",
-    "byzantine_plans",
-    "byzantine_regime_ok",
     "crash_plans_from_adversary",
     "eager_chooser",
     "events_from_trace",

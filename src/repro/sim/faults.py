@@ -1,4 +1,4 @@
-"""Fault plans: crash, omission, and Byzantine adversaries for the sim.
+"""Fault plans: crash and omission adversaries for the sim.
 
 A :class:`FaultPlan` fixes *who* misbehaves and *how* for one execution:
 
@@ -9,40 +9,20 @@ A :class:`FaultPlan` fixes *who* misbehaves and *how* for one execution:
   candidate *correct* set, everyone else crashes — fair adversaries
   induce exactly these participation patterns;
 * **omission** — every message the process sends is individually
-  droppable by the scheduler;
-* **Byzantine** — the process never runs protocol code; a named
-  *strategy* scripts its emissions over the protocol's declared slots
-  (``mute``, ``equivocate``, ``conform``).  Receivers quarantine inputs
-  per ``(slot, sender)`` (see :mod:`repro.sim.runtime`), so the attack
-  surface is cross-receiver equivocation, exactly as in the
-  Mendes–Tasson–Herlihy reduction.  :func:`byzantine_regime_ok` is the
-  classic ``t < n/3`` resilience bound for that regime.
+  droppable by the scheduler.
 
 Targeted plans come first in every generated list: the live-set sweep
 (one plan per live set) deterministically exposes participation-pattern
-deadlocks, and the strategy sweep deterministically exposes
-equivocation splits — random sampling only adds diversity on top.
+deadlocks — random sampling only adds diversity on top.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Tuple
 
 from ..adversaries.adversary import Adversary
-
-#: (receiver, round, tag, sender, value) — one scripted emission.
-Emission = Tuple[int, int, str, int, Any]
-#: A message slot a process would send in: (round, tag).
-Slot = Tuple[int, str]
-
-BYZANTINE_STRATEGIES = ("mute", "equivocate", "conform")
-
-
-def byzantine_regime_ok(n: int, t: int) -> bool:
-    """The Byzantine resilience bound: ``n > 3t`` (``t < n/3``)."""
-    return n > 3 * t
 
 
 @dataclass(frozen=True)
@@ -54,20 +34,12 @@ class FaultPlan:
     crashes: Tuple[Tuple[int, int], ...] = ()
     #: Processes whose every message is droppable.
     omission: Tuple[int, ...] = ()
-    #: (pid, strategy name) for each Byzantine process.
-    byzantine: Tuple[Tuple[int, str], ...] = ()
     note: str = ""
 
     @property
-    def byzantine_pids(self) -> FrozenSet[int]:
-        return frozenset(pid for pid, _ in self.byzantine)
-
-    @property
     def faulty(self) -> FrozenSet[int]:
-        return (
-            frozenset(pid for pid, _ in self.crashes)
-            | frozenset(self.omission)
-            | self.byzantine_pids
+        return frozenset(pid for pid, _ in self.crashes) | frozenset(
+            self.omission
         )
 
     @property
@@ -82,7 +54,6 @@ class FaultPlan:
             "n": self.n,
             "crashes": [list(pair) for pair in self.crashes],
             "omission": list(self.omission),
-            "byzantine": [list(pair) for pair in self.byzantine],
             "note": self.note,
         }
 
@@ -94,57 +65,10 @@ class FaultPlan:
                 (pid, allowance) for pid, allowance in data["crashes"]
             ),
             omission=tuple(data["omission"]),
-            byzantine=tuple(
-                (pid, strategy) for pid, strategy in data["byzantine"]
-            ),
             note=data.get("note", ""),
         )
 
 
-# ----------------------------------------------------------------------
-# Byzantine strategies: slots -> scripted emissions
-# ----------------------------------------------------------------------
-def byzantine_emissions(
-    pid: int,
-    strategy: str,
-    slots: Sequence[Slot],
-    domain: Sequence[Any],
-    n: int,
-) -> List[Emission]:
-    """The scripted traffic of one Byzantine process.
-
-    * ``mute`` — silence (modeling "never sends");
-    * ``equivocate`` — per-receiver values cycling through ``domain``:
-      different receivers see contradictory claims in the same slot;
-    * ``conform`` — one consistent (but self-chosen) value everywhere:
-      Byzantine only in that the value ignores the protocol state.
-
-    Emissions are deterministic and ordered by ``(round, tag,
-    receiver)``; delivery timing (including "arbitrarily late") stays
-    with the scheduler, and dropping them entirely is always enabled —
-    so one script covers a whole family of behaviors.
-    """
-    if strategy not in BYZANTINE_STRATEGIES:
-        raise ValueError(
-            f"unknown Byzantine strategy {strategy!r}; "
-            f"expected one of {BYZANTINE_STRATEGIES}"
-        )
-    if strategy == "mute" or not domain:
-        return []
-    emissions: List[Emission] = []
-    for rnd, tag in sorted(slots):
-        for receiver in range(n):
-            if strategy == "equivocate":
-                value = domain[receiver % len(domain)]
-            else:  # conform
-                value = domain[0]
-            emissions.append((receiver, rnd, tag, pid, value))
-    return emissions
-
-
-# ----------------------------------------------------------------------
-# Plan generation
-# ----------------------------------------------------------------------
 def crash_plans_from_adversary(
     adversary: Adversary, seed: int, samples: int = 4
 ) -> List[FaultPlan]:
@@ -188,45 +112,4 @@ def crash_plans_from_adversary(
                 note=f"sampled #{index} live-set {live}",
             )
         )
-    return plans
-
-
-def byzantine_plans(
-    n: int, t: int, seed: int, samples: int = 2
-) -> List[FaultPlan]:
-    """Byzantine plans with exactly ``t`` faulty processes.
-
-    Targeted: every strategy at the two canonical corner placements —
-    the first ``t`` pids (which contains protocol-distinguished roles
-    like a broadcast root) and the last ``t`` pids.  Sampled plans draw
-    random placements and per-process strategies.
-    """
-    if t <= 0:
-        return [FaultPlan(n=n, note="fault-free")]
-    placements = [tuple(range(t)), tuple(range(n - t, n))]
-    plans: List[FaultPlan] = []
-    seen = set()
-    for placement in placements:
-        for strategy in BYZANTINE_STRATEGIES:
-            byz = tuple((pid, strategy) for pid in placement)
-            if byz in seen:
-                continue
-            seen.add(byz)
-            plans.append(
-                FaultPlan(
-                    n=n,
-                    byzantine=byz,
-                    note=f"{strategy} at {list(placement)}",
-                )
-            )
-    rng = random.Random(seed)
-    for index in range(samples):
-        placement = sorted(rng.sample(range(n), t))
-        byz = tuple(
-            (pid, rng.choice(BYZANTINE_STRATEGIES)) for pid in placement
-        )
-        if byz in seen:
-            continue
-        seen.add(byz)
-        plans.append(FaultPlan(n=n, byzantine=byz, note=f"sampled #{index}"))
     return plans

@@ -1,304 +1,38 @@
-"""The executable protocol library: specs, generators, and checkers.
+"""The executable protocol: hitting-set k-set consensus with its checker.
 
-Three guard-based protocols, each shipping with (a) generator factories
-for the correct processes, (b) the message *slots* a process owns —
-what a Byzantine replacement gets to script — and (c) a **spec
+k-set consensus for crash faults under a superset-closed adversary:
+await any proposal from a fixed minimal hitting set ``H`` of the live
+sets, decide the lowest-id ``H`` member's value.  At most
+``|H| = csize(A) = setcon(A)`` distinct decisions, and ``H`` meets
+every allowed correct set, so the protocol is live exactly when
+``setcon(A) <= k`` — the same condition FACT decides topologically,
+which is what makes the differential oracle meaningful.  When
+``csize(A) > k`` the protocol honestly attempts ``H = {0..k-1}`` and
+deadlocks under some live set (the oracle's expected refutation).
+
+The protocol ships generator factories for every process and a **spec
 checker** mapping one finished run to a list of violations (empty =
-the schedule satisfies the spec):
-
-* ``reliable-broadcast`` — Bracha's echo/ready protocol.  Thresholds
-  ``echo >= (n+t)//2 + 1``, ready amplification at ``t+1``, delivery at
-  ``2t+1``: safe (agreement + totality) for ``n > 3t``, and its
-  *validity* demonstrably fails at ``n = 3t`` — a mute Byzantine
-  process starves the echo quorum;
-* ``bosco-weak-agreement`` — a one-shot Bosco-style weak agreement:
-  await ``n - t`` proposals, decide the value on unanimity, else adopt
-  ``"?"``.  Quorum intersection (``>= n - 2t > t`` common senders, at
-  least one correct) makes two distinct non-``?`` decisions impossible
-  when ``n > 3t``; at ``n = 3t`` an equivocating process splits the
-  correct processes deterministically.  Deliberately *one-shot*:
-  iterating decide-on-unanimity/adopt-majority across rounds is unsafe
-  even for ``n > 3t`` (a decided value can lose its majority), so the
-  weak commit-adopt-style spec is what the quorum argument supports;
-* ``hitting-set-consensus`` — k-set consensus for crash faults under a
-  superset-closed adversary: await any proposal from a fixed minimal
-  hitting set ``H`` of the live sets, decide the lowest-id ``H``
-  member's value.  At most ``|H| = csize(A) = setcon(A)`` distinct
-  decisions, and ``H`` meets every allowed correct set, so the
-  protocol is live exactly when ``setcon(A) <= k`` — the same
-  condition FACT decides topologically, which is what makes the
-  differential oracle meaningful.  When ``csize(A) > k`` the protocol
-  honestly attempts ``H = {0..k-1}`` and deadlocks under some live set
-  (the oracle's expected refutation).
+the schedule satisfies the spec).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List
 
 from ..adversaries.adversary import Adversary
 from ..adversaries.setcon import csize, minimal_hitting_set
-from .faults import FaultPlan, Slot
-from .runtime import AnyGuard, Guard, SimRun, ThresholdGuard
+from .faults import FaultPlan
+from .runtime import SimRun, ThresholdGuard
 
 Inputs = Dict[int, str]
 Factory = Callable[[int], Generator]
 
-PROTOCOL_NAMES = (
-    "reliable-broadcast",
-    "bosco-weak-agreement",
-    "hitting-set-consensus",
-)
 
+class HittingSetConsensus:
+    """k-set consensus over the adversary's minimal hitting set."""
 
-def _cohorts(received: Dict[int, Any]) -> Dict[Any, int]:
-    """Same-value sender counts in one slot."""
-    counts: Dict[Any, int] = {}
-    for value in received.values():
-        counts[value] = counts.get(value, 0) + 1
-    return counts
-
-
-class Protocol:
-    """Common surface of one protocol instance (fixed ``n``, ``t``...)."""
-
-    name: str
-    model: str  # "crash" | "byzantine"
-
-    def __init__(self, n: int, t: int):
-        self.n = n
-        self.t = t
-
-    def default_inputs(self) -> Inputs:
-        raise NotImplementedError
-
-    def domain(self, inputs: Inputs) -> List[str]:
-        """Values a Byzantine strategy may inject."""
-        return sorted(set(inputs.values()))
-
-    def slots(self, pid: int) -> List[Slot]:
-        """The message slots ``pid`` owns (Byzantine script surface)."""
-        raise NotImplementedError
-
-    def factory(self, pid: int, inputs: Inputs) -> Generator:
-        raise NotImplementedError
-
-    def factories(self, inputs: Inputs, plan: FaultPlan) -> Dict[int, Factory]:
-        """Generator factories for every non-Byzantine process."""
-        byz = plan.byzantine_pids
-
-        def make(pid: int) -> Factory:
-            return lambda _pid: self.factory(pid, inputs)
-
-        return {pid: make(pid) for pid in range(self.n) if pid not in byz}
-
-    def check(
-        self, plan: FaultPlan, inputs: Inputs, run: SimRun
-    ) -> List[str]:
-        """Spec violations of one finished run (empty = pass)."""
-        raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-# Reliable broadcast (Bracha)
-# ----------------------------------------------------------------------
-class ReliableBroadcast(Protocol):
-    name = "reliable-broadcast"
-    model = "byzantine"
-
-    def __init__(self, n: int, t: int, root: int = 0):
-        super().__init__(n, t)
-        self.root = root
-        self.echo_quorum = (n + t) // 2 + 1
-        self.ready_amplify = t + 1
-        self.deliver_quorum = 2 * t + 1
-
-    def default_inputs(self) -> Inputs:
-        return {pid: "a" for pid in range(self.n)}
-
-    def domain(self, inputs: Inputs) -> List[str]:
-        return sorted(set(inputs.values()) | {"b"})
-
-    def slots(self, pid: int) -> List[Slot]:
-        owned: List[Slot] = [(0, "echo"), (0, "ready")]
-        if pid == self.root:
-            owned.insert(0, (0, "init"))
-        return owned
-
-    def factory(self, pid: int, inputs: Inputs) -> Generator:
-        return _rb_process(self, pid, inputs)
-
-    def check(
-        self, plan: FaultPlan, inputs: Inputs, run: SimRun
-    ) -> List[str]:
-        correct = sorted(plan.correct)
-        delivered = {
-            pid: run.decisions[pid]
-            for pid in correct
-            if pid in run.decisions
-        }
-        violations: List[str] = []
-        values = sorted(set(delivered.values()))
-        if len(values) > 1:
-            violations.append(
-                f"agreement: correct processes delivered {values}"
-            )
-        if delivered and len(delivered) < len(correct):
-            missing = sorted(set(correct) - set(delivered))
-            violations.append(
-                f"totality: {sorted(delivered)} delivered but "
-                f"{missing} did not"
-            )
-        if self.root in plan.correct:
-            expected = inputs[self.root]
-            if sorted(delivered) != correct:
-                violations.append(
-                    "validity: correct root broadcast "
-                    f"{expected!r} but correct deliverers are "
-                    f"{sorted(delivered)} of {correct}"
-                )
-            elif values and values != [expected]:
-                violations.append(
-                    f"validity: delivered {values} instead of {expected!r}"
-                )
-        return violations
-
-
-def _rb_process(rb: ReliableBroadcast, pid: int, inputs: Inputs) -> Generator:
-    init_slot, echo_slot, ready_slot = (0, "init"), (0, "echo"), (0, "ready")
-    if pid == rb.root:
-        yield ("broadcast", 0, "init", inputs[rb.root])
-    sent_echo = False
-    sent_ready = False
-    while True:
-        conditions: List[Guard] = []
-        if not sent_echo:
-            conditions.append(
-                ThresholdGuard(init_slot, 1, senders=frozenset({rb.root}))
-            )
-        if not sent_echo or not sent_ready:
-            conditions.append(
-                ThresholdGuard(echo_slot, rb.echo_quorum, matching=True)
-            )
-            conditions.append(
-                ThresholdGuard(ready_slot, rb.ready_amplify, matching=True)
-            )
-        conditions.append(
-            ThresholdGuard(ready_slot, rb.deliver_quorum, matching=True)
-        )
-        bag = yield ("await", AnyGuard(tuple(conditions)))
-        init = bag.get(init_slot, {})
-        echoes = _cohorts(bag.get(echo_slot, {}))
-        readys = _cohorts(bag.get(ready_slot, {}))
-        supported = sorted(
-            value
-            for value in set(echoes) | set(readys)
-            if echoes.get(value, 0) >= rb.echo_quorum
-            or readys.get(value, 0) >= rb.ready_amplify
-        )
-        if not sent_echo and (rb.root in init or supported):
-            value = init[rb.root] if rb.root in init else supported[0]
-            sent_echo = True
-            yield ("broadcast", 0, "echo", value)
-        if not sent_ready and supported:
-            sent_ready = True
-            yield ("broadcast", 0, "ready", supported[0])
-        deliverable = sorted(
-            value
-            for value, count in readys.items()
-            if count >= rb.deliver_quorum
-        )
-        if deliverable:
-            return deliverable[0]
-
-
-# ----------------------------------------------------------------------
-# Bosco-style one-shot weak agreement
-# ----------------------------------------------------------------------
-class BoscoWeakAgreement(Protocol):
-    name = "bosco-weak-agreement"
-    model = "byzantine"
-
-    #: The non-decision ("adopt") outcome.
-    ADOPT = "?"
-
-    def default_inputs(self) -> Inputs:
-        return {pid: f"v{pid % 2}" for pid in range(self.n)}
-
-    def slots(self, pid: int) -> List[Slot]:
-        return [(0, "prop")]
-
-    def factory(self, pid: int, inputs: Inputs) -> Generator:
-        return _bosco_process(self, pid, inputs)
-
-    def check(
-        self, plan: FaultPlan, inputs: Inputs, run: SimRun
-    ) -> List[str]:
-        correct = sorted(plan.correct)
-        violations: List[str] = []
-        decided = {
-            pid: run.decisions[pid]
-            for pid in correct
-            if pid in run.decisions
-        }
-        strong = sorted(
-            {value for value in decided.values() if value != self.ADOPT}
-        )
-        if len(strong) > 1:
-            violations.append(
-                f"agreement: distinct non-adopt decisions {strong}"
-            )
-        honest_inputs = {
-            inputs[pid]
-            for pid in range(self.n)
-            if pid not in plan.byzantine_pids
-        }
-        for value in strong:
-            if value not in honest_inputs:
-                violations.append(
-                    f"validity: decided {value!r}, proposed by no "
-                    "non-Byzantine process"
-                )
-        if len(correct) >= self.n - self.t and sorted(decided) != correct:
-            violations.append(
-                f"liveness: undecided correct {sorted(set(correct) - set(decided))}"
-            )
-        if not plan.byzantine and len(honest_inputs) == 1:
-            (value,) = honest_inputs
-            wrong = sorted(
-                pid for pid, out in decided.items() if out != value
-            )
-            if wrong:
-                violations.append(
-                    f"unanimity: all inputs {value!r} but {wrong} "
-                    "did not decide it"
-                )
-        return violations
-
-
-def _bosco_process(
-    bosco: BoscoWeakAgreement, pid: int, inputs: Inputs
-) -> Generator:
-    yield ("broadcast", 0, "prop", inputs[pid])
-    bag = yield (
-        "await",
-        ThresholdGuard((0, "prop"), bosco.n - bosco.t),
-    )
-    proposals = sorted(set(bag.get((0, "prop"), {}).values()))
-    if len(proposals) == 1:
-        return proposals[0]
-    return bosco.ADOPT
-
-
-# ----------------------------------------------------------------------
-# Hitting-set k-set consensus (crash model)
-# ----------------------------------------------------------------------
-class HittingSetConsensus(Protocol):
-    name = "hitting-set-consensus"
-    model = "crash"
-
-    def __init__(self, n: int, k: int, adversary: Adversary):
-        super().__init__(n, t=0)
+    def __init__(self, adversary: Adversary, k: int):
+        self.n = adversary.n
         self.k = k
         self.adversary = adversary
         if csize(adversary) <= k:
@@ -312,15 +46,17 @@ class HittingSetConsensus(Protocol):
     def default_inputs(self) -> Inputs:
         return {pid: f"v{pid}" for pid in range(self.n)}
 
-    def slots(self, pid: int) -> List[Slot]:
-        return [(0, "prop")]
-
-    def factory(self, pid: int, inputs: Inputs) -> Generator:
-        return _hitting_set_process(self, pid, inputs)
+    def factories(self, inputs: Inputs) -> Dict[int, Factory]:
+        """Generator factories for every process."""
+        return {
+            pid: lambda pid: _hitting_set_process(self, pid, inputs)
+            for pid in range(self.n)
+        }
 
     def check(
         self, plan: FaultPlan, inputs: Inputs, run: SimRun
     ) -> List[str]:
+        """Spec violations of one finished run (empty = pass)."""
         violations: List[str] = []
         decisions = sorted(set(run.decisions.values()))
         if len(decisions) > self.k:
@@ -349,38 +85,3 @@ def _hitting_set_process(
     proposals = bag.get((0, "prop"), {})
     leader = min(member for member in ksc.hitting if member in proposals)
     return proposals[leader]
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-def build_protocol(
-    name: str,
-    n: int,
-    t: int = 0,
-    k: int = 1,
-    adversary: Optional[Adversary] = None,
-) -> Protocol:
-    """Instantiate a library protocol by name."""
-    if name == "reliable-broadcast":
-        return ReliableBroadcast(n, t)
-    if name == "bosco-weak-agreement":
-        protocol = BoscoWeakAgreement(n, t)
-        return protocol
-    if name == "hitting-set-consensus":
-        if adversary is None:
-            raise ValueError("hitting-set-consensus needs an adversary")
-        return HittingSetConsensus(n, k, adversary)
-    raise ValueError(
-        f"unknown protocol {name!r}; expected one of {PROTOCOL_NAMES}"
-    )
-
-
-__all__: Tuple[str, ...] = (
-    "PROTOCOL_NAMES",
-    "BoscoWeakAgreement",
-    "HittingSetConsensus",
-    "Protocol",
-    "ReliableBroadcast",
-    "build_protocol",
-)

@@ -1,18 +1,16 @@
-"""The differential oracle: executable protocols versus FACT verdicts.
+"""The differential oracle: hitting-set k-set consensus versus FACT.
 
-For one (task, adversary) pair the oracle runs both sides:
+For one (adversary, k) pair the oracle runs both sides:
 
-* **reference verdict** — for crash cases, a genuine FACT decision:
-  build ``R_A`` from the adversary's agreement function and search for
-  a chromatic simplicial map to the k-set-consensus output complex
-  (:mod:`repro.solver`); for Byzantine cases, the classic resilience
-  regime ``n > 3t`` (the Mendes–Tasson–Herlihy quarantine reduction
-  collapses Byzantine solvability of these tasks to that bound);
-* **simulator verdict** — explore schedules of the matching library
-  protocol under fault plans generated from the adversary: targeted
-  plans (live-set sweep / strategy sweep) and targeted schedules
-  (eager, split-brain isolation) first, then seeded random schedules.
-  ``pass`` means no explored schedule violated the protocol spec.
+* **reference verdict** — a genuine FACT decision: build ``R_A`` from
+  the adversary's agreement function and search for a chromatic
+  simplicial map to the k-set-consensus output complex
+  (:mod:`repro.solver`);
+* **simulator verdict** — explore schedules of hitting-set k-set
+  consensus under crash plans generated from the adversary: targeted
+  plans (the live-set sweep) and targeted schedules (eager, split-brain
+  isolation) first, then seeded random schedules.  ``pass`` means no
+  explored schedule violated the protocol spec.
 
 Agreement means: FACT says solvable ⇔ the simulator found no
 violation.  On the *solvable* side a violating schedule is a genuine
@@ -25,7 +23,7 @@ and must reproduce the same decisions and violations.
 
 Exploration scope per case is intentionally bounded (a handful of
 plans x a handful of schedules); :data:`STANDARD_GRID` pins the
-committed (task, adversary) pairs CI re-checks on every change.
+committed (adversary, k) pairs CI re-checks on every change.
 """
 
 from __future__ import annotations
@@ -40,14 +38,8 @@ from ..adversaries.catalogue import catalogue_by_name
 from ..core.ra import r_affine
 from ..solver.api import SolveRequest, run_request
 from ..tasks.set_consensus import set_consensus_task
-from .faults import (
-    FaultPlan,
-    byzantine_emissions,
-    byzantine_plans,
-    byzantine_regime_ok,
-    crash_plans_from_adversary,
-)
-from .library import Inputs, Protocol, build_protocol
+from .faults import FaultPlan, crash_plans_from_adversary
+from .library import HittingSetConsensus, Inputs
 from .runtime import (
     Chooser,
     ReplayChooser,
@@ -61,7 +53,7 @@ from .runtime import (
 )
 
 #: Version tag of the replayable-artifact format.
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 #: Node budget for the FACT reference queries (grid-sized instances).
 FACT_BUDGET = 200_000
@@ -71,26 +63,16 @@ FACT_BUDGET = 200_000
 # One simulated run
 # ----------------------------------------------------------------------
 def _run_once(
-    protocol: Protocol,
+    protocol: HittingSetConsensus,
     plan: FaultPlan,
     inputs: Inputs,
     chooser: Chooser,
 ) -> SimRun:
-    injected: List[Tuple[int, int, str, int, Any]] = []
-    domain = protocol.domain(inputs)
-    for pid, strategy in plan.byzantine:
-        injected.extend(
-            byzantine_emissions(
-                pid, strategy, protocol.slots(pid), domain, protocol.n
-            )
-        )
     runtime = Runtime(
         protocol.n,
-        protocol.factories(inputs, plan),
+        protocol.factories(inputs),
         message_allowance=plan.allowances(),
         omission=frozenset(plan.omission),
-        byzantine=plan.byzantine_pids,
-        injected=sorted(injected),
     )
     return runtime.run(chooser)
 
@@ -118,7 +100,7 @@ def _choosers(
 # Exploration and reports
 # ----------------------------------------------------------------------
 def explore(
-    protocol: Protocol,
+    protocol: HittingSetConsensus,
     plans: Sequence[FaultPlan],
     schedules: int,
     seed: int,
@@ -146,9 +128,8 @@ def explore(
                         protocol, plan, inputs, label, run, found
                     )
     return {
-        "protocol": protocol.name,
         "n": protocol.n,
-        "t": protocol.t,
+        "k": protocol.k,
         "plans": len(plans),
         "schedules": runs,
         "deliveries": deliveries,
@@ -160,7 +141,7 @@ def explore(
 
 
 def _artifact(
-    protocol: Protocol,
+    protocol: HittingSetConsensus,
     plan: FaultPlan,
     inputs: Inputs,
     chooser_label: str,
@@ -168,17 +149,12 @@ def _artifact(
     violations: List[str],
 ) -> Dict[str, Any]:
     """The replayable schedule artifact for one violating run."""
-    adversary = getattr(protocol, "adversary", None)
     return {
         "version": ARTIFACT_VERSION,
-        "protocol": protocol.name,
         "n": protocol.n,
-        "t": protocol.t,
-        "k": getattr(protocol, "k", 1),
-        "adversary": (
-            sorted(sorted(live) for live in adversary.live_sets)
-            if adversary is not None
-            else None
+        "k": protocol.k,
+        "adversary": sorted(
+            sorted(live) for live in protocol.adversary.live_sets
         ),
         "plan": plan.to_json(),
         "inputs": {str(pid): value for pid, value in inputs.items()},
@@ -197,26 +173,17 @@ def replay(artifact: Dict[str, Any]) -> Dict[str, Any]:
 
     Raises :class:`repro.sim.runtime.ReplayError` when the recorded
     events no longer form a valid schedule (the loud signal that the
-    runtime or a protocol changed semantics under a committed artifact).
+    runtime or the protocol changed semantics under a committed
+    artifact).
     """
     if artifact.get("version") != ARTIFACT_VERSION:
         raise ValueError(
             f"unsupported artifact version {artifact.get('version')!r}"
         )
-    adversary = (
-        from_live_sets(
-            artifact["n"], [set(live) for live in artifact["adversary"]]
-        )
-        if artifact.get("adversary") is not None
-        else None
+    adversary = from_live_sets(
+        artifact["n"], [set(live) for live in artifact["adversary"]]
     )
-    protocol = build_protocol(
-        artifact["protocol"],
-        artifact["n"],
-        t=artifact["t"],
-        k=artifact.get("k", 1),
-        adversary=adversary,
-    )
+    protocol = HittingSetConsensus(adversary, artifact["k"])
     plan = FaultPlan.from_json(artifact["plan"])
     inputs = {int(pid): value for pid, value in artifact["inputs"].items()}
     chooser = ReplayChooser(events_from_trace(artifact["events"]))
@@ -245,62 +212,27 @@ def load_artifact(path: str) -> Dict[str, Any]:
 # Parameterized entry points (the engine job kinds call these)
 # ----------------------------------------------------------------------
 def simulate_params(
-    protocol_name: str,
-    adversary: Optional[Adversary],
-    n: int,
-    t: int,
-    k: int,
-    schedules: int,
-    seed: int,
+    adversary: Adversary, k: int, schedules: int, seed: int
 ) -> Dict[str, Any]:
-    """Explore one protocol instance; the ``simulate`` job kind."""
-    protocol = build_protocol(
-        protocol_name, n, t=t, k=k, adversary=adversary
-    )
-    if protocol.model == "crash":
-        if adversary is None:
-            raise ValueError(f"{protocol_name} requires an adversary")
-        plans = crash_plans_from_adversary(adversary, seed)
-    else:
-        plans = [FaultPlan(n=n, note="fault-free")] + byzantine_plans(
-            n, t, seed
-        )
-    report = explore(protocol, plans, schedules, seed)
-    report["k"] = k
-    return report
+    """Explore hitting-set k-set consensus; the ``simulate`` job kind."""
+    protocol = HittingSetConsensus(adversary, k)
+    plans = crash_plans_from_adversary(adversary, seed)
+    return explore(protocol, plans, schedules, seed)
 
 
 def oracle_params(
-    protocol_name: str,
-    adversary: Optional[Adversary],
-    n: int,
-    t: int,
-    k: int,
-    schedules: int,
-    seed: int,
+    adversary: Adversary, k: int, schedules: int, seed: int
 ) -> Dict[str, Any]:
     """Differential check for one pair; the ``oracle`` job kind."""
-    if protocol_name == "hitting-set-consensus":
-        if adversary is None:
-            raise ValueError("crash-model oracle requires an adversary")
-        alpha = agreement_function_of(adversary)
-        affine = r_affine(alpha)
-        result = run_request(
-            SolveRequest(
-                affine=affine,
-                task=set_consensus_task(n, k),
-                budget=FACT_BUDGET,
-            )
+    result = run_request(
+        SolveRequest(
+            affine=r_affine(agreement_function_of(adversary)),
+            task=set_consensus_task(adversary.n, k),
+            budget=FACT_BUDGET,
         )
-        reference = {"method": "fact", "solvable": result.solvable}
-    else:
-        reference = {
-            "method": "regime",
-            "solvable": byzantine_regime_ok(n, t),
-        }
-    report = simulate_params(
-        protocol_name, adversary, n, t, k, schedules, seed
     )
+    reference = {"method": "fact", "solvable": result.solvable}
+    report = simulate_params(adversary, k, schedules, seed)
     agree = bool(reference["solvable"]) == bool(report["pass"])
     return {
         "reference": reference,
@@ -315,28 +247,17 @@ def oracle_params(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class OracleCase:
-    """One committed (task, adversary) differential-oracle pair."""
+    """One committed (adversary, k) differential-oracle pair."""
 
     name: str
-    protocol: str
-    n: int
-    t: int
+    adversary: Adversary
     k: int
-    adversary: Optional[Adversary]
     schedules: int = 4
     seed: int = 7
 
     def payload(self) -> Tuple:
         """The engine job payload (content-addressed cache identity)."""
-        return (
-            self.protocol,
-            self.adversary,
-            self.n,
-            self.t,
-            self.k,
-            self.schedules,
-            self.seed,
-        )
+        return (self.adversary, self.k, self.schedules, self.seed)
 
 
 def _solo_leader(n: int = 3) -> Adversary:
@@ -350,52 +271,23 @@ def _duo_leaders(n: int = 3) -> Adversary:
 
 
 def standard_grid() -> List[OracleCase]:
-    """The committed pairs: crash cases decided by FACT, Byzantine
-    cases decided by the ``n > 3t`` regime — both solvable and
-    unsolvable on each side."""
+    """The committed pairs, FACT-solvable and FACT-unsolvable alike."""
     zoo = catalogue_by_name(3)
-    cases: List[OracleCase] = []
-
-    def crash(name: str, adversary: Adversary, k: int) -> None:
-        cases.append(
-            OracleCase(
-                name=name,
-                protocol="hitting-set-consensus",
-                n=3,
-                t=0,
-                k=k,
-                adversary=adversary,
-            )
-        )
-
     # wait-free k=2 is deliberately absent: its FACT impossibility
     # search is orders of magnitude beyond every other grid query (the
     # hard 2-set-consensus impossibility), and the duo-leaders pair
     # covers the same setcon=2 verdict shape cheaply.
-    crash("ksc-wait-free-k1", zoo["wait-free"], 1)
-    crash("ksc-wait-free-k3", zoo["wait-free"], 3)
-    crash("ksc-1-resilient-k1", zoo["1-resilient"], 1)
-    crash("ksc-1-resilient-k2", zoo["1-resilient"], 2)
-    crash("ksc-figure-5b-k1", zoo["figure-5b"], 1)
-    crash("ksc-figure-5b-k2", zoo["figure-5b"], 2)
-    crash("ksc-solo-leader-k1", _solo_leader(), 1)
-    crash("ksc-duo-leaders-k1", _duo_leaders(), 1)
-    crash("ksc-duo-leaders-k2", _duo_leaders(), 2)
-
-    def byz(name: str, protocol: str, n: int, t: int) -> None:
-        cases.append(
-            OracleCase(
-                name=name, protocol=protocol, n=n, t=t, k=1, adversary=None
-            )
-        )
-
-    byz("rbcast-n4-t1", "reliable-broadcast", 4, 1)
-    byz("rbcast-n5-t1", "reliable-broadcast", 5, 1)
-    byz("rbcast-n3-t1", "reliable-broadcast", 3, 1)
-    byz("wba-n4-t1", "bosco-weak-agreement", 4, 1)
-    byz("wba-n7-t2", "bosco-weak-agreement", 7, 2)
-    byz("wba-n3-t1", "bosco-weak-agreement", 3, 1)
-    return cases
+    return [
+        OracleCase("ksc-wait-free-k1", zoo["wait-free"], 1),
+        OracleCase("ksc-wait-free-k3", zoo["wait-free"], 3),
+        OracleCase("ksc-1-resilient-k1", zoo["1-resilient"], 1),
+        OracleCase("ksc-1-resilient-k2", zoo["1-resilient"], 2),
+        OracleCase("ksc-figure-5b-k1", zoo["figure-5b"], 1),
+        OracleCase("ksc-figure-5b-k2", zoo["figure-5b"], 2),
+        OracleCase("ksc-solo-leader-k1", _solo_leader(), 1),
+        OracleCase("ksc-duo-leaders-k1", _duo_leaders(), 1),
+        OracleCase("ksc-duo-leaders-k2", _duo_leaders(), 2),
+    ]
 
 
 STANDARD_GRID: Tuple[OracleCase, ...] = tuple(standard_grid())

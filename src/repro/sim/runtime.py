@@ -1,13 +1,12 @@
 """Guard-based message-passing round runtime.
 
-Processes are generator-based state machines in the style of the Bosco
-and asynchronous-Byzantine-agreement specs the repository tracks as
-exemplars: a process *broadcasts* round-tagged messages and *blocks on
-guards* — quorum predicates over its received-message bag (echo/ready
-thresholds, ``n - t`` quorums).  The scheduler is the adversary: every
-message delivery and every process activation is one *event*, and a
-chooser (seeded random, deterministic exploration policy, or a replayed
-trace) picks the next enabled event until the run is quiescent.
+Processes are generator-based state machines: a process *broadcasts*
+round-tagged messages and *blocks on guards* — threshold predicates
+over its received-message bag ("a proposal from the hitting set").
+The scheduler is the adversary: every message delivery and every
+process activation is one *event*, and a chooser (seeded random,
+deterministic exploration policy, or a replayed trace) picks the next
+enabled event until the run is quiescent.
 
 Yielded operations:
 
@@ -20,11 +19,10 @@ Yielded operations:
 A process finishes by returning its decision.  Crashes are budgeted in
 *messages*: a crash-faulty process stops mid-broadcast once its
 allowance is exhausted, so partial broadcasts (the classic crash
-anomaly) arise naturally.  Byzantine processes never execute protocol
-code — their scripted emissions are injected as ordinary pending
-messages, and receivers keep the **first** value per ``(slot, sender)``
-(input quarantine), so equivocation to the *same* receiver is inert
-while equivocation across receivers is the attack surface.
+anomaly) arise naturally.  Omission-faulty processes send droppable
+messages.  Receivers keep the **first** value per ``(slot, sender)``,
+so a process that sends twice into one slot cannot overwrite what a
+receiver already holds.
 
 Every chosen event is recorded; the event list *is* the schedule, and
 :func:`ReplayChooser` re-executes it step for step — this is the
@@ -84,52 +82,23 @@ class ReplayError(SimError):
 # Guards
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class Guard:
-    """Base guard; subclasses define :meth:`satisfied`."""
-
-    def satisfied(self, bag: Bag) -> bool:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ThresholdGuard(Guard):
-    """At least ``count`` messages in ``slot``.
-
-    ``matching=True`` counts the largest same-value cohort instead of
-    all distinct senders (echo/ready thresholds); ``senders`` restricts
+class ThresholdGuard:
+    """At least ``count`` messages in ``slot``; ``senders`` restricts
     which senders count at all (e.g. "a proposal from the hitting set").
     """
 
     slot: Slot
     count: int
-    matching: bool = False
     senders: Optional[FrozenSet[int]] = None
 
     def satisfied(self, bag: Bag) -> bool:
         received = bag.get(self.slot)
         if not received:
             return False
-        items = [
-            (sender, value)
-            for sender, value in received.items()
-            if self.senders is None or sender in self.senders
-        ]
-        if not self.matching:
-            return len(items) >= self.count
-        cohorts: Dict[Any, int] = {}
-        for _sender, value in items:
-            cohorts[value] = cohorts.get(value, 0) + 1
-        return bool(cohorts) and max(cohorts.values()) >= self.count
-
-
-@dataclass(frozen=True)
-class AnyGuard(Guard):
-    """Disjunction: satisfied when any sub-guard is."""
-
-    guards: Tuple[Guard, ...]
-
-    def satisfied(self, bag: Bag) -> bool:
-        return any(guard.satisfied(bag) for guard in self.guards)
+        senders = self.senders
+        if senders is None:
+            return len(received) >= self.count
+        return sum(sender in senders for sender in received) >= self.count
 
 
 # ----------------------------------------------------------------------
@@ -166,10 +135,10 @@ def isolate_chooser(
     order: Sequence[int], quarantined: FrozenSet[int]
 ) -> Chooser:
     """Phase per process in ``order``: feed it only its own messages and
-    those of ``quarantined`` senders (Byzantine/faulty), run it, move
-    on.  This is the classic split-brain schedule — it deterministically
-    exposes equivocation-based disagreement where random exploration
-    needs luck.
+    those of ``quarantined`` (faulty) senders, run it, move on.  This is
+    the classic split-brain schedule — each process decides on the least
+    information it can be starved to, which deterministically exposes
+    disagreement where random exploration needs luck.
     """
     order = list(order)
     rank = {pid: index for index, pid in enumerate(order)}
@@ -231,15 +200,12 @@ class SimRun:
     deliveries: int
     rounds_started: int
 
-    def quiescent_and_decided(self, correct: FrozenSet[int]) -> bool:
-        return all(pid in self.decisions for pid in correct)
-
 
 @dataclass
 class _ProcessState:
     generator: Generator
     started: bool = False
-    blocked_on: Optional[Guard] = None
+    blocked_on: Optional[ThresholdGuard] = None
     decided: bool = False
     crashed: bool = False
     #: Deliveries observed while blocked (guard-wait accounting).
@@ -265,10 +231,10 @@ ProcessFactory = Callable[[int], Generator]
 class Runtime:
     """Drives one execution of a guard-based protocol.
 
-    ``factories`` maps each *executing* pid to its generator factory —
-    Byzantine pids are absent (their traffic arrives via
-    ``injected``), and crash allowances bound how many point-to-point
-    messages each pid may emit (``None`` = unbounded).
+    ``factories`` maps each pid to its generator factory; crash
+    allowances bound how many point-to-point messages each pid may emit
+    (``None`` = unbounded), and ``omission`` pids send droppable
+    messages.
     """
 
     def __init__(
@@ -278,11 +244,8 @@ class Runtime:
         *,
         message_allowance: Optional[Dict[int, int]] = None,
         omission: FrozenSet[int] = frozenset(),
-        byzantine: FrozenSet[int] = frozenset(),
-        injected: Sequence[Tuple[int, int, str, int, Any]] = (),
     ):
         self.n = n
-        self.byzantine = byzantine
         self.omission = omission
         self.allowance: Dict[int, Optional[int]] = {
             pid: (message_allowance or {}).get(pid) for pid in factories
@@ -293,14 +256,6 @@ class Runtime:
         }
         self.inbox: Dict[int, Bag] = {pid: {} for pid in self.states}
         self.pending: List[_Pending] = []
-        # Byzantine scripts: (receiver, round, tag, sender, value),
-        # already in deterministic order; droppable (= the adversary may
-        # simply "not have sent" them).
-        for receiver, rnd, tag, sender, value in injected:
-            if receiver in self.states:
-                self.pending.append(
-                    _Pending(receiver, rnd, tag, sender, value, True)
-                )
         self.decisions: Dict[int, Any] = {}
         self.events: List[Event] = []
         self.deliveries = 0
@@ -354,7 +309,8 @@ class Runtime:
         bag = self.inbox[pending.receiver]
         slot = (pending.round, pending.tag)
         senders = bag.setdefault(slot, {})
-        # Input quarantine: the first value per (slot, sender) wins.
+        # The first value per (slot, sender) wins: a later send into the
+        # same slot never overwrites what the receiver already holds.
         if pending.sender not in senders:
             senders[pending.sender] = pending.value
         state = self.states[pending.receiver]

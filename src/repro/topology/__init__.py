@@ -5,6 +5,10 @@ Herlihy–Shavit style computability theory used by the paper:
 simplicial and chromatic complexes, the standard chromatic subdivision
 ``Chr`` and its iterations, carriers, simplicial/carrier maps, geometric
 realizations and (link-)connectivity analysis.
+
+The numeric submodules — :mod:`~repro.topology.geometry` (numpy) and
+:mod:`~repro.topology.connectivity` (numpy, networkx) — are imported by
+their callers directly, so ``import repro`` loads neither library.
 """
 
 from .simplex import (
@@ -66,26 +70,6 @@ from .constructions import (
     sphere,
     suspension,
 )
-from .geometry import (
-    barycentric_in_carrier,
-    base_coordinates,
-    facet_volumes,
-    realize_complex,
-    realize_vertex,
-    simplex_volume,
-    subdivision_volume_check,
-)
-from .connectivity import (
-    betti_numbers,
-    boundary_matrix,
-    connected_components,
-    euler_characteristic,
-    homology_summary,
-    is_connected,
-    is_link_connected,
-    one_skeleton_graph,
-)
-
 __all__ = [
     "EMPTY_SIMPLEX",
     "Simplex",
@@ -139,19 +123,4 @@ __all__ = [
     "join",
     "sphere",
     "suspension",
-    "barycentric_in_carrier",
-    "base_coordinates",
-    "facet_volumes",
-    "realize_complex",
-    "realize_vertex",
-    "simplex_volume",
-    "subdivision_volume_check",
-    "betti_numbers",
-    "boundary_matrix",
-    "connected_components",
-    "euler_characteristic",
-    "homology_summary",
-    "is_connected",
-    "is_link_connected",
-    "one_skeleton_graph",
 ]

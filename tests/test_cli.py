@@ -225,13 +225,19 @@ def test_warm_fact_trace_computes_nothing(capsys, tmp_path):
     assert "engine.compute" not in names
 
 
+ONE_RESILIENT = "[[0,1],[0,2],[1,2],[0,1,2]]"
+WAIT_FREE = "[[0],[1],[2],[0,1],[0,2],[1,2],[0,1,2]]"
+
+
 def test_sim_command_pass_and_violation(capsys):
+    # 1-resilient 2-set consensus is solvable; wait-free consensus is
+    # not, and hitting-set consensus deadlocks under some live set.
     assert (
         main(
             [
                 "sim",
-                "reliable-broadcast",
-                "--n", "4", "--t", "1",
+                ONE_RESILIENT,
+                "--k", "2",
                 "--schedules", "2",
                 "--no-cache",
             ]
@@ -244,8 +250,8 @@ def test_sim_command_pass_and_violation(capsys):
         main(
             [
                 "sim",
-                "bosco-weak-agreement",
-                "--n", "3", "--t", "1",
+                WAIT_FREE,
+                "--k", "1",
                 "--schedules", "2",
                 "--no-cache",
             ]
@@ -254,7 +260,7 @@ def test_sim_command_pass_and_violation(capsys):
     )
     out = capsys.readouterr().out
     assert "verdict: VIOLATION" in out
-    assert "violation: agreement" in out
+    assert "violation: liveness" in out
 
 
 def test_sim_command_json_report(capsys):
@@ -264,7 +270,6 @@ def test_sim_command_json_report(capsys):
         main(
             [
                 "sim",
-                "hitting-set-consensus",
                 "[[0],[0,1],[0,2],[0,1,2]]",
                 "--k", "1",
                 "--schedules", "2",
@@ -281,10 +286,13 @@ def test_sim_command_json_report(capsys):
 def test_oracle_command_list_and_named_cases(capsys):
     assert main(["oracle", "--list", "--no-cache"]) == 0
     listing = capsys.readouterr().out
-    assert "ksc-wait-free-k1" in listing and "wba-n7-t2" in listing
+    assert "ksc-wait-free-k1" in listing and "ksc-duo-leaders-k2" in listing
 
     assert (
-        main(["oracle", "wba-n4-t1", "rbcast-n3-t1", "--no-cache"]) == 0
+        main(
+            ["oracle", "ksc-figure-5b-k2", "ksc-wait-free-k1", "--no-cache"]
+        )
+        == 0
     )
     out = capsys.readouterr().out
     assert "agree" in out and "DISAGREE" not in out
@@ -302,8 +310,8 @@ def test_sim_artifact_then_oracle_replay(capsys, tmp_path):
         main(
             [
                 "sim",
-                "bosco-weak-agreement",
-                "--n", "3", "--t", "1",
+                WAIT_FREE,
+                "--k", "1",
                 "--schedules", "2",
                 "--no-cache",
                 "--artifact", str(artifact),
@@ -327,8 +335,8 @@ def test_query_simulate_against_a_live_service(capsys):
             main(
                 [
                     "query", "simulate",
-                    "--protocol", "bosco-weak-agreement",
-                    "--n", "4", "--t", "1",
+                    ONE_RESILIENT,
+                    "--k", "2",
                     "--schedules", "2",
                     "--port", port,
                 ]
@@ -341,7 +349,6 @@ def test_query_simulate_against_a_live_service(capsys):
                 [
                     "query", "oracle",
                     "[[0],[0,1],[0,2],[0,1,2]]",
-                    "--protocol", "hitting-set-consensus",
                     "--k", "1",
                     "--schedules", "2",
                     "--port", port,

@@ -31,6 +31,7 @@ KEYED_DOCS = (
     "sweep.md",
     "service.md",
     "observability.md",
+    "simulator.md",
 )
 
 

@@ -214,20 +214,16 @@ def test_text_tier_hits_are_byte_identical_to_an_in_process_engine(
 
 
 def test_simulate_and_oracle_helpers(client):
+    from repro.adversaries.catalogue import catalogue_by_name
     from repro.sim import oracle_params, simulate_params
 
-    report = client.simulate(
-        "bosco-weak-agreement", n=4, t=1, schedules=2
-    )
-    assert report == simulate_params(
-        "bosco-weak-agreement", None, 4, 1, 1, 2, 7
-    )
+    adversary = catalogue_by_name(3)["1-resilient"]
+    report = client.query("simulate", (adversary, 2, 2, 7))
+    assert report == simulate_params(adversary, 2, 2, 7)
     assert report["pass"]
 
-    verdict = client.oracle("reliable-broadcast", n=3, t=1, schedules=2)
-    assert verdict == oracle_params(
-        "reliable-broadcast", None, 3, 1, 1, 2, 7
-    )
+    verdict = client.query("oracle", (adversary, 1, 2, 7))
+    assert verdict == oracle_params(adversary, 1, 2, 7)
     assert verdict["agree"] and not verdict["reference"]["solvable"]
 
 

@@ -1,4 +1,4 @@
-"""Tests for the repro.sim runtime, fault plans, and protocol library."""
+"""Tests for the repro.sim runtime, fault plans, and hitting-set protocol."""
 
 import json
 
@@ -13,18 +13,12 @@ from repro.protocols.commit_adopt import (
 from repro.protocols.safe_agreement import propose_then_read
 from repro.runtime.scheduler import ExecutionPlan, run_plan
 from repro.sim import (
-    AnyGuard,
-    BoscoWeakAgreement,
     FaultPlan,
     HittingSetConsensus,
-    ReliableBroadcast,
     ReplayChooser,
     ReplayError,
     Runtime,
     ThresholdGuard,
-    byzantine_emissions,
-    byzantine_plans,
-    byzantine_regime_ok,
     crash_plans_from_adversary,
     eager_chooser,
     events_from_trace,
@@ -45,27 +39,10 @@ def test_threshold_guard_counts_distinct_senders():
     assert guard.satisfied({(0, "echo"): {1: "a", 2: "b"}})
 
 
-def test_threshold_guard_matching_counts_same_value_cohort():
-    guard = ThresholdGuard((0, "echo"), 2, matching=True)
-    assert not guard.satisfied({(0, "echo"): {1: "a", 2: "b"}})
-    assert guard.satisfied({(0, "echo"): {1: "a", 2: "b", 3: "a"}})
-
-
 def test_threshold_guard_senders_filter():
     guard = ThresholdGuard((0, "prop"), 1, senders=frozenset({0, 1}))
     assert not guard.satisfied({(0, "prop"): {2: "x"}})
     assert guard.satisfied({(0, "prop"): {1: "x"}})
-
-
-def test_any_guard_is_a_disjunction():
-    guard = AnyGuard(
-        (
-            ThresholdGuard((0, "a"), 1),
-            ThresholdGuard((0, "b"), 1),
-        )
-    )
-    assert guard.satisfied({(0, "b"): {0: "x"}})
-    assert not guard.satisfied({(1, "a"): {0: "x"}})
 
 
 # ----------------------------------------------------------------------
@@ -123,18 +100,18 @@ def test_allowance_zero_is_a_silent_crash():
 
 
 def test_input_quarantine_first_value_wins():
+    # A process that broadcasts twice into one slot: the receiver keeps
+    # the first value it was delivered, the second is inert.
     def process(pid, n):
+        yield ("broadcast", 0, "x", "first")
+        yield ("broadcast", 0, "x", "second")
         bag = yield ("await", ThresholdGuard((0, "x"), 1))
-        return bag[(0, "x")][9]
+        return bag[(0, "x")][0]
 
-    runtime = Runtime(
-        1,
-        {0: lambda _pid: process(0, 1)},
-        byzantine=frozenset({9}),
-        injected=[(0, 0, "x", 9, "first"), (0, 0, "x", 9, "second")],
-    )
+    runtime = Runtime(1, {0: lambda _pid: process(0, 1)})
     run = runtime.run(eager_chooser())
     assert run.decisions[0] == "first"
+    assert run.deliveries == 2
 
 
 def test_omission_messages_are_droppable():
@@ -211,21 +188,23 @@ def test_replay_rejects_a_tampered_trace():
 
 
 def test_isolate_chooser_feeds_quarantined_senders_first():
-    # Two correct processes, one Byzantine equivocator: the isolate
-    # schedule runs 0 on the Byzantine value before any honest traffic.
+    # Two correct processes and one crash-faulty sender whose broadcast
+    # reaches 0 and 1 before it crashes.  The isolate schedule runs the
+    # faulty sender first, then feeds each correct process its own value
+    # and the faulty one's: neither sees the other correct process.
     def process(pid, n):
-        bag = yield ("await", ThresholdGuard((0, "x"), 1))
-        return sorted(bag[(0, "x")].items())
+        yield ("broadcast", 0, "x", pid)
+        bag = yield ("await", ThresholdGuard((0, "x"), 2))
+        return sorted(bag[(0, "x")])
 
     runtime = Runtime(
-        2,
-        _make_factories(2, process),
-        byzantine=frozenset({9}),
-        injected=[(0, 0, "x", 9, "lie0"), (1, 0, "x", 9, "lie1")],
+        3,
+        _make_factories(3, process),
+        message_allowance={2: 2},
     )
-    run = runtime.run(isolate_chooser([0, 1], frozenset({9})))
-    assert run.decisions[0] == [(9, "lie0")]
-    assert run.decisions[1] == [(9, "lie1")]
+    run = runtime.run(isolate_chooser([2, 0, 1], frozenset({2})))
+    assert run.crashed == [2]
+    assert run.decisions == {0: [0, 2], 1: [1, 2]}
 
 
 # ----------------------------------------------------------------------
@@ -236,31 +215,11 @@ def test_fault_plan_json_round_trip():
         n=4,
         crashes=((3, 2),),
         omission=(1,),
-        byzantine=((0, "equivocate"),),
         note="round-trip",
     )
     assert FaultPlan.from_json(plan.to_json()) == plan
-    assert plan.faulty == {0, 1, 3}
-    assert plan.correct == {2}
-
-
-def test_byzantine_regime_bound():
-    assert byzantine_regime_ok(4, 1)
-    assert byzantine_regime_ok(7, 2)
-    assert not byzantine_regime_ok(3, 1)
-    assert not byzantine_regime_ok(6, 2)
-
-
-def test_byzantine_emissions_strategies():
-    slots = [(0, "prop")]
-    domain = ["a", "b"]
-    assert byzantine_emissions(9, "mute", slots, domain, 2) == []
-    conform = byzantine_emissions(9, "conform", slots, domain, 2)
-    assert [value for *_rest, value in conform] == ["a", "a"]
-    equivocate = byzantine_emissions(9, "equivocate", slots, domain, 2)
-    assert [value for *_rest, value in equivocate] == ["a", "b"]
-    with pytest.raises(ValueError):
-        byzantine_emissions(9, "creative", slots, domain, 2)
+    assert plan.faulty == {1, 3}
+    assert plan.correct == {0, 2}
 
 
 def test_crash_plans_cover_every_live_set():
@@ -274,47 +233,12 @@ def test_crash_plans_cover_every_live_set():
         assert all(allowance == 0 for _pid, allowance in plan.crashes)
 
 
-def test_byzantine_plans_cover_every_strategy():
-    plans = byzantine_plans(4, 1, seed=0)
-    strategies = {strategy for plan in plans for _pid, strategy in plan.byzantine}
-    assert strategies == {"mute", "equivocate", "conform"}
-    assert all(len(plan.byzantine) == 1 for plan in plans)
-    assert byzantine_plans(4, 0, seed=0) == [FaultPlan(n=4, note="fault-free")]
-
-
 # ----------------------------------------------------------------------
-# Protocol library under explore()
+# Hitting-set consensus under explore()
 # ----------------------------------------------------------------------
-def test_reliable_broadcast_safe_above_the_bound():
-    protocol = ReliableBroadcast(4, 1)
-    report = explore(protocol, byzantine_plans(4, 1, seed=0), 3, seed=0)
-    assert report["pass"], report["first_violation"]
-
-
-def test_reliable_broadcast_fails_at_n_equals_3t():
-    protocol = ReliableBroadcast(3, 1)
-    report = explore(protocol, byzantine_plans(3, 1, seed=0), 3, seed=0)
-    assert not report["pass"]
-    assert report["first_violation"] is not None
-
-
-def test_bosco_equivocation_splits_at_n_equals_3t():
-    protocol = BoscoWeakAgreement(3, 1)
-    report = explore(protocol, byzantine_plans(3, 1, seed=0), 3, seed=0)
-    assert not report["pass"]
-    violations = report["first_violation"]["violations"]
-    assert any("agreement" in line for line in violations)
-
-
-def test_bosco_safe_above_the_bound():
-    protocol = BoscoWeakAgreement(4, 1)
-    report = explore(protocol, byzantine_plans(4, 1, seed=0), 3, seed=0)
-    assert report["pass"], report["first_violation"]
-
-
 def test_hitting_set_consensus_solvable_case_passes():
     adversary = catalogue_by_name(3)["1-resilient"]
-    protocol = HittingSetConsensus(3, 2, adversary)
+    protocol = HittingSetConsensus(adversary, 2)
     plans = crash_plans_from_adversary(adversary, seed=0)
     report = explore(protocol, plans, 3, seed=0)
     assert report["pass"], report["first_violation"]
@@ -322,7 +246,7 @@ def test_hitting_set_consensus_solvable_case_passes():
 
 def test_hitting_set_consensus_unsolvable_case_deadlocks():
     adversary = catalogue_by_name(3)["wait-free"]
-    protocol = HittingSetConsensus(3, 1, adversary)
+    protocol = HittingSetConsensus(adversary, 1)
     plans = crash_plans_from_adversary(adversary, seed=0)
     report = explore(protocol, plans, 3, seed=0)
     assert not report["pass"]
@@ -416,7 +340,7 @@ def test_sim_and_shared_memory_agree_on_benign_patterns():
     runtimes agree on which crash patterns are benign."""
     adversary = from_live_sets(3, [{0, 1}, {0, 2}, {0, 1, 2}])
     plans = crash_plans_from_adversary(adversary, seed=0)
-    protocol = HittingSetConsensus(3, 1, adversary)
+    protocol = HittingSetConsensus(adversary, 1)
     report = explore(protocol, plans, 2, seed=0)
     assert report["pass"]
     proposals = {0: "a", 1: "b", 2: "c"}

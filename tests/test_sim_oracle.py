@@ -7,6 +7,7 @@ import pytest
 from repro.adversaries.catalogue import catalogue_by_name
 from repro.engine import Engine, JobSpec
 from repro.sim import (
+    ARTIFACT_VERSION,
     STANDARD_GRID,
     grid_case,
     load_artifact,
@@ -24,11 +25,8 @@ from repro.sim import oracle as oracle_module
 # ----------------------------------------------------------------------
 def test_simulate_params_report_shape():
     adversary = catalogue_by_name(3)["1-resilient"]
-    report = simulate_params(
-        "hitting-set-consensus", adversary, 3, 0, 2, 2, seed=5
-    )
-    assert report["protocol"] == "hitting-set-consensus"
-    assert report["n"] == 3 and report["t"] == 0 and report["k"] == 2
+    report = simulate_params(adversary, 2, 2, seed=5)
+    assert report["n"] == 3 and report["k"] == 2
     assert report["schedules"] > report["plans"] > 0
     assert report["pass"] is True
     assert report["first_violation"] is None
@@ -36,12 +34,8 @@ def test_simulate_params_report_shape():
 
 def test_simulate_params_is_deterministic():
     adversary = catalogue_by_name(3)["figure-5b"]
-    first = simulate_params(
-        "hitting-set-consensus", adversary, 3, 0, 1, 3, seed=11
-    )
-    second = simulate_params(
-        "hitting-set-consensus", adversary, 3, 0, 1, 3, seed=11
-    )
+    first = simulate_params(adversary, 1, 3, seed=11)
+    second = simulate_params(adversary, 1, 3, seed=11)
     assert json.dumps(first, sort_keys=True) == json.dumps(
         second, sort_keys=True
     )
@@ -49,51 +43,41 @@ def test_simulate_params_is_deterministic():
 
 def test_oracle_params_crash_side_agrees_both_ways():
     adversary = catalogue_by_name(3)["1-resilient"]
-    solvable = oracle_params(
-        "hitting-set-consensus", adversary, 3, 0, 2, 2, seed=5
-    )
+    solvable = oracle_params(adversary, 2, 2, seed=5)
     assert solvable["reference"] == {"method": "fact", "solvable": True}
     assert solvable["agree"] and solvable["artifact"] is None
-    unsolvable = oracle_params(
-        "hitting-set-consensus", adversary, 3, 0, 1, 2, seed=5
-    )
+    unsolvable = oracle_params(adversary, 1, 2, seed=5)
     assert unsolvable["reference"]["solvable"] is False
     assert not unsolvable["sim"]["pass"]
     assert unsolvable["agree"]
-
-
-def test_oracle_params_byzantine_side_uses_the_regime():
-    report = oracle_params("bosco-weak-agreement", None, 4, 1, 1, 2, seed=5)
-    assert report["reference"] == {"method": "regime", "solvable": True}
-    assert report["agree"]
 
 
 # ----------------------------------------------------------------------
 # The committed grid
 # ----------------------------------------------------------------------
 def test_standard_grid_spans_both_regimes():
+    """The grid holds both FACT-solvable and FACT-unsolvable cases."""
+    from repro.adversaries import setcon
+
     grid = standard_grid()
-    assert len(grid) >= 12
-    crash = [case for case in grid if case.protocol == "hitting-set-consensus"]
-    byzantine = [case for case in grid if case.t > 0]
-    assert len(crash) >= 4 and len(byzantine) >= 4
-    # Both sides of the t < n/3 bound are represented.
-    assert any(case.n > 3 * case.t for case in byzantine)
-    assert any(case.n <= 3 * case.t for case in byzantine)
+    assert len(grid) == 9
+    solvable = [case for case in grid if setcon(case.adversary) <= case.k]
+    unsolvable = [case for case in grid if setcon(case.adversary) > case.k]
+    assert len(solvable) >= 4 and len(unsolvable) >= 4
     names = [case.name for case in grid]
     assert len(names) == len(set(names))
     assert tuple(grid) == STANDARD_GRID
 
 
 def test_grid_case_lookup_and_error():
-    case = grid_case("rbcast-n4-t1")
-    assert case.protocol == "reliable-broadcast"
+    case = grid_case("ksc-figure-5b-k2")
+    assert case.k == 2 and case.adversary.n == 3
     with pytest.raises(KeyError, match="known cases"):
         grid_case("no-such-case")
 
 
 def test_whole_grid_agrees():
-    """The acceptance gate: every committed (task, adversary) pair
+    """The acceptance gate: every committed (adversary, k) pair
     agrees between the simulator and its reference verdict."""
     for case in standard_grid():
         report = oracle_params(*case.payload())
@@ -110,17 +94,20 @@ def test_whole_grid_agrees():
 def test_doctored_disagreement_emits_a_replayable_artifact(
     tmp_path, monkeypatch
 ):
-    # Doctor the reference: claim n=3, t=1 weak agreement is solvable.
-    # The simulator's equivocation split then *disagrees*, and the
-    # violating schedule must come back as a replayable artifact.
-    monkeypatch.setattr(
-        oracle_module, "byzantine_regime_ok", lambda n, t: True
-    )
-    report = oracle_params("bosco-weak-agreement", None, 3, 1, 1, 2, seed=5)
+    # Doctor the reference: make FACT claim wait-free consensus is
+    # solvable.  The simulator's live-set deadlock then *disagrees*, and
+    # the violating schedule must come back as a replayable artifact.
+    class Solvable:
+        solvable = True
+
+    monkeypatch.setattr(oracle_module, "run_request", lambda request: Solvable)
+    adversary = catalogue_by_name(3)["wait-free"]
+    report = oracle_params(adversary, 1, 2, seed=5)
     assert not report["agree"]
     artifact = report["artifact"]
     assert artifact is not None
-    assert artifact["version"] == 1
+    assert artifact["version"] == ARTIFACT_VERSION == 2
+    assert "protocol" not in artifact and "t" not in artifact
     assert artifact["violations"]
 
     path = tmp_path / "disagreement.json"
@@ -137,13 +124,17 @@ def test_doctored_disagreement_emits_a_replayable_artifact(
 def test_replay_rejects_unknown_versions():
     with pytest.raises(ValueError, match="version"):
         replay({"version": 999})
+    # A version 1 artifact also named a protocol and a fault budget t.
+    adversary = catalogue_by_name(3)["wait-free"]
+    artifact = dict(simulate_params(adversary, 1, 2, seed=5)["first_violation"])
+    artifact.update(version=1, protocol="hitting-set-consensus", t=0)
+    with pytest.raises(ValueError, match="unsupported artifact version 1"):
+        replay(artifact)
 
 
 def test_crash_side_artifact_replays(tmp_path):
     adversary = catalogue_by_name(3)["wait-free"]
-    report = simulate_params(
-        "hitting-set-consensus", adversary, 3, 0, 1, 2, seed=5
-    )
+    report = simulate_params(adversary, 1, 2, seed=5)
     artifact = report["first_violation"]
     assert artifact is not None
     assert artifact["adversary"] is not None
@@ -159,21 +150,17 @@ def test_engine_simulate_is_cached(tmp_path):
 
     adversary = catalogue_by_name(3)["1-resilient"]
     engine = Engine(cache=ArtifactCache(tmp_path))
-    first = engine.simulate(
-        "hitting-set-consensus", adversary, n=3, k=2, schedules=2
-    )
+    first = engine.simulate(adversary, k=2, schedules=2)
     assert first["pass"]
     again = Engine(cache=ArtifactCache(tmp_path))
-    spec = JobSpec(
-        "simulate", ("hitting-set-consensus", adversary, 3, 0, 2, 2, 7)
-    )
+    spec = JobSpec("simulate", (adversary, 2, 2, 7))
     (result,) = again.run_jobs([spec])
     assert result.cache_hit
     assert result.value == first
 
 
 def test_engine_oracle_many_matches_direct_calls():
-    cases = [grid_case("wba-n4-t1"), grid_case("rbcast-n3-t1")]
+    cases = [grid_case("ksc-figure-5b-k2"), grid_case("ksc-wait-free-k1")]
     engine = Engine()
     reports = engine.oracle_many([case.payload() for case in cases])
     for case, report in zip(cases, reports):
@@ -181,15 +168,19 @@ def test_engine_oracle_many_matches_direct_calls():
 
 
 def test_engine_simulate_many():
+    # A batch of simulate jobs through one engine call.
     engine = Engine()
-    cases = [grid_case("wba-n4-t1"), grid_case("wba-n3-t1")]
-    reports = engine.simulate_many(case.payload() for case in cases)
-    assert reports[0]["pass"] and not reports[1]["pass"]
+    cases = [grid_case("ksc-figure-5b-k2"), grid_case("ksc-wait-free-k1")]
+    results = engine.run_jobs(
+        [JobSpec("simulate", case.payload()) for case in cases]
+    )
+    assert all(result.ok for result in results)
+    assert results[0].value["pass"] and not results[1].value["pass"]
 
 
 def test_simulate_payload_serialization_round_trips():
     from repro.engine import deserialize, serialize
 
     adversary = catalogue_by_name(3)["figure-5b"]
-    payload = ("hitting-set-consensus", adversary, 3, 0, 1, 2, 7)
+    payload = (adversary, 1, 2, 7)
     assert deserialize(json.loads(json.dumps(serialize(payload)))) == payload
