@@ -20,9 +20,14 @@ compilation) happens once per pair instead of once per query, plus the
 bit-probe consistency test.  Cold, the kernel roughly breaks even
 (setup dominates both engines); warm, the search itself is the only
 cost and the speedup is large.  Both numbers land in
-``BENCH_solver.json``, as measured, along with the opt-in fc kernel's
-figures.  Every query is parity-checked against the oracle (maps *and*
-node counts) before any number is recorded.
+``BENCH_solver.json``, as measured.  Every query is parity-checked
+against the oracle (maps *and* node counts) before any number is
+recorded.
+
+The three stages of one query run back to back in each of ``ROUNDS``
+rounds, and each stage keeps its minimum over the rounds: a slow spell
+of the machine lands on all three stages of a round instead of on
+whichever stage happened to be timed during it.
 """
 
 from __future__ import annotations
@@ -40,14 +45,14 @@ from repro.adversaries import (
 )
 from repro.analysis import render_mapping
 from repro.core import full_affine_task, r_affine
-from repro.solver import BitsetKernel, ForwardCheckingKernel
+from repro.solver import BitsetKernel
 from repro.tasks.set_consensus import set_consensus_task
 from repro.tasks.solvability import MapSearch
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_solver.json"
 
-ROUNDS = 3
+ROUNDS = 5
 
 
 def _grid():
@@ -74,77 +79,61 @@ def _strip_setup(affine, task) -> None:
         del affine._search_structure
 
 
-def _best_of(rounds, stage):
-    """Best-of-N wall time (and the last value, for parity checks)."""
-    best = float("inf")
-    value = None
-    for _ in range(rounds):
-        started = time.perf_counter()
-        value = stage()
-        best = min(best, time.perf_counter() - started)
-    return value, best
+def _timed(stage):
+    started = time.perf_counter()
+    value = stage()
+    return value, time.perf_counter() - started
+
+
+def _stages(affine, task):
+    """The three solves of one query, in the order a round runs them.
+
+    Cold strips the set-up that legacy's run leaves behind and builds
+    it again; warm then reuses what cold built.
+    """
+
+    def legacy():
+        _strip_setup(affine, task)
+        search = MapSearch(affine, task)
+        return search.search(), search.nodes_explored
+
+    def cold():
+        _strip_setup(affine, task)
+        kernel = BitsetKernel(affine, task)
+        return kernel.search(), kernel.nodes_explored
+
+    def warm():
+        kernel = BitsetKernel(affine, task)
+        return kernel.search(), kernel.nodes_explored
+
+    return {"legacy": legacy, "cold": cold, "warm": warm}
 
 
 def bench_solver():
     grid = _grid()
-
-    # -- legacy oracle: setup + search paid on every query -------------
-    legacy_maps, legacy_nodes, legacy_times = [], [], []
+    best = {"legacy": [], "cold": [], "warm": []}
+    legacy_maps, legacy_nodes = [], []
     for affine, task in grid:
-        def run_legacy():
-            _strip_setup(affine, task)
-            search = MapSearch(affine, task)
-            mapping = search.search()
-            return mapping, search.nodes_explored
-
-        (mapping, nodes), elapsed = _best_of(ROUNDS, run_legacy)
+        stages = _stages(affine, task)
+        times = {name: float("inf") for name in stages}
+        for _ in range(ROUNDS):
+            values = {}
+            for name, stage in stages.items():
+                values[name], elapsed = _timed(stage)
+                times[name] = min(times[name], elapsed)
+            # Tree identity: same map and node count on every stage.
+            assert values["cold"] == values["legacy"], affine.name
+            assert values["warm"] == values["legacy"], affine.name
+        mapping, nodes = values["legacy"]
         legacy_maps.append(mapping)
         legacy_nodes.append(nodes)
-        legacy_times.append(elapsed)
-
-    # -- bitset, cold: interning paid inside the measurement -----------
-    cold_times = []
-    for affine, task in grid:
-        def run_cold():
-            _strip_setup(affine, task)
-            kernel = BitsetKernel(affine, task)
-            return kernel.search(), kernel.nodes_explored
-
-        (mapping, nodes), elapsed = _best_of(ROUNDS, run_cold)
-        cold_times.append(elapsed)
-        index = len(cold_times) - 1
-        assert mapping == legacy_maps[index], grid[index][0].name
-        assert nodes == legacy_nodes[index], grid[index][0].name
-
-    # -- bitset, warm: the steady state of every real consumer ---------
-    warm_times = []
-    for index, (affine, task) in enumerate(grid):
-        BitsetKernel(affine, task).search()  # prime the setup cache
-
-        def run_warm():
-            kernel = BitsetKernel(affine, task)
-            return kernel.search(), kernel.nodes_explored
-
-        (mapping, nodes), elapsed = _best_of(ROUNDS, run_warm)
-        warm_times.append(elapsed)
-        assert mapping == legacy_maps[index], affine.name
-        assert nodes == legacy_nodes[index], affine.name
-
-    # -- fc, warm: verdict/map parity, its own node counts -------------
-    fc_times, fc_nodes = [], []
-    for index, (affine, task) in enumerate(grid):
-        def run_fc():
-            kernel = ForwardCheckingKernel(affine, task)
-            return kernel.search(), kernel.nodes_explored
-
-        (mapping, nodes), elapsed = _best_of(ROUNDS, run_fc)
-        fc_times.append(elapsed)
-        fc_nodes.append(nodes)
-        assert mapping == legacy_maps[index], affine.name
-        assert nodes <= legacy_nodes[index], affine.name
+        for name, elapsed in times.items():
+            best[name].append(elapsed)
 
     def _speedups(times):
-        return [legacy / max(t, 1e-9) for legacy, t in zip(legacy_times, times)]
+        return [
+            legacy / max(t, 1e-9) for legacy, t in zip(best["legacy"], times)
+        ]
 
     report = {
         "workload": {
@@ -153,22 +142,15 @@ def bench_solver():
             "solvable": sum(1 for m in legacy_maps if m is not None),
             "search_nodes_total": sum(legacy_nodes),
         },
-        "t_legacy_s": round(sum(legacy_times), 4),
-        "t_bitset_cold_s": round(sum(cold_times), 4),
-        "t_bitset_warm_s": round(sum(warm_times), 4),
-        "t_fc_warm_s": round(sum(fc_times), 4),
+        "t_legacy_s": round(sum(best["legacy"]), 4),
+        "t_bitset_cold_s": round(sum(best["cold"]), 4),
+        "t_bitset_warm_s": round(sum(best["warm"]), 4),
         # Per-query medians, legacy/kernel: >1 means the kernel is faster.
         "median_speedup_cold": round(
-            statistics.median(_speedups(cold_times)), 2
+            statistics.median(_speedups(best["cold"])), 2
         ),
         "median_speedup_warm": round(
-            statistics.median(_speedups(warm_times)), 2
-        ),
-        "median_speedup_fc_warm": round(
-            statistics.median(_speedups(fc_times)), 2
-        ),
-        "fc_nodes_vs_legacy": round(
-            sum(fc_nodes) / max(sum(legacy_nodes), 1), 3
+            statistics.median(_speedups(best["warm"])), 2
         ),
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -6,14 +6,10 @@ The decision procedure already computes everything a certificate needs
 read-out of searcher state after one ``search()`` call, never a second
 search.
 
-Kernel selection: certificates are read out of whichever kernel ran the
-search, but only **tree-identical** kernels qualify (the default
-``bitset`` kernel and ``legacy``): an unsolvable certificate embeds the
+The search is the bitset kernel, which walks the reference
+``MapSearch`` tree node for node: an unsolvable certificate embeds the
 exact ``nodes_explored`` the independent checker replays node-for-node,
-and a budget stub's prefix encodes a position in the legacy tree.  A
-request for the pruning ``fc`` kernel is therefore coerced to
-``bitset`` here — certificates stay byte-identical no matter which
-kernel the caller prefers for plain solves.
+and a budget stub's prefix encodes a position in that tree.
 """
 
 from __future__ import annotations
@@ -21,39 +17,18 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..core.affine import AffineTask
-from ..solver.api import (
-    DEFAULT_KERNEL,
-    KERNEL_LEGACY,
-    TREE_IDENTICAL_KERNELS,
-    SolveRequest,
-    make_searcher,
-)
-from ..tasks.solvability import (
-    MapSearch,
-    SearchBudgetExceeded,
-)
+from ..solver.api import SolveRequest, make_searcher
+from ..tasks.solvability import SearchBudgetExceeded
 from ..tasks.task import OutputVertex, Task
 from ..topology.chromatic import ChrVertex
 from . import witness
 from .witness import Cert
 
 
-def _certifying_searcher(affine: AffineTask, task: Task, kernel: str):
-    """A searcher whose tree — hence certificate — matches legacy."""
-    if kernel not in TREE_IDENTICAL_KERNELS:
-        kernel = DEFAULT_KERNEL
-    if kernel == KERNEL_LEGACY:
-        return MapSearch(affine, task)
-    return make_searcher(
-        SolveRequest(affine=affine, task=task, kernel=kernel)
-    )
-
-
 def certified_search(
     affine: AffineTask,
     task: Task,
     budget: Optional[int] = None,
-    kernel: str = DEFAULT_KERNEL,
 ) -> Tuple[Optional[Dict[ChrVertex, OutputVertex]], Cert]:
     """One FACT query with a certificate as by-product.
 
@@ -64,11 +39,8 @@ def certified_search(
     * the node budget fired — ``(None, budget stub)`` carrying the
       resumable partial assignment (the stub's ``kind`` is ``budget``;
       it is *not* a verdict).
-
-    ``kernel`` selects the search kernel; non-tree-identical kernels
-    are coerced so the certificate bytes never depend on the choice.
     """
-    search = _certifying_searcher(affine, task, kernel)
+    search = make_searcher(SolveRequest(affine=affine, task=task))
     try:
         mapping = search.search(budget)
     except SearchBudgetExceeded as exc:
@@ -84,10 +56,9 @@ def certificate_for(
     affine: AffineTask,
     task: Task,
     budget: Optional[int] = None,
-    kernel: str = DEFAULT_KERNEL,
 ) -> Cert:
     """Just the certificate (the engine's ``certify`` job body)."""
-    _, cert = certified_search(affine, task, budget, kernel)
+    _, cert = certified_search(affine, task, budget)
     return cert
 
 
@@ -96,7 +67,6 @@ def resume_from_stub(
     affine: AffineTask,
     task: Task,
     budget: Optional[int] = None,
-    kernel: str = DEFAULT_KERNEL,
 ) -> Tuple[Optional[Dict[ChrVertex, OutputVertex]], int]:
     """Continue a budget-interrupted search from its stub.
 
@@ -114,6 +84,6 @@ def resume_from_stub(
     ) != digest(task):
         raise ValueError("stub statement digests do not match (affine, task)")
     partial = witness.partial_assignment_of(stub)
-    search = _certifying_searcher(affine, task, kernel)
+    search = make_searcher(SolveRequest(affine=affine, task=task))
     mapping = search.search(budget, resume_from=partial)
     return mapping, search.nodes_explored

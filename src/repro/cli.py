@@ -28,8 +28,8 @@ Commands regenerate the paper's artifacts from the terminal:
 
 Every command that computes runs its work through one
 :class:`repro.engine.Engine` and accepts ``--jobs N`` / ``--cache-dir
-PATH`` / ``--no-cache`` / ``--kernel``; the defaults (``--jobs 1``, no
-cache) run every job in this process, in submission order.
+PATH`` / ``--no-cache``; the defaults (``--jobs 1``, no cache) run
+every job in this process, in submission order.
 
 Any command accepts span tracing via ``--trace FILE.jsonl`` (where the
 engine options are available) or the ``REPRO_TRACE`` environment
@@ -78,18 +78,13 @@ from .topology import chr_complex
 def _build_engine(args: argparse.Namespace, default_cache: bool = False):
     """An :class:`repro.engine.Engine` configured from CLI options."""
     from .engine import ArtifactCache, Engine, NullCache
-    from .solver import DEFAULT_KERNEL
 
     cache_dir = getattr(args, "cache_dir", None)
     want_cache = (
         cache_dir is not None or default_cache
     ) and not getattr(args, "no_cache", False)
     cache = ArtifactCache(cache_dir) if want_cache else NullCache()
-    return Engine(
-        jobs=getattr(args, "jobs", 1),
-        cache=cache,
-        kernel=getattr(args, "kernel", None) or DEFAULT_KERNEL,
-    )
+    return Engine(jobs=getattr(args, "jobs", 1), cache=cache)
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -795,8 +790,6 @@ def _positive_int(text: str) -> int:
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    from .solver import KERNELS
-
     parser.add_argument(
         "--jobs",
         type=_positive_int,
@@ -812,12 +805,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="disable the artifact cache",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=None,
-        help="solve kernel for FACT queries",
     )
     parser.add_argument(
         "--trace",

@@ -29,13 +29,7 @@ from ..adversaries.fairness import is_fair
 from ..adversaries.setcon import setcon
 from ..core.affine import AffineTask
 from ..core.ra import DEFAULT_VARIANT, r_affine
-from ..solver.api import (
-    DEFAULT_KERNEL,
-    KERNELS,
-    SolveRequest,
-    as_solve_request,
-    run_request,
-)
+from ..solver.api import SolveRequest, as_solve_request, run_request
 from ..solver.split import split_request
 from ..tasks.solvability import SearchBudgetExceeded
 from ..tasks.task import Task
@@ -85,10 +79,7 @@ def _compute_certify(payload: tuple) -> Any:
     # One FACT query that returns the portable certificate document
     # (solvable / unsolvable / resumable budget stub).  Budget overruns
     # are part of the value — a stub, not an error — so certify jobs
-    # never enter the solve split-retry path.  Certificates are
-    # kernel-independent (extraction coerces to a tree-identical
-    # kernel), so the payload carries no kernel and cache keys are
-    # stable across engine kernel settings.
+    # never enter the solve split-retry path.
     affine, task, budget = payload
     from ..certify.extract import certificate_for
 
@@ -198,8 +189,6 @@ class JobResult:
     error: Optional[str] = None
     nodes_explored: Optional[int] = None
     splits: int = 0
-    #: The solve kernel that produced the value (``solve`` jobs only).
-    kernel: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -283,12 +272,6 @@ class Engine:
         the domain into independent sub-jobs and doubles the per-job
         node budget, so level ``r`` spends at most ``2**r`` times the
         original budget per slice before the error is surfaced.
-    kernel:
-        The solve kernel queries default to when they don't choose one
-        (``legacy``, ``bitset``, ``fc``; see :mod:`repro.solver`).
-        Kernels whose node counts differ from legacy cache under
-        kernel-specific keys, so switching kernels never serves a
-        mismatched cached count.
     """
 
     def __init__(
@@ -298,20 +281,14 @@ class Engine:
         timeout: Optional[float] = None,
         progress: Optional[ProgressCallback] = None,
         split_retries: int = 3,
-        kernel: str = DEFAULT_KERNEL,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-            )
         self.jobs = jobs
         self.cache = cache if cache is not None else NullCache()
         self.timeout = timeout
         self.progress = progress
         self.split_retries = split_retries
-        self.kernel = kernel
         #: Jobs answered by batch-level dedup instead of computation.
         self.deduped = 0
         #: The persistent worker pool (``jobs > 1`` only), built lazily
@@ -438,11 +415,6 @@ class Engine:
                     continue
                 if result.kind == "solve":
                     result.nodes_explored = result.value[1]
-                    payload = specs[result.index].payload
-                    if len(payload) == 1 and isinstance(
-                        payload[0], SolveRequest
-                    ):
-                        result.kernel = payload[0].effective_kernel
             batch_span.set_attr("cache_hits", hits)
             batch_span.set_attr("computed", len(pending))
             batch_span.set_attr("coalesced", len(specs) - hits - len(pending))
@@ -592,13 +564,11 @@ class Engine:
 
     def _request_of(self, query) -> SolveRequest:
         """Coerce a query — request or ``(L, T, budget)`` triple — to a
-        :class:`SolveRequest` carrying this engine's default kernel."""
+        :class:`SolveRequest`."""
         if isinstance(query, SolveRequest):
             return query
         affine, task, budget = query
-        return SolveRequest(
-            affine=affine, task=task, budget=budget, kernel=self.kernel
-        )
+        return SolveRequest(affine=affine, task=task, budget=budget)
 
     def solve_many(
         self,
@@ -607,10 +577,9 @@ class Engine:
         """Batch FACT solvability queries.
 
         Each query is a :class:`SolveRequest` or an ``(L, T, budget)``
-        triple (triples inherit the engine's kernel); each result is
-        ``(mapping_or_None, nodes_explored)``.  Budget overruns that
-        survive split-retry raise :class:`SearchBudgetExceeded` with the
-        aggregated node count.
+        triple; each result is ``(mapping_or_None, nodes_explored)``.
+        Budget overruns that survive split-retry raise
+        :class:`SearchBudgetExceeded` with the aggregated node count.
         """
         specs = [
             JobSpec("solve", (self._request_of(query),))
@@ -623,16 +592,9 @@ class Engine:
         affine: AffineTask,
         task: Task,
         budget: Optional[int] = None,
-        *,
-        kernel: Optional[str] = None,
     ) -> Optional[Dict]:
         """One FACT query through the engine; returns the mapping."""
-        request = SolveRequest(
-            affine=affine,
-            task=task,
-            budget=budget,
-            kernel=kernel or self.kernel,
-        )
+        request = SolveRequest(affine=affine, task=task, budget=budget)
         return self.solve_many([request])[0][0]
 
     def certify_many(
@@ -673,9 +635,7 @@ class Engine:
         The stub must be a ``budget`` certificate for exactly this
         ``(affine, task)`` pair (digest-checked); its consistent prefix
         becomes the search's starting assignment, so only the unexplored
-        remainder of the space is visited.  Resume positions encode the
-        legacy tree, so the request runs on a tree-identical kernel
-        even when the engine defaults to ``fc``.  Returns
+        remainder of the space is visited.  Returns
         ``(mapping_or_None, nodes_explored)``.
         """
         from ..certify import witness
@@ -695,7 +655,6 @@ class Engine:
             task=task,
             budget=budget,
             resume=partial,
-            kernel=self.kernel,
         )
         return self._value(self.run_jobs([JobSpec("solve", (request,))])[0])
 

@@ -245,9 +245,7 @@ def _encode(obj: Any) -> Any:
     if isinstance(obj, SolveRequest):
         # Additive tag (SCHEME_VERSION unchanged): request fields are
         # already normalized to canonical order at construction, so no
-        # re-sorting happens here.  The kernel is part of the encoding
-        # — hence of cache digests — because non-tree-identical kernels
-        # return different node counts for the same query.
+        # re-sorting happens here.
         return [
             "solvereq",
             encode(obj.affine),
@@ -255,7 +253,6 @@ def _encode(obj: Any) -> Any:
             obj.budget,
             encode(obj.domain_overrides),
             encode(obj.resume),
-            obj.kernel,
         ]
     raise SerializationError(
         f"no canonical encoding for {type(obj).__name__}: {obj!r}"
@@ -385,7 +382,6 @@ def _solve_request_text(request: SolveRequest) -> str:
         _raw(request.budget),
         _text(request.domain_overrides),
         _text(request.resume),
-        _raw(request.kernel),
     )
     return '["solvereq",' + ",".join(fields) + "]"
 
@@ -488,16 +484,17 @@ def decode(encoded: Any) -> Any:
     if tag == "task":
         return _decode_task(encoded)
     if tag == "solvereq":
-        _, affine_enc, task_enc, budget, overrides_enc, resume_enc, kernel = (
-            encoded
-        )
+        if len(encoded) != 6:
+            raise SerializationError(
+                f"solvereq has 6 elements, got {len(encoded)}"
+            )
+        _, affine_enc, task_enc, budget, overrides_enc, resume_enc = encoded
         return SolveRequest(
             affine=decode(affine_enc),
             task=decode(task_enc),
             budget=budget,
             domain_overrides=decode(overrides_enc),
             resume=decode(resume_enc),
-            kernel=kernel,
         )
     raise SerializationError(f"unknown tag {tag!r}")
 

@@ -5,8 +5,8 @@ payload tuples ``(affine, task, budget, overrides[, resume])``.  This
 module replaces them with a frozen, hashable, canonically-normalized
 :class:`SolveRequest` — the single value that flows through
 ``Engine.solve``/``solve_many``/``resume_solve``, the service batcher
-and the CLI — and a :class:`SolveResult` carrying the verdict, the map,
-the node count and the kernel that produced them.
+and the CLI — and a :class:`SolveResult` carrying the verdict, the map
+and the node count.
 
 Normalization happens at construction: ``domain_overrides`` and
 ``resume`` mappings are flattened to tuples of pairs sorted by the
@@ -28,41 +28,20 @@ from typing import Dict, Optional, Tuple
 
 from .. import obs
 from ..core.affine import AffineTask
-from ..tasks.solvability import MapSearch
 from ..tasks.task import OutputVertex, Task
 from ..topology.chromatic import ChrVertex
 from ..topology.simplex import vertex_key
-from .kernel import BitsetKernel, ForwardCheckingKernel
+from .kernel import BitsetKernel
 
 __all__ = [
-    "DEFAULT_KERNEL",
-    "KERNELS",
-    "KERNEL_BITSET",
-    "KERNEL_FC",
-    "KERNEL_LEGACY",
     "SolveRequest",
     "SolveResult",
-    "TREE_IDENTICAL_KERNELS",
     "as_solve_request",
     "make_searcher",
     "run_request",
     "setup_digest",
     "solve_request_from_payload",
 ]
-
-KERNEL_LEGACY = "legacy"
-KERNEL_BITSET = "bitset"
-KERNEL_FC = "fc"
-#: Every selectable kernel, in documentation order.
-KERNELS = (KERNEL_LEGACY, KERNEL_BITSET, KERNEL_FC)
-#: The kernel used when none is requested: tree-identical to legacy.
-DEFAULT_KERNEL = KERNEL_BITSET
-
-#: Parity classes: kernels whose search tree — verdicts, maps *and*
-#: node counts — is identical to legacy ``MapSearch``.  Only these may
-#: back certificates and resume seeding.
-TREE_IDENTICAL_KERNELS = frozenset({KERNEL_LEGACY, KERNEL_BITSET})
-
 
 def _normalize_pairs(value, what: str):
     """Flatten a vertex-keyed mapping to a vertex_key-sorted pair tuple."""
@@ -96,13 +75,8 @@ class SolveRequest:
     budget: Optional[int] = None
     domain_overrides: Optional[Tuple] = None
     resume: Optional[Tuple] = None
-    kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self):
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
-            )
         object.__setattr__(
             self,
             "domain_overrides",
@@ -125,19 +99,6 @@ class SolveRequest:
             return None
         return {vertex: out for vertex, out in self.resume}
 
-    @property
-    def effective_kernel(self) -> str:
-        """The kernel this request runs on.
-
-        A request carrying ``resume`` runs on a tree-identical kernel:
-        resume stubs encode positions in the *legacy* tree, which the fc
-        kernel prunes.  ``kernel`` itself (and with it the digest) stays
-        as requested.
-        """
-        if self.resume is not None and self.kernel not in TREE_IDENTICAL_KERNELS:
-            return KERNEL_BITSET
-        return self.kernel
-
     def setup_digest(self) -> str:
         """Digest of the solver setup this request would build/reuse."""
         return setup_digest(self.affine, self.task)
@@ -145,12 +106,11 @@ class SolveRequest:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """The outcome of one solve: verdict, map, node count, kernel."""
+    """The outcome of one solve: verdict, map, node count."""
 
     verdict: str  # "solvable" | "unsolvable"
     mapping: Optional[Dict[ChrVertex, OutputVertex]]
     nodes: int
-    kernel: str = DEFAULT_KERNEL
 
     @property
     def solvable(self) -> bool:
@@ -181,9 +141,7 @@ def setup_digest(affine: AffineTask, task: Task) -> str:
 # ----------------------------------------------------------------------
 # Payload adapters
 # ----------------------------------------------------------------------
-def solve_request_from_payload(
-    payload: Tuple, kernel: str = DEFAULT_KERNEL
-) -> SolveRequest:
+def solve_request_from_payload(payload: Tuple) -> SolveRequest:
     """Build a request from a positional 4/5-tuple (no deprecation)."""
     if not 4 <= len(payload) <= 5:
         raise ValueError(
@@ -197,13 +155,10 @@ def solve_request_from_payload(
         budget=budget,
         domain_overrides=overrides or None,
         resume=resume or None,
-        kernel=kernel,
     )
 
 
-def as_solve_request(
-    payload, *, kernel: str = DEFAULT_KERNEL, warn: bool = True
-) -> SolveRequest:
+def as_solve_request(payload, *, warn: bool = True) -> SolveRequest:
     """Coerce a solve payload — typed or legacy tuple — to a request.
 
     Accepts a :class:`SolveRequest`, a 1-tuple wrapping one (the typed
@@ -226,41 +181,27 @@ def as_solve_request(
             DeprecationWarning,
             stacklevel=3,
         )
-    return solve_request_from_payload(tuple(payload), kernel=kernel)
+    return solve_request_from_payload(tuple(payload))
 
 
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def make_searcher(request: SolveRequest):
-    """The searcher object a request resolves to: its
-    :attr:`~SolveRequest.effective_kernel`."""
-    kernel = request.effective_kernel
-    overrides = request.overrides_dict()
-    if kernel == KERNEL_LEGACY:
-        # Legacy searches build their domains fresh (no per-task setup
-        # cache), so the whole construction is the setup phase.
-        with obs.span("solver.setup", kernel=KERNEL_LEGACY) as setup_span:
-            search = MapSearch(
-                request.affine, request.task, domain_overrides=overrides
-            )
-            setup_span.set_attr("structure", search.structure_status)
-            return search
-    if kernel == KERNEL_FC:
-        return ForwardCheckingKernel(
-            request.affine, request.task, domain_overrides=overrides
-        )
+def make_searcher(request: SolveRequest) -> BitsetKernel:
+    """The searcher a request resolves to: always a :class:`BitsetKernel`."""
     return BitsetKernel(
-        request.affine, request.task, domain_overrides=overrides
+        request.affine,
+        request.task,
+        domain_overrides=request.overrides_dict(),
     )
 
 
 def run_request(request: SolveRequest) -> SolveResult:
-    """Execute one request; raises :class:`SearchBudgetExceeded` as legacy."""
+    """Execute one request; raises :class:`SearchBudgetExceeded` like
+    :meth:`~repro.tasks.solvability.MapSearch.search`."""
     searcher = make_searcher(request)
     with obs.span(
         "solver.search",
-        kernel=request.effective_kernel,
         budget=request.budget,
         resumed=request.resume is not None,
     ) as search_span:
@@ -276,5 +217,4 @@ def run_request(request: SolveRequest) -> SolveResult:
         verdict="solvable" if mapping is not None else "unsolvable",
         mapping=mapping,
         nodes=searcher.nodes_explored,
-        kernel=request.effective_kernel,
     )

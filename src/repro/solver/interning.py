@@ -1,9 +1,9 @@
 """Dense-integer interning of one FACT constraint problem.
 
-The legacy :class:`~repro.tasks.solvability.MapSearch` spends its inner
+The reference :class:`~repro.tasks.solvability.MapSearch` spends its inner
 loop hashing ``frozenset`` images of :class:`OutputVertex` tuples and
 probing them against ``Delta``'s allowed-output sets.  The bitset
-kernels instead intern everything **once per (affine, task) pair**:
+kernel instead interns everything **once per (affine, task) pair**:
 
 * every output vertex that appears in any candidate domain gets a dense
   integer id, so a *set* of output vertices becomes a Python-int
@@ -23,14 +23,11 @@ On top of the groups the table memoizes **allowed-candidate bitmasks**:
 for a group, a target position and the bitmask of the already-chosen
 members, the set of candidates at the target that complete an allowed
 image — computed once, then a single ``&`` per arrival at that
-position.  One memo per group is shared by every simplex in it, by the
-tree-identical bitset kernel (target = firing position) and by the
-forward-checking kernel (any unassigned position).
+position.  One memo per group is shared by every simplex in it.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..tasks.solvability import MapSearch
@@ -101,20 +98,6 @@ class InternTable:
             mask |= 1 << idx
         return mask
 
-    @cached_property
-    def involving(self) -> List[List[int]]:
-        """Per position, the indices of the simplices containing it.
-
-        Only the forward-checking kernel propagates through every
-        member, so the index is built on its first use, not with the
-        table.
-        """
-        involving: List[List[int]] = [[] for _ in self.domain_bits]
-        for index, positions in enumerate(self.structure.simplices):
-            for position in positions:
-                involving[position].append(index)
-        return involving
-
     # ------------------------------------------------------------------
     def allowed_candidates(
         self, group: int, target: int, others_mask: int
@@ -139,21 +122,3 @@ class InternTable:
                     mask |= 1 << index
             memo[key] = mask
         return mask
-
-    def supported_candidates(
-        self,
-        group: int,
-        target: int,
-        others_mask: int,
-        source: int,
-        alive: int,
-    ) -> int:
-        """Union of allowed candidates at ``target`` over the live
-        candidates of ``source`` — the GAC revision step."""
-        supported = 0
-        for candidate, bit in enumerate(self.domain_bits[source]):
-            if (alive >> candidate) & 1:
-                supported |= self.allowed_candidates(
-                    group, target, others_mask | bit
-                )
-        return supported

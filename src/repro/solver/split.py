@@ -8,7 +8,7 @@ assignments in exactly the order the undivided search would, so the
 first slice that finds a map returns the same map the full search
 returns — the property the engine's split-retry relies on.
 
-Slices inherit the parent's kernel and drop any ``resume`` seed (a
+Slices keep the parent's budget and drop any ``resume`` seed (a
 resume prefix encodes the *unsliced* tree).  Because sub-requests are
 ``SolveRequest`` instances, their override tuples are normalized to
 structural ``vertex_key`` order at construction — never ``repr`` or

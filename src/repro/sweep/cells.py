@@ -18,9 +18,9 @@ within the worker process — cells of one sweep share a handful of
 distinct alphas, and the construction dominates fair-cell cost.
 
 Records are fully deterministic: verdicts and node counts come from
-tree-identical kernels, and no wall-clock or environment data is ever
-included — this is what makes a resumed sweep's artifact byte-identical
-to an uninterrupted run's.
+the bitset kernel, which walks the reference search tree, and no
+wall-clock or environment data is ever included — this is what makes
+a resumed sweep's artifact byte-identical to an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -32,7 +32,13 @@ from ..adversaries.agreement import agreement_function_of
 from ..adversaries.fairness import is_fair
 from ..adversaries.setcon import setcon
 
-__all__ = ["compute_cell", "compute_cell_resume", "cell_payload"]
+__all__ = ["KERNEL", "compute_cell", "compute_cell_resume", "cell_payload"]
+
+#: The one value of a cell's ``kernel`` slot: every cell runs on the
+#: bitset kernel, whose node counts are the reference search's.  The
+#: slot stays in grid documents, digests and cell payloads so existing
+#: artifacts keep their bytes.
+KERNEL = "bitset"
 
 #: Per-process memo of ``R_A`` constructions, keyed by the agreement
 #: function's canonical signature.  Bounded by the number of distinct
@@ -48,7 +54,8 @@ def cell_payload(
     variant: str,
     split_retries: int,
 ) -> tuple:
-    """The canonical engine payload of one sweep cell."""
+    """The canonical engine payload of one sweep cell (``kernel`` must
+    be :data:`KERNEL`)."""
     return (adversary, k, budget, kernel, variant, split_retries)
 
 
@@ -68,7 +75,6 @@ def _solve_outcome(
     affine,
     task,
     budget: int,
-    kernel: str,
     split_retries: int,
 ) -> Dict[str, Any]:
     """Decide ``task`` on ``affine`` with split-retry escalation.
@@ -81,12 +87,7 @@ def _solve_outcome(
     from ..engine.jobs import Engine, JobSpec
     from ..solver.api import SolveRequest
 
-    request = SolveRequest(
-        affine=affine,
-        task=task,
-        budget=budget,
-        kernel=kernel,
-    )
+    request = SolveRequest(affine=affine, task=task, budget=budget)
     inner = Engine(jobs=1, split_retries=split_retries)
     (result,) = inner.run_jobs([JobSpec("solve", (request,))])
     if result.error == "budget":
@@ -114,6 +115,8 @@ def compute_cell(payload: tuple) -> Dict[str, Any]:
     from ..tasks.set_consensus import set_consensus_task
 
     adversary, k, budget, kernel, variant, split_retries = payload
+    if kernel != KERNEL:
+        raise ValueError(f"unknown kernel {kernel!r}; sweeps run on {KERNEL!r}")
     fair = is_fair(adversary)
     record: Dict[str, Any] = {
         "n": adversary.n,
@@ -141,7 +144,6 @@ def compute_cell(payload: tuple) -> Dict[str, Any]:
         affine,
         set_consensus_task(adversary.n, k),
         budget,
-        kernel,
         split_retries,
     )
     return record

@@ -41,7 +41,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..adversaries.adversary import Adversary
-from .cells import cell_payload
+from .cells import KERNEL, cell_payload
 
 __all__ = [
     "GRID_PRESETS",
@@ -126,7 +126,8 @@ class GridSpec:
     adversaries from ``seed``, ``explicit`` uses ``live_sets`` (a tuple
     of adversaries, each a tuple of live-set tuples).  ``ks`` is the
     set-consensus task axis; ``budget``/``split_retries`` bound each
-    cell's solve; ``kernel``/``variant`` pin the decision procedure.
+    cell's solve; ``variant`` pins the ``R_A`` construction and
+    ``kernel`` must be :data:`KERNEL`.
     """
 
     name: str
@@ -134,7 +135,7 @@ class GridSpec:
     source: str
     ks: Tuple[int, ...]
     budget: int = 20000
-    kernel: str = "bitset"
+    kernel: str = KERNEL
     variant: str = "union"
     split_retries: int = 1
     sample_count: int = 0
@@ -144,6 +145,10 @@ class GridSpec:
     )
 
     def __post_init__(self):
+        if self.kernel != KERNEL:
+            raise ValueError(
+                f"unknown kernel {self.kernel!r}; sweeps run on {KERNEL!r}"
+            )
         if self.source not in SOURCES:
             raise ValueError(
                 f"unknown source {self.source!r}; expected one of {SOURCES}"
@@ -222,7 +227,7 @@ class GridSpec:
             source=doc["source"],
             ks=tuple(doc["ks"]),
             budget=doc.get("budget", 20000),
-            kernel=doc.get("kernel", "bitset"),
+            kernel=doc.get("kernel", KERNEL),
             variant=doc.get("variant", "union"),
             split_retries=doc.get("split_retries", 1),
             sample_count=doc.get("sample_count", 0),

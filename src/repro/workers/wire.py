@@ -16,7 +16,7 @@ This module splits a payload into:
   payload-object cache.  Because the *same deserialized object* is
   reused across jobs, the solver setup cached on it stays warm.
 * **a delta** — the small per-job remainder (budget, overrides, resume
-  seed, kernel), always sent inline as canonical text.
+  seed), always sent inline as canonical text.
 
 ``affinity_key`` exposes the :func:`repro.solver.api.setup_digest` of
 jobs that carry a solver setup, which is what the pool routes worker
@@ -59,12 +59,7 @@ def decompose(kind: str, payload: tuple) -> Tuple[List[Any], str]:
     request = _solve_request_of(kind, payload)
     if request is not None:
         delta = serialize(
-            (
-                request.budget,
-                request.domain_overrides,
-                request.resume,
-                request.kernel,
-            )
+            (request.budget, request.domain_overrides, request.resume)
         )
         return [request.affine, request.task], delta
     if kind == "certify" and len(payload) == 3:
@@ -85,7 +80,7 @@ def recompose(kind: str, shared: Sequence[Any], delta_text: str) -> tuple:
 
     delta = deserialize(delta_text)
     if shared and kind == "solve":
-        budget, overrides, resume, kernel = delta
+        budget, overrides, resume = delta
         return (
             SolveRequest(
                 affine=shared[0],
@@ -93,7 +88,6 @@ def recompose(kind: str, shared: Sequence[Any], delta_text: str) -> tuple:
                 budget=budget,
                 domain_overrides=overrides,
                 resume=resume,
-                kernel=kernel,
             ),
         )
     if shared and kind == "certify":

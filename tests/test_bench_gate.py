@@ -27,10 +27,8 @@ spec.loader.exec_module(bench_gate)
 BASELINES = {
     "BENCH_solver.json": {
         "workload": {"queries": 15, "solvable": 11, "search_nodes_total": 2052},
-        "fc_nodes_vs_legacy": 0.454,
         "median_speedup_warm": 100.0,
         "median_speedup_cold": 1.0,
-        "median_speedup_fc_warm": 25.0,
     },
     "BENCH_engine.json": {
         "workload": {"adversaries_classified": 9, "solvability_queries": 15},

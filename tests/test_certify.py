@@ -42,7 +42,6 @@ from repro.certify import (
     CERT_FORMAT,
     CERT_VERSION,
     cert_to_bytes,
-    certificate_for,
     certified_search,
     check,
     check_bytes,
@@ -58,7 +57,6 @@ from repro.core import full_affine_task, r_affine
 from importlib import import_module
 
 from repro.engine import ArtifactCache, Engine, JobSpec
-from repro.solver import KERNELS
 from repro.topology.chromatic import ChrVertex
 
 # ``repro.engine.serialize`` the *module* — the package re-exports a
@@ -715,17 +713,6 @@ def test_certificates_are_byte_deterministic(ra_1res, wf_affine):
         _, first = certified_search(affine, task)
         _, second = certified_search(affine, task)
         assert cert_to_bytes(first) == cert_to_bytes(second)
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_certificates_coerce_and_stay_byte_identical(wf_affine, kernel):
-    """``certificate_for(kernel=...)`` coerces a non-tree-identical
-    kernel to the default one, so certificate bytes never depend on it."""
-    task = set_consensus_task(3, 2)
-    default = certificate_for(wf_affine, task)
-    assert cert_to_bytes(
-        certificate_for(wf_affine, task, kernel=kernel)
-    ) == cert_to_bytes(default)
 
 
 def test_cert_file_roundtrip(tmp_path, solvable_pair):

@@ -41,7 +41,6 @@ from repro.engine import (
     tasks_equivalent,
 )
 from repro.solver import SolveRequest
-from repro.solver.api import KERNELS
 from repro.sweep.driver import GridSpec
 from repro.tasks.set_consensus import set_consensus_task
 from repro.tasks.solvability import MapSearch
@@ -303,7 +302,6 @@ _requests = st.builds(
             max_size=3,
         ),
     ),
-    kernel=st.sampled_from(KERNELS),
 )
 
 

@@ -1,15 +1,12 @@
-"""Tests for ``repro.solver`` — the typed solve surface and its kernels.
+"""Tests for ``repro.solver`` — the typed solve surface and its kernel.
 
 The load-bearing guarantees:
 
-* the default ``bitset`` kernel is **tree-identical** to the legacy
+* the ``bitset`` kernel is **tree-identical** to the reference
   :class:`~repro.tasks.solvability.MapSearch` oracle: same verdicts,
   same returned maps *and the same node counts*, fuzzed over randomly
   thinned tasks (so certificates, budget stubs and resume seeds are
   interchangeable between the two);
-* the opt-in ``fc`` kernel prunes soundly: verdict and returned map
-  still match the oracle, and it can never back a certificate or a
-  resume;
 * :class:`SolveRequest` normalization makes equal queries equal values
   with one cache digest, regardless of override insertion order;
 * the deprecated positional payload tuples warn but keep working.
@@ -18,26 +15,16 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from repro.certify import cert_to_bytes, certified_search
-from repro import obs
-from repro.cli import main
+from repro.certify import cert_to_bytes, certified_search, witness
 from repro.core import full_affine_task
 from repro.engine import Engine, JobSpec, digest, serialize
 from repro.engine.serialize import deserialize
 from repro.solver import (
-    DEFAULT_KERNEL,
-    KERNEL_BITSET,
-    KERNEL_FC,
-    KERNEL_LEGACY,
-    KERNELS,
-    TREE_IDENTICAL_KERNELS,
     BitsetKernel,
-    ForwardCheckingKernel,
     SolveRequest,
     SolveResult,
     as_solve_request,
@@ -90,21 +77,21 @@ def _thinned_task(base: Task, seed: int) -> Task:
 def test_bitset_is_tree_identical_on_known_instances(
     wf_affine, ra_1res, ra_1of
 ):
-    """Bitset matches the oracle node for node; fc matches its map.
+    """Bitset matches the oracle node for node.
 
-    The fc node counts are pinned.  The approximate-agreement and
-    simplex-agreement cases have domains of 8 or more candidates, so
-    one memo miss probes many candidates at once.
+    The approximate-agreement and simplex-agreement cases have domains
+    of 8 or more candidates, so one memo miss probes many candidates at
+    once.
     """
-    for affine, task, fc_nodes in (
-        (wf_affine, set_consensus_task(3, 2), 68),
-        (wf_affine, set_consensus_task(3, 3), 12),
-        (ra_1res, set_consensus_task(3, 1), 2),
-        (ra_1res, set_consensus_task(3, 2), 96),
-        (ra_1of, set_consensus_task(3, 1), 87),
-        (full_affine_task(2, 1), approximate_agreement_task(2), 1),
-        (full_affine_task(2, 2), approximate_agreement_task(2), 21),
-        (ra_1of, chromatic_simplex_agreement(3, 1), 87),
+    for affine, task in (
+        (wf_affine, set_consensus_task(3, 2)),
+        (wf_affine, set_consensus_task(3, 3)),
+        (ra_1res, set_consensus_task(3, 1)),
+        (ra_1res, set_consensus_task(3, 2)),
+        (ra_1of, set_consensus_task(3, 1)),
+        (full_affine_task(2, 1), approximate_agreement_task(2)),
+        (full_affine_task(2, 2), approximate_agreement_task(2)),
+        (ra_1of, chromatic_simplex_agreement(3, 1)),
     ):
         case = (affine.name, task.name)
         oracle = MapSearch(affine, task)
@@ -112,9 +99,6 @@ def test_bitset_is_tree_identical_on_known_instances(
         kernel = BitsetKernel(affine, task)
         assert kernel.search() == expected, case
         assert kernel.nodes_explored == oracle.nodes_explored, case
-        fc = ForwardCheckingKernel(affine, task)
-        assert fc.search() == expected, case
-        assert fc.nodes_explored == fc_nodes, case
 
 
 def test_intern_table_holds_one_table_per_participation(ra_1res):
@@ -130,16 +114,10 @@ def test_intern_table_holds_one_table_per_participation(ra_1res):
         assert owner.setdefault(group, participation) == participation
     assert len(set(owner.values())) == len(owner)
     assert kernel.search() is not None
-    # Only the fc kernel propagates through every member of a simplex.
-    assert "involving" not in vars(tables)
-    ForwardCheckingKernel(ra_1res, task).search()
-    assert sum(map(len, tables.involving)) == sum(
-        map(len, structure.simplices)
-    )
 
 
 def test_differential_fuzz_thinned_tasks(wf_affine):
-    """Seeded random sub-tasks: bitset tree-identical, fc map-identical."""
+    """Seeded random sub-tasks: bitset tree-identical to the oracle."""
     base = set_consensus_task(3, 3)
     verdicts = set()
     for seed in range(8):
@@ -151,11 +129,6 @@ def test_differential_fuzz_thinned_tasks(wf_affine):
         bitset = BitsetKernel(wf_affine, task)
         assert bitset.search() == expected, seed
         assert bitset.nodes_explored == oracle.nodes_explored, seed
-
-        fc = ForwardCheckingKernel(wf_affine, task)
-        assert fc.search() == expected, seed
-        # Sound pruning can only shrink the tree, never grow it.
-        assert fc.nodes_explored <= oracle.nodes_explored, seed
     # The seeds exercise both verdicts.
     assert verdicts == {True, False}
 
@@ -205,45 +178,13 @@ def test_bitset_seed_rejects_what_legacy_rejects(ra_1res):
             searcher.search(resume_from=stray)
 
 
-def test_fc_refuses_resume_and_requests_coerce(ra_1res):
-    task = set_consensus_task(3, 2)
-    with pytest.raises(ValueError, match="cannot honor"):
-        ForwardCheckingKernel(ra_1res, task).search(
-            resume_from={object(): object()}
-        )
-    with pytest.raises(SearchBudgetExceeded) as info:
-        MapSearch(ra_1res, task).search(budget=20)
-    request = SolveRequest(
-        affine=ra_1res,
-        task=task,
-        resume=info.value.partial_assignment,
-        kernel=KERNEL_FC,
-    )
-    # A resume-carrying fc request silently runs on a tree-identical kernel,
-    # and its result and span name that kernel, not the requested one.
-    assert isinstance(make_searcher(request), BitsetKernel)
-    tracer = obs.enable()
-    try:
-        result = run_request(request)
-    finally:
-        obs.disable()
-    assert result.mapping == MapSearch(ra_1res, task).search()
-    assert result.kernel == KERNEL_BITSET
-    (search_span,) = [s for s in tracer.drain() if s.name == "solver.search"]
-    assert search_span.attrs["kernel"] == KERNEL_BITSET
-    # The request itself, and with it its digest, keeps the asked-for kernel.
-    assert request.kernel == KERNEL_FC
-    assert digest(request) != digest(replace(request, kernel=KERNEL_BITSET))
-
-
 # ------------------------------------------------------------ the typed API
 def test_run_request_returns_typed_result(ra_1res, wf_affine):
-    solvable = run_request(
-        SolveRequest(affine=ra_1res, task=set_consensus_task(3, 2))
-    )
+    request = SolveRequest(affine=ra_1res, task=set_consensus_task(3, 2))
+    assert isinstance(make_searcher(request), BitsetKernel)
+    solvable = run_request(request)
     assert isinstance(solvable, SolveResult)
     assert solvable.solvable and solvable.verdict == "solvable"
-    assert solvable.kernel == DEFAULT_KERNEL == KERNEL_BITSET
     assert solvable.as_pair() == (solvable.mapping, solvable.nodes)
 
     oracle = MapSearch(wf_affine, set_consensus_task(3, 2))
@@ -275,28 +216,13 @@ def test_request_normalization_is_order_independent(wf_affine):
     assert keys == sorted(keys)
 
 
-def test_kernel_is_part_of_the_digest(ra_1res):
-    task = set_consensus_task(3, 2)
-    digests = {
-        digest(SolveRequest(affine=ra_1res, task=task, kernel=kernel))
-        for kernel in KERNELS
-    }
-    assert len(digests) == len(KERNELS)
-    # "symmetry" names a kernel that was removed: it is unknown now.
-    for unknown in ("quantum", "symmetry"):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            SolveRequest(affine=ra_1res, task=task, kernel=unknown)
-
-
 def test_solvereq_serialize_roundtrip(ra_1res):
     task = set_consensus_task(3, 2)
-    request = SolveRequest(
-        affine=ra_1res, task=task, budget=123, kernel=KERNEL_FC
-    )
+    request = SolveRequest(affine=ra_1res, task=task, budget=123)
     text = serialize(request)
     rebuilt = deserialize(text)
     assert isinstance(rebuilt, SolveRequest)
-    assert rebuilt.budget == 123 and rebuilt.kernel == KERNEL_FC
+    assert rebuilt.budget == 123
     # Tasks compare by tabulated Delta, not identity — byte equality of
     # the canonical form is the round-trip property.
     assert serialize(rebuilt) == text
@@ -324,7 +250,7 @@ def test_split_request_slices_cover_and_stay_stable(ra_1res, wf_affine):
     request = SolveRequest(affine=ra_1res, task=task)
     slices = split_request(request, parts=2)
     assert len(slices) == 2
-    assert all(s.kernel == request.kernel for s in slices)
+    assert all(s.budget == request.budget for s in slices)
     # First slice (in canonical order) that solves returns the full map.
     expected = run_request(request).mapping
     for sub in slices:
@@ -349,41 +275,6 @@ def test_split_request_slices_cover_and_stay_stable(ra_1res, wf_affine):
 
 
 # ------------------------------------------------------------------- engine
-def test_engine_kernel_selection(ra_1res):
-    task = set_consensus_task(3, 2)
-    expected = Engine().solve(ra_1res, task)
-    assert Engine(kernel=KERNEL_FC).solve(ra_1res, task) == expected
-    assert Engine(kernel=KERNEL_LEGACY).solve(ra_1res, task) == expected
-    assert Engine().solve(ra_1res, task, kernel=KERNEL_FC) == expected
-    with pytest.raises(ValueError, match="unknown kernel"):
-        Engine(kernel="quantum")
-
-
-def test_engine_results_carry_the_kernel(ra_1res):
-    task = set_consensus_task(3, 2)
-    engine = Engine(kernel=KERNEL_FC)
-    (result,) = engine.run_jobs(
-        [JobSpec("solve", (SolveRequest(affine=ra_1res, task=task),))]
-    )
-    assert result.ok and result.kernel == KERNEL_BITSET
-    (typed,) = engine.run_jobs(
-        [JobSpec("solve", (SolveRequest(ra_1res, task, kernel=KERNEL_FC),))]
-    )
-    assert typed.kernel == KERNEL_FC and typed.value[0] is not None
-    # fc prunes, so node counts differ — but the map is the oracle's.
-    assert typed.value[0] == Engine().solve(ra_1res, task)
-
-
-def test_engine_fc_resume_coerces_to_tree_identical(ra_1res):
-    task = set_consensus_task(3, 2)
-    engine = Engine(kernel=KERNEL_FC)
-    stub = engine.certify(ra_1res, task, 20)
-    assert stub["kind"] == "budget"
-    mapping, nodes = engine.resume_solve(ra_1res, task, stub)
-    assert mapping == Engine().solve(ra_1res, task)
-    assert nodes > 0
-
-
 def test_engine_split_retry_still_resolves_with_bitset(wf_affine):
     """A starved budget resolves through split-retry on the new kernel."""
     task = set_consensus_task(3, 3)
@@ -394,54 +285,58 @@ def test_engine_split_retry_still_resolves_with_bitset(wf_affine):
     assert nodes > 0
 
 
-# ------------------------------------------------- why fc stays: an n=4 cell
+# ------------------------------------------------ the n4-sampled budget cell
 #: A fair n=4 adversary of the committed n4-sampled grid whose k=2 cell
-#: the artifact records as ``budget`` (bitset, budget 20000).
-_N4_FC_LIVE_SETS = [
+#: the artifact records as ``budget`` (budget 20000, one split level).
+_N4_BUDGET_LIVE_SETS = [
     [0, 1, 2, 3], [0, 1, 3], [0, 2], [0, 2, 3], [0, 3],
     [1, 2], [1, 2, 3], [1, 3], [2], [2, 3],
 ]
 
 
 @pytest.mark.slow
-def test_fc_decides_an_n4_cell_bitset_cannot():
+def test_bitset_decides_the_n4_budget_cell_without_a_budget():
+    """The cell is ``budget`` only because of the sweep's node cap:
+    unbounded, the default kernel finds a carried map."""
     from repro.adversaries import Adversary, agreement_function_of
     from repro.core import r_affine
     from repro.tasks.solvability import verify_carried_map
 
-    affine = r_affine(agreement_function_of(Adversary(4, _N4_FC_LIVE_SETS)))
+    affine = r_affine(agreement_function_of(Adversary(4, _N4_BUDGET_LIVE_SETS)))
     task = set_consensus_task(4, 2)
-    fc = ForwardCheckingKernel(affine, task)
-    mapping = fc.search(budget=20000)
+    kernel = make_searcher(SolveRequest(affine=affine, task=task))
+    mapping = kernel.search()
     assert mapping is not None
-    assert fc.nodes_explored == 1093
+    assert kernel.nodes_explored == 102350
     assert verify_carried_map(affine, task, mapping)
     with pytest.raises(SearchBudgetExceeded):
-        BitsetKernel(affine, task).search(budget=20000)
+        make_searcher(SolveRequest(affine=affine, task=task)).search(
+            budget=20000
+        )
 
 
-# -------------------------------------------------------- certificates / CLI
+# --------------------------------------------------------------- certificates
+def _reference_cert(affine, task, budget):
+    """The certificate ``certified_search`` reads out, taken from the
+    reference ``MapSearch`` instead of the bitset kernel."""
+    search = MapSearch(affine, task)
+    try:
+        mapping = search.search(budget)
+    except SearchBudgetExceeded as exc:
+        return witness.budget_stub(affine, task, exc, budget)
+    if mapping is not None:
+        return witness.solvable_cert(
+            affine, task, mapping, nodes_explored=search.nodes_explored
+        )
+    return witness.unsolvable_cert(affine, task, search)
+
+
 def test_certificates_are_byte_identical_across_kernels(ra_1res, wf_affine):
     for affine, budget in ((ra_1res, None), (wf_affine, None), (ra_1res, 20)):
         task = set_consensus_task(3, 2)
-        _, legacy = certified_search(
-            affine, task, budget=budget, kernel=KERNEL_LEGACY
-        )
-        _, bitset = certified_search(
-            affine, task, budget=budget, kernel=KERNEL_BITSET
-        )
-        # fc is not tree-identical: extraction coerces it to the default.
-        _, coerced = certified_search(
-            affine, task, budget=budget, kernel=KERNEL_FC
-        )
-        assert cert_to_bytes(bitset) == cert_to_bytes(legacy)
-        assert cert_to_bytes(coerced) == cert_to_bytes(legacy)
-
-
-def test_cli_kernel_flag_routes_through_the_engine(capsys):
-    assert main(["fact", "--kernel", "fc"]) == 0
-    out = capsys.readouterr().out
-    assert "min k-set consensus" in out
+        _, bitset = certified_search(affine, task, budget=budget)
+        reference = _reference_cert(affine, task, budget)
+        assert cert_to_bytes(bitset) == cert_to_bytes(reference)
 
 
 # ----------------------------------------------------------------- exports
@@ -453,5 +348,3 @@ def test_curated_exports_resolve():
         assert module.__all__ == sorted(module.__all__), module.__name__
         for name in module.__all__:
             assert hasattr(module, name), (module.__name__, name)
-    assert TREE_IDENTICAL_KERNELS == {KERNEL_LEGACY, KERNEL_BITSET}
-    assert KERNELS == (KERNEL_LEGACY, KERNEL_BITSET, KERNEL_FC)

@@ -95,6 +95,24 @@ def test_grid_validation():
         GridSpec(name="bad", n=3, source="sample", sample_count=2, ks=(0,))
 
 
+def test_grid_and_cell_reject_every_kernel_but_bitset():
+    # Records promise the reference tree's node counts, which only the
+    # bitset kernel walks; "fc" and "legacy" are no longer solve kernels.
+    assert SMOKE.kernel == "bitset"
+    doc = SMOKE.to_doc()
+    wait_free = Adversary(2, [(0, 1)])
+    for kernel in ("fc", "legacy", "symmetry"):
+        with pytest.raises(ValueError, match="unknown kernel"):
+            GridSpec(
+                name="bad", n=3, source="sample", sample_count=2, ks=(1,),
+                kernel=kernel,
+            )
+        with pytest.raises(ValueError, match="unknown kernel"):
+            GridSpec.from_doc({**doc, "kernel": kernel})
+        with pytest.raises(ValueError, match="unknown kernel"):
+            compute_cell(cell_payload(wait_free, 1, 1000, kernel, "union", 1))
+
+
 def test_cells_are_deterministically_ordered():
     cells = SMOKE.cells()
     assert [cell.index for cell in cells] == list(range(len(cells)))

@@ -68,10 +68,8 @@ RULES: Dict[str, List[Tuple[str, str, float]]] = {
         ("workload.queries", EXACT, 0.0),
         ("workload.solvable", EXACT, 0.0),
         ("workload.search_nodes_total", EXACT, 0.0),
-        ("fc_nodes_vs_legacy", EXACT, 0.0),
         ("median_speedup_warm", MIN_RATIO, 0.75),
         ("median_speedup_cold", MIN_RATIO, 0.50),
-        ("median_speedup_fc_warm", MIN_RATIO, 0.50),
     ],
     "BENCH_engine.json": [
         ("workload.adversaries_classified", EXACT, 0.0),
