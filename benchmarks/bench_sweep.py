@@ -14,7 +14,14 @@ Two measurements around :mod:`repro.sweep`, landing in
   Definition 9 folded face by face (``RABuilder.facet_allowed``) versus
   ``RABuilder.build``'s fold of the once-per-``n`` contention table
   (warm): ``ra_speedup_vs_definition`` is the first time over the
-  second, and ``ra_facets_total`` the facets both keep.
+  second, and ``ra_facets_total`` the facets both keep;
+* **the process pool on paper work** — ``repro sweep --grid
+  n4-sampled`` with no cache, at ``--jobs 1`` and ``--jobs 2`` in
+  alternated rounds, each run a fresh process whose artifact must be
+  byte-identical to ``examples/landscape_n4_sampled.json``:
+  ``n4_sampled_speedup_jobs2`` is the median ``--jobs 1`` time over the
+  median ``--jobs 2`` time.  It must exceed 1 wherever there are two
+  CPUs to run on; the gate checks it only in the multi-core lane.
 
 Verdict counts are parity-gated: the grid is content-addressed and the
 kernels are tree-identical, so any drift in solvable/unsolvable/budget
@@ -24,6 +31,10 @@ is a correctness change, not noise.
 from __future__ import annotations
 
 import json
+import os
+import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -38,6 +49,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_landscape.json"
 
 GRID = GRID_PRESETS["n3-smoke"]
+N4_ARTIFACT = REPO_ROOT / "examples" / "landscape_n4_sampled.json"
+#: Alternated ``--jobs 1`` / ``--jobs 2`` rounds of the n4-sampled sweep.
+N4_ROUNDS = 3
 
 
 def _timed(stage):
@@ -85,6 +99,28 @@ def _ra_construction():
     return t_definition, t_table, facets
 
 
+def _n4_sampled_sweep(tmp_path, jobs: int, round_index: int) -> float:
+    """Seconds for one fresh ``repro sweep --grid n4-sampled`` process."""
+    run_dir = tmp_path / f"n4-jobs{jobs}-round{round_index}"
+    artifact = run_dir / "landscape.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    command = [
+        sys.executable, "-m", "repro", "sweep",
+        "--grid", "n4-sampled",
+        "--checkpoint-dir", str(run_dir),
+        "--jobs", str(jobs),
+        "--output", str(artifact),
+    ]
+    started = time.perf_counter()
+    subprocess.run(command, env=env, check=True, capture_output=True)
+    elapsed = time.perf_counter() - started
+    assert artifact.read_bytes() == N4_ARTIFACT.read_bytes()
+    return elapsed
+
+
 def bench_sweep(tmp_path):
     cells = len(GRID.cells())
 
@@ -121,6 +157,15 @@ def bench_sweep(tmp_path):
 
     t_definition, t_table, ra_facets = _ra_construction()
 
+    n4_times = {1: [], 2: []}
+    for round_index in range(N4_ROUNDS):
+        for jobs in (1, 2):
+            n4_times[jobs].append(
+                _n4_sampled_sweep(tmp_path, jobs, round_index)
+            )
+    t_n4 = {jobs: statistics.median(times) for jobs, times in n4_times.items()}
+    cpu_count = os.cpu_count() or 1
+
     report = {
         "workload": {
             "grid": GRID.name,
@@ -138,6 +183,10 @@ def bench_sweep(tmp_path):
         "resume_overhead_ratio": round(t_resumed / t_straight, 2),
         "ra_speedup_vs_definition": round(t_definition / t_table, 2),
         "ra_facets_total": ra_facets,
+        "cpu_count": cpu_count,
+        "t_n4_sampled_jobs1_s": round(t_n4[1], 3),
+        "t_n4_sampled_jobs2_s": round(t_n4[2], 3),
+        "n4_sampled_speedup_jobs2": round(t_n4[1] / t_n4[2], 2),
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
@@ -147,3 +196,5 @@ def bench_sweep(tmp_path):
 
     # Resuming replays stubs instead of recomputing cells.
     assert report["resume"]["recomputed_cells"] == 0
+    if cpu_count >= 2:
+        assert report["n4_sampled_speedup_jobs2"] > 1.0

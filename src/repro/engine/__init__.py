@@ -12,9 +12,8 @@ queries, and Algorithm-1 fuzz batches:
 * :mod:`~repro.engine.jobs` — typed job specs and the batch API
   (:class:`Engine` with ``run_jobs`` / ``solve_many`` /
   ``classify_many`` / ``r_affine_many`` / ``fuzz_many``): sequential
-  in-process or worker-pool (:mod:`repro.workers`) execution with
-  deterministic result order, per-job timeouts, and structured budget
-  outcomes.
+  in-process execution, or a stdlib process pool for ``jobs > 1``,
+  with deterministic result order and structured budget outcomes.
 
 Every CLI command runs its work through an :class:`Engine`.  The
 sequential in-process path (``jobs=1``, no cache) is the default

@@ -5,8 +5,8 @@ a subdivision, an ``R_A`` construction, an adversary classification, a
 FACT solvability query (plain or certificate-producing), a certificate
 check, or one Algorithm-1 fuzz case.  Specs are canonically
 serializable (see :mod:`repro.engine.serialize`), which gives each job
-a content-addressed cache key and lets the worker pool ship it to
-worker processes without pickling closures.
+a content-addressed cache key and lets ``Engine(jobs>1)`` ship it to
+its process pool as canonical text, without pickling closures.
 
 :class:`Engine` is the façade the rest of the library talks to:
 ``run_jobs`` executes any batch with caching, parallelism, per-job
@@ -17,6 +17,7 @@ the batch shapes the commands and library modules issue.
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from dataclasses import dataclass, replace
@@ -36,7 +37,7 @@ from ..tasks.task import Task
 from ..topology.subdivision import iterated_subdivision
 from ..topology.chromatic import standard_simplex
 from .cache import MISS, NullCache
-from .serialize import digest
+from .serialize import SerializationError, deserialize, digest, serialize
 
 # ----------------------------------------------------------------------
 # Job kinds: pure functions from a payload tuple to a serializable value
@@ -198,50 +199,128 @@ class JobResult:
 ProgressCallback = Callable[[JobResult], None]
 
 
+def _run_one(index: int, kind: str, compute: Callable[[], Any]) -> JobResult:
+    """One job's result: its value, or a structured failure.
+
+    ``SearchBudgetExceeded`` is not an error here: it becomes a
+    ``budget`` result that the engine turns into a domain-split retry
+    (see :meth:`Engine._split_retry`).
+    """
+    result = JobResult(index=index, kind=kind)
+    started = time.perf_counter()
+    try:
+        result.value = compute()
+    except SearchBudgetExceeded as exc:
+        result.error = "budget"
+        result.nodes_explored = exc.nodes_explored
+    except Exception:
+        result.error = traceback.format_exc(limit=8)
+    result.wall_time = time.perf_counter() - started
+    return result
+
+
 def _execute_sequential(
     pending: Sequence[Tuple[int, JobSpec]],
-) -> List[JobResult]:
+) -> Iterable[JobResult]:
     """Run every spec in the calling process, in submission order.
 
     The bit-identical default for ``jobs=1`` and single-job batches: no
-    serialization.  ``SearchBudgetExceeded`` is not an error here: it
-    becomes a structured ``budget`` result that the engine turns into a
-    domain-split retry (see :meth:`Engine._split_retry`).
+    serialization.
     """
-    results = []
     for index, spec in pending:
-        started = time.perf_counter()
-        try:
+
+        def compute(spec=spec):
             with obs.span("engine.compute", kind=spec.kind):
-                value = spec.run()
-            results.append(
-                JobResult(
-                    index=index,
-                    kind=spec.kind,
-                    value=value,
-                    wall_time=time.perf_counter() - started,
-                )
-            )
-        except SearchBudgetExceeded as exc:
-            results.append(
-                JobResult(
-                    index=index,
-                    kind=spec.kind,
-                    error="budget",
-                    nodes_explored=exc.nodes_explored,
-                    wall_time=time.perf_counter() - started,
-                )
-            )
-        except Exception:
-            results.append(
-                JobResult(
-                    index=index,
-                    kind=spec.kind,
-                    error=traceback.format_exc(limit=8),
-                    wall_time=time.perf_counter() - started,
-                )
-            )
-    return results
+                return spec.run()
+
+        yield _run_one(index, spec.kind, compute)
+
+
+#: In a pool worker: the pool's shared array of running job indexes
+#: (plus one; ``0`` is idle) and this worker's slot in it.
+_SLOT: Tuple[Any, int] = (None, 0)
+
+
+def _pool_job(
+    index: int, kind: str, text: str, carrier: Optional[Dict[str, str]]
+) -> Tuple[JobResult, List[Dict[str, Any]]]:
+    """A pool worker's body: decode, compute, encode.
+
+    The value goes back as canonical text, so a pooled value is the
+    same bytes as an in-process or cache-replayed one.  Tracing follows
+    only the carrier (a forked worker inherits its parent's tracer);
+    the finished spans go back beside the result.
+    """
+    tracer = obs.enable() if carrier is not None else None
+    if tracer is None:
+        obs.disable()
+
+    def compute():
+        with obs.span("engine.codec.decode", kind=kind):
+            payload = deserialize(text)
+        with obs.span("engine.compute", kind=kind):
+            value = JOB_KINDS[kind](payload)
+        with obs.span("engine.codec.encode", kind=kind):
+            return serialize(value)
+
+    running, slot = _SLOT
+    running[slot] = index + 1  # read by the parent if this worker dies
+    with obs.attach(carrier):
+        result = _run_one(index, kind, compute)
+    running[slot] = 0
+    if tracer is None:
+        return result, []
+    obs.disable()
+    return result, [span.to_dict() for span in tracer.drain()]
+
+
+def _pooled_result(result: JobResult, spans: List[Dict[str, Any]]) -> JobResult:
+    """Reattach a worker's spans and decode its value text."""
+    tracer = obs.get_tracer()
+    if spans and tracer is not None:
+        tracer.ingest(spans)
+    if result.ok:
+        with obs.span("engine.codec.decode", kind=result.kind):
+            result.value = deserialize(result.value)
+    return result
+
+
+def _init_worker(parent: int, running, claimed) -> None:
+    """Pool worker initializer: claim a slot in ``running``, and exit
+    once the forking process is gone.
+
+    A SIGKILLed parent closes no pipe its workers read (each worker
+    holds the queue's write end too), so they would block forever.
+    """
+    import threading
+
+    global _SLOT
+    with claimed.get_lock():
+        _SLOT = (running, claimed.value)
+        claimed.value += 1
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _fork_pool(workers: int):
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    running = context.RawArray("i", workers)
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=context,
+        initializer=_init_worker,
+        initargs=(os.getpid(), running, context.Value("i", 0)),
+    )
+    pool.running = running
+    return pool
 
 
 # ----------------------------------------------------------------------
@@ -259,13 +338,10 @@ class Engine:
     cache:
         An :class:`~repro.engine.cache.ArtifactCache` (persistent) or
         :class:`~repro.engine.cache.NullCache` (default: no caching).
-    timeout:
-        Optional per-job wall-clock budget, enforced on the parallel
-        path (seconds).
     progress:
-        Optional callback invoked with each :class:`JobResult` as it
-        completes (completion order; the returned list is always in
-        submission order).
+        Optional callback invoked with each :class:`JobResult` as soon
+        as it completes (completion order; the returned list is always
+        in submission order).
     split_retries:
         How many levels a ``solve`` job that raises
         :class:`SearchBudgetExceeded` is retried for: each level splits
@@ -278,7 +354,6 @@ class Engine:
         self,
         jobs: int = 1,
         cache=None,
-        timeout: Optional[float] = None,
         progress: Optional[ProgressCallback] = None,
         split_retries: int = 3,
     ):
@@ -286,44 +361,86 @@ class Engine:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
         self.cache = cache if cache is not None else NullCache()
-        self.timeout = timeout
         self.progress = progress
         self.split_retries = split_retries
         #: Jobs answered by batch-level dedup instead of computation.
         self.deduped = 0
-        #: The persistent worker pool (``jobs > 1`` only), built lazily
-        #: on the first pooled batch and reused across ``run_jobs``
-        #: calls — that persistence is what keeps worker-side payload
-        #: objects and solver setups warm between batches.
+        #: The process pool (``jobs > 1`` only), forked on the first
+        #: pooled batch and reused until ``close`` or a worker death.
         self._pool = None
 
     def __repr__(self) -> str:
         return f"Engine(jobs={self.jobs}, cache={self.cache!r})"
 
     # ------------------------------------------------------------------
-    # Worker-pool lifecycle
+    # Execution
     # ------------------------------------------------------------------
-    def _worker_pool(self):
-        """The engine's persistent :class:`repro.workers.WorkerPool`."""
-        if self._pool is None:
-            from ..workers.pool import WorkerPool
-
-            self._pool = WorkerPool(self.jobs, timeout=self.timeout)
-            self._pool.start()
-        return self._pool
-
-    def _execute(self, pending: List[Tuple[int, JobSpec]]) -> List[JobResult]:
-        """Dispatch one deduplicated batch: in-process when there is one
-        worker or one job (parallelizing would not help), else pooled."""
+    def _execute(self, pending: List[Tuple[int, JobSpec]]) -> Iterable[JobResult]:
+        """Yield one deduplicated batch's results as they complete:
+        in-process when there is one worker or one job (parallelizing
+        would not help), else pooled."""
         if self.jobs <= 1 or len(pending) == 1:
             return _execute_sequential(pending)
-        return self._worker_pool().run_batch(pending)
+        return self._execute_pooled(pending)
+
+    def _execute_pooled(self, pending: List[Tuple[int, JobSpec]]) -> Iterable[JobResult]:
+        """Run a batch on the process pool, yielding in completion order.
+
+        A worker death breaks the pool and fails every job without a
+        result, running or queued.  The pool is dropped; each job that
+        was running is re-run once, alone, on a one-worker pool, so only
+        a job that kills its worker again fails, and the queued jobs go
+        on to a freshly forked pool.
+        """
+        from concurrent.futures import as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        carrier = obs.current_carrier()
+        batch = [
+            (index, spec.kind, serialize(spec.payload), carrier)
+            for index, spec in pending
+        ]
+        stalled = False
+        while batch:
+            if self._pool is not None and self._pool._broken:
+                self._pool = None  # a worker died while the pool was idle
+            if self._pool is None:
+                self._pool = _fork_pool(self.jobs)
+            pool, futures, lost = self._pool, {}, []
+            for job in batch:
+                try:
+                    futures[pool.submit(_pool_job, *job)] = job
+                except BrokenProcessPool:
+                    lost.append(job)
+            for future in as_completed(futures):
+                try:
+                    yield _pooled_result(*future.result())
+                except BrokenProcessPool:
+                    lost.append(futures[future])
+            if not lost:
+                return
+            if self._pool is pool:
+                self._pool = None
+            pool.shutdown(wait=False)
+            running = {index - 1 for index in pool.running if index}
+            if not running and stalled:  # twice no job to blame: all alone
+                running = {job[0] for job in lost}
+            stalled = not running
+            batch = sorted(job for job in lost if job[0] not in running)
+            for job in sorted(job for job in lost if job[0] in running):
+                index, kind = job[:2]
+                with _fork_pool(1) as alone:
+                    try:
+                        yield _pooled_result(*alone.submit(_pool_job, *job).result())
+                    except BrokenProcessPool:
+                        error = f"worker died while running {kind} job (re-dispatched 1 time(s))"
+                        yield JobResult(index, kind, error=error)
 
     def close(self) -> None:
-        """Release the worker pool (idempotent; the engine stays usable —
-        the next pooled batch starts a fresh pool)."""
+        """Release the process pool (idempotent; the engine stays usable —
+        the next pooled batch forks a fresh pool)."""
         if self._pool is not None:
-            self._pool.close()
+            self._pool.shutdown(wait=True)
             self._pool = None
 
     def __enter__(self) -> "Engine":
@@ -331,12 +448,6 @@ class Engine:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def worker_stats(self) -> Optional[Dict[str, Any]]:
-        """Pool dispatch/affinity counters, or ``None`` (no pool yet)."""
-        if self._pool is None:
-            return None
-        return self._pool.stats()
 
     # ------------------------------------------------------------------
     def run_jobs(self, specs: Sequence[JobSpec]) -> List[JobResult]:
@@ -368,7 +479,14 @@ class Engine:
             keyed = self.cache.persistent or len(specs) > 1
             with obs.span("engine.cache.lookup") as lookup_span:
                 for index, spec in enumerate(specs):
-                    key_digest = digest(spec.cache_key()) if keyed else ""
+                    try:
+                        key_digest = digest(spec.cache_key()) if keyed else ""
+                    except SerializationError:
+                        # A payload the codec cannot encode fails alone.
+                        digests.append("")
+                        error = traceback.format_exc(limit=8)
+                        self._finish(results, JobResult(index, spec.kind, error=error))
+                        continue
                     digests.append(key_digest)
                     started = time.perf_counter()
                     value = self.cache.get(key_digest)
@@ -417,7 +535,9 @@ class Engine:
                     result.nodes_explored = result.value[1]
             batch_span.set_attr("cache_hits", hits)
             batch_span.set_attr("computed", len(pending))
-            batch_span.set_attr("coalesced", len(specs) - hits - len(pending))
+            batch_span.set_attr(
+                "coalesced", sum(map(len, followers.values()))
+            )
             return [result for result in results if result is not None]
 
     def _finish(self, results: List[Optional[JobResult]], result: JobResult):
@@ -433,7 +553,7 @@ class Engine:
         independent slices *and* doubles the per-slice node budget —
         splitting alone cannot shrink deep backtracking subtrees, so the
         geometric escalation is what guarantees termination, while the
-        domain partition keeps slices independent for the worker pool.
+        domain partition keeps slices independent for the process pool.
         Slices are explored in canonical order, so the retry is fully
         deterministic.  After ``split_retries`` levels an unresolved
         slice surfaces as ``error="budget"`` with the aggregated node
@@ -462,6 +582,10 @@ class Engine:
             (replace(request, budget=request.budget * 2), 1)
         ]
 
+        def outcome(**fields) -> JobResult:
+            fields.setdefault("wall_time", failed.wall_time)
+            return JobResult(failed.index, spec.kind, splits=splits_done, **fields)
+
         while frontier:
             current, level = frontier.pop(0)
             if level > self.split_retries:
@@ -475,55 +599,25 @@ class Engine:
                 (i, JobSpec("solve", (sub,)))
                 for i, sub in enumerate(sub_requests)
             ]
-            sub_results = self._execute(sub_pending)
+            sub_results = sorted(
+                self._execute(sub_pending), key=lambda r: r.index
+            )
             for sub_result, sub_request in zip(sub_results, sub_requests):
                 if sub_result.error == "budget":
                     total_nodes += sub_result.nodes_explored or 0
-                    frontier.append(
-                        (
-                            replace(
-                                sub_request, budget=sub_request.budget * 2
-                            ),
-                            level + 1,
-                        )
-                    )
+                    escalated = replace(sub_request, budget=sub_request.budget * 2)
+                    frontier.append((escalated, level + 1))
                     continue
                 if not sub_result.ok:
-                    return JobResult(
-                        index=failed.index,
-                        kind=spec.kind,
-                        error=sub_result.error,
-                        wall_time=failed.wall_time + sub_result.wall_time,
-                        splits=splits_done,
-                    )
+                    wall_time = failed.wall_time + sub_result.wall_time
+                    return outcome(error=sub_result.error, wall_time=wall_time)
                 mapping, nodes = sub_result.value
                 total_nodes += nodes
                 if mapping is not None:
-                    return JobResult(
-                        index=failed.index,
-                        kind=spec.kind,
-                        value=(mapping, total_nodes),
-                        wall_time=failed.wall_time,
-                        nodes_explored=total_nodes,
-                        splits=splits_done,
-                    )
+                    return outcome(value=(mapping, total_nodes), nodes_explored=total_nodes)
         if budget_hit:
-            return JobResult(
-                index=failed.index,
-                kind=spec.kind,
-                error="budget",
-                wall_time=failed.wall_time,
-                nodes_explored=total_nodes,
-                splits=splits_done,
-            )
-        return JobResult(
-            index=failed.index,
-            kind=spec.kind,
-            value=(None, total_nodes),
-            wall_time=failed.wall_time,
-            nodes_explored=total_nodes,
-            splits=splits_done,
-        )
+            return outcome(error="budget", nodes_explored=total_nodes)
+        return outcome(value=(None, total_nodes), nodes_explored=total_nodes)
 
     # ------------------------------------------------------------------
     # Typed batch wrappers
@@ -666,7 +760,7 @@ class Engine:
         """Per-affine-task minimal solvable ``k`` (the E11 table).
 
         Issues the whole ``(L, k)`` grid as one batch — per-``(R_A, T)``
-        queries are independent, which is what the worker pool exploits.
+        queries are independent, which is what the process pool exploits.
         """
         from ..tasks.set_consensus import set_consensus_task
 

@@ -196,10 +196,10 @@ class Batcher:
     async def close(self) -> None:
         """Drain, then refuse further submissions and free the workers.
 
-        Closing also releases the engine's persistent worker pool: all
-        engine batches serialize through this batcher's dispatch thread,
-        so once it is shut down nothing else is using the pool.  The
-        engine itself stays usable (a later batch would start a fresh
+        Closing also shuts down the engine's process pool: all engine
+        batches serialize through this batcher's dispatch thread, so
+        once it is shut down nothing else is using the pool.  The
+        engine itself stays usable (a later batch would fork a fresh
         pool).
         """
         await self.drain()

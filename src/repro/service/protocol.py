@@ -231,10 +231,6 @@ def response_for_result(request_id: Any, result, value_text: Optional[str]):
             "node budget exceeded after split-retry",
             nodes_explored=result.nodes_explored or 0,
         )
-    if result.error == "timeout":
-        return error_response(
-            request_id, "timeout", "job exceeded the engine's per-job timeout"
-        )
     return error_response(request_id, "job_error", result.error)
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "as_solve_request",
     "make_searcher",
     "run_request",
-    "setup_digest",
     "solve_request_from_payload",
 ]
 
@@ -99,10 +98,6 @@ class SolveRequest:
             return None
         return {vertex: out for vertex, out in self.resume}
 
-    def setup_digest(self) -> str:
-        """Digest of the solver setup this request would build/reuse."""
-        return setup_digest(self.affine, self.task)
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -121,26 +116,6 @@ class SolveResult:
         return (self.mapping, self.nodes)
 
 
-def setup_digest(affine: AffineTask, task: Task) -> str:
-    """The content address of one ``(affine, task)`` solver setup.
-
-    The expensive part of a solve — the interned ``MapSearch`` tables
-    the bitset kernel caches on ``task._solver_setup`` — depends only
-    on the ``(affine, task)`` pair, never on budgets, overrides or
-    resume seeds.  This digest therefore identifies the *warm state* a
-    request reuses, and is what :class:`repro.workers.WorkerPool` routes
-    job affinity by: a worker that has built this setup keeps receiving
-    the requests that hit it.
-    """
-    # Late import: repro.engine.serialize imports this module.
-    from ..engine.serialize import digest
-
-    return digest(("repro.solver.setup", affine, task))
-
-
-# ----------------------------------------------------------------------
-# Payload adapters
-# ----------------------------------------------------------------------
 def solve_request_from_payload(payload: Tuple) -> SolveRequest:
     """Build a request from a positional 4/5-tuple (no deprecation)."""
     if not 4 <= len(payload) <= 5:

@@ -368,7 +368,7 @@ class SweepDriver:
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        """Release the engine's persistent worker pool (idempotent)."""
+        """Release the engine's process pool (idempotent)."""
         self.engine.close()
 
     def __enter__(self) -> "SweepDriver":

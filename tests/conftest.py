@@ -110,6 +110,7 @@ def sleep_kind(monkeypatch):
     this test only.
 
     In-process engines and servers resolve kinds at run time, and
-    worker pools fork from the patched parent, so both see it.
+    the engine's process pool forks from the patched parent, so both
+    see it.
     """
     monkeypatch.setitem(JOB_KINDS, "sleep", _sleep)

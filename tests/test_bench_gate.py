@@ -35,23 +35,7 @@ BASELINES = {
         "artifacts_cached": 142,
         "speedup_warm_cache": 20.0,
         "speedup_multiworker_cold": None,
-        "speedup_multiworker_warm": None,
         "saturation": {"speedup_jobs2": None},
-    },
-    "BENCH_workers.json": {
-        "workload": {
-            "affinity_jobs": 20,
-            "distinct_setups": 2,
-            "sleep_jobs": 20,
-        },
-        "affinity": {"routed": 20, "hits": 18, "hit_rate": 0.9},
-        "failures": {
-            "worker_restarts": 0,
-            "redispatched": 0,
-            "codec_errors": 0,
-        },
-        "dispatch_overhead_ratio": 1.1,
-        "saturation": {"speedup_jobs2": 1.9},
     },
     "BENCH_landscape.json": {
         "workload": {"grid_cells": 12, "adversaries": 6},
@@ -209,22 +193,21 @@ def test_new_metric_absent_from_baseline_is_informational(dirs, capsys):
     gate rule): that is a note, never a failure."""
     baseline, fresh = dirs
     data = json.loads((baseline / "BENCH_engine.json").read_text())
-    del data["speedup_multiworker_cold"]
+    del data["speedup_warm_cache"]
     (baseline / "BENCH_engine.json").write_text(json.dumps(data))
     assert _run(baseline, fresh) == 0
     out = capsys.readouterr().out
     assert "PASS BENCH_engine.json" in out
     assert "note:" in out
-    assert "speedup_multiworker_cold" in out
+    assert "speedup_warm_cache" in out
     assert "informational until re-baselined" in out
 
 
 def test_null_nested_speedup_skips(dirs):
-    # A nested ratio the fresh host cannot measure (one CPU) is recorded
-    # as null under its section; the dotted-path comparison skips.
+    # A nested ratio the fresh host cannot measure is recorded as null
+    # under its section; the dotted-path comparison skips.
     baseline, fresh = dirs
-    _doctor(baseline, "BENCH_engine.json", saturation={"speedup_jobs2": 1.9})
-    _doctor(fresh, "BENCH_engine.json", saturation={"speedup_jobs2": None})
+    _doctor(fresh, "BENCH_service.json", codec={"serialize_vs_json_ratio": None})
     assert _run(baseline, fresh) == 0
 
 
@@ -313,9 +296,9 @@ def multicore_dirs(dirs):
             "BENCH_engine.json",
             cpu_count=2,
             speedup_multiworker_cold=0.9,
-            speedup_multiworker_warm=1.1,
             saturation={"speedup_jobs2": 1.2},
         )
+        _doctor(side, "BENCH_landscape.json", n4_sampled_speedup_jobs2=1.3)
     return baseline, fresh
 
 
@@ -342,10 +325,10 @@ def test_multicore_rules_fail_on_null_saturation(multicore_dirs, capsys):
 
 def test_multicore_env_var_activates(multicore_dirs, monkeypatch, capsys):
     baseline, fresh = multicore_dirs
-    _doctor(fresh, "BENCH_workers.json", saturation={"speedup_jobs2": None})
+    _doctor(fresh, "BENCH_landscape.json", n4_sampled_speedup_jobs2=None)
     monkeypatch.setenv("REPRO_BENCH_MULTICORE", "1")
     assert _run(baseline, fresh) == 1
-    assert "saturation.speedup_jobs2" in capsys.readouterr().out
+    assert "n4_sampled_speedup_jobs2" in capsys.readouterr().out
 
 
 def test_every_multicore_rule_resolves_in_doctored_baselines(multicore_dirs):

@@ -8,6 +8,8 @@ sequential code path.
 
 from __future__ import annotations
 
+import os
+import time
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,7 @@ from repro.engine import (
     NullCache,
     digest,
 )
+from repro.engine.jobs import JOB_KINDS
 from repro.runtime.algorithm1 import fuzz_algorithm1
 from repro.tasks.set_consensus import set_consensus_task
 from repro.tasks.solvability import (
@@ -174,6 +177,18 @@ def test_split_retry_recovers_the_exact_mapping(ra_1res, task23):
     assert nodes > budget
 
 
+def test_pooled_split_retry_matches_in_process(ra_1res, task23):
+    # The retry's slices run as one pooled sub-batch; however they
+    # complete, they are read in slice order, as in-process.
+    reference = MapSearch(ra_1res, task23)
+    reference.search()
+    query = (ra_1res, task23, reference.nodes_explored // 2)
+    sequential = Engine(jobs=1, split_retries=6).solve_many([query])
+    with Engine(jobs=2, split_retries=6) as engine:
+        pooled = engine.solve_many([query])
+    assert pooled == sequential
+
+
 def test_split_retry_decides_unsolvable_instances(ra_1res):
     consensus = set_consensus_task(3, 1)
     reference = MapSearch(ra_1res, consensus)
@@ -227,6 +242,36 @@ def test_progress_callback_sees_every_job(ra_1of, ra_1res, task23):
     engine = Engine(jobs=1, progress=seen.append)
     engine.solve_many([(ra_1of, task23, None), (ra_1res, task23, None)])
     assert sorted(result.index for result in seen) == [0, 1]
+
+
+def _wait_for(payload: tuple) -> bool:
+    # True once ``path`` exists, False if ``seconds`` pass first.
+    path, seconds = payload
+    deadline = time.monotonic() + seconds
+    while not os.path.exists(path):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_progress_hook_runs_as_each_job_completes(jobs, monkeypatch, tmp_path):
+    # Job 1 waits for the file job 0's progress hook writes: it only
+    # sees it if the hook runs before the batch has finished.
+    monkeypatch.setitem(JOB_KINDS, "wait_for", _wait_for)
+    flag = tmp_path / "job0-finished"
+
+    def hook(result):
+        if result.index == 0:
+            flag.touch()
+
+    with Engine(jobs=jobs, progress=hook) as engine:
+        first, second = engine.run_jobs(
+            [JobSpec("chr", (2, 1)), JobSpec("wait_for", (str(flag), 5.0))]
+        )
+    assert first.ok and second.ok
+    assert second.value is True
 
 
 def test_bad_job_surfaces_as_runtime_error():
@@ -293,20 +338,8 @@ def test_landscape_classify_all_engine_equals_legacy():
 
 
 # ----------------------------------------------------------------------
-# Failure paths surfaced by serving: timeouts, corruption, propagation
+# Failure paths surfaced by serving: corruption, propagation
 # ----------------------------------------------------------------------
-def test_pool_per_job_timeout_surfaces_timeout_results(sleep_kind):
-    """Slow jobs on the pool path become ``error="timeout"`` results."""
-    engine = Engine(jobs=2, timeout=0.2)
-    results = engine.run_jobs(
-        [JobSpec("sleep", (10.0, "a")), JobSpec("sleep", (10.0, "b"))]
-    )
-    assert [result.error for result in results] == ["timeout", "timeout"]
-    assert [result.index for result in results] == [0, 1]
-    with pytest.raises(RuntimeError, match="timeout"):
-        engine._value(results[0])
-
-
 def test_truncated_cache_entry_recomputes_and_repairs(tmp_path):
     spec = JobSpec("chr", (3, 1))
     cache = ArtifactCache(tmp_path)
