@@ -16,10 +16,15 @@ less than forking workers and shipping ``R_A`` payloads costs, so the
 multi-worker ratios are recorded, not asserted; the pool's speed is
 measured on real work in ``benchmarks/bench_sweep.py``.
 
-In-process ``lru_cache`` state is cleared, and garbage collected,
+Each worker count is timed over ``ROUNDS`` alternated cold/warm
+rounds, and each stage's time is its median over them: a round takes
+about a tenth of a second, too short for one timing to stand for the
+stage.  Every round starts from a fresh cache directory and fresh
+query objects (solver set-ups cache on the task objects), and
+in-process ``lru_cache`` state is cleared, and garbage collected,
 before every stage so a "cold" measurement is genuinely cold and no
-stage times a collection an earlier stage left pending.  The numbers land in
-``BENCH_engine.json`` at the repo root, together with ``cpu_count`` —
+stage times a collection an earlier stage left pending.  The numbers
+land in ``BENCH_engine.json`` at the repo root, together with ``cpu_count`` —
 on a single-CPU box the multiworker stages are skipped outright and
 their metrics recorded as ``null`` (the bench gate reads
 null-vs-number as "skipped on this environment", not as a
@@ -33,6 +38,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -51,6 +57,9 @@ from repro.tasks.set_consensus import set_consensus_task
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_engine.json"
+
+#: Alternated cold/warm rounds per worker count (medians are recorded).
+ROUNDS = 5
 
 
 def _solve_queries():
@@ -89,8 +98,20 @@ def _timed(stage):
     return value, time.perf_counter() - started
 
 
-def bench_engine_cache(tmp_path):
+def _cold_then_warm(cache_dir, jobs):
+    """One round: the workload on an empty cache, then again on the
+    cache it filled; returns both stages' values and times."""
     queries = _solve_queries()
+    stages = []
+    for _ in ("cold", "warm"):
+        _go_cold()
+        engine = Engine(jobs=jobs, cache=ArtifactCache(cache_dir))
+        stages.append(_timed(lambda: _run_engine(engine, queries)))
+        engine.close()
+    return stages
+
+
+def bench_engine_cache(tmp_path):
     # Its own query objects: solver set-ups cache on the task objects,
     # and the cold stages below must not find them warm.
     default_queries = _solve_queries()
@@ -102,27 +123,22 @@ def bench_engine_cache(tmp_path):
 
     cpu_count = os.cpu_count() or 1
     worker_counts = tuple(range(1, min(4, cpu_count) + 1))
-    timings = {}
-    entries_by_stage = {}
-    for jobs in worker_counts:
-        cache_dir = tmp_path / f"cache-jobs{jobs}"
-        _go_cold()
-        engine = Engine(jobs=jobs, cache=ArtifactCache(cache_dir))
-        (entries, solved), t_cold = _timed(
-            lambda: _run_engine(engine, queries)
-        )
-        engine.close()
-        _go_cold()
-        warm_engine = Engine(jobs=jobs, cache=ArtifactCache(cache_dir))
-        (warm_entries, warm_solved), t_warm = _timed(
-            lambda: _run_engine(warm_engine, queries)
-        )
-        warm_engine.close()
-        assert entries == default_entries == warm_entries
-        assert solved == default_solved
-        assert warm_solved == solved
-        timings[jobs] = (t_cold, t_warm)
-        entries_by_stage[jobs] = len(ArtifactCache(cache_dir))
+    times = {jobs: ([], []) for jobs in worker_counts}
+    cached_counts = set()
+    for round_index in range(ROUNDS):
+        for jobs in worker_counts:
+            cache_dir = tmp_path / f"cache-jobs{jobs}-round{round_index}"
+            cold, warm = _cold_then_warm(cache_dir, jobs)
+            for (entries, solved), _ in (cold, warm):
+                assert entries == default_entries
+                assert solved == default_solved
+            times[jobs][0].append(cold[1])
+            times[jobs][1].append(warm[1])
+            cached_counts.add(len(ArtifactCache(cache_dir)))
+    timings = {
+        jobs: (statistics.median(cold), statistics.median(warm))
+        for jobs, (cold, warm) in times.items()
+    }
 
     t_cold_1, t_warm_1 = timings[1]
     t_cold_2, t_warm_2 = timings.get(2, (None, None))
@@ -135,7 +151,7 @@ def bench_engine_cache(tmp_path):
     report = {
         "workload": {
             "adversaries_classified": len(default_entries),
-            "solvability_queries": len(queries),
+            "solvability_queries": len(default_queries),
         },
         "cpu_count": cpu_count,
         "t_direct_s": round(t_direct, 4),
@@ -148,7 +164,7 @@ def bench_engine_cache(tmp_path):
             None if t_cold_2 is None else round(t_cold_1 / t_cold_2, 2)
         ),
         "saturation": saturation,
-        "artifacts_cached": entries_by_stage[1],
+        "artifacts_cached": max(cached_counts),
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
@@ -159,8 +175,8 @@ def bench_engine_cache(tmp_path):
     # A warm cache replays pure reads; anything under 5x means the
     # cache (or the codec) regressed badly.
     assert report["speedup_warm_cache"] >= 5.0
-    # Every worker count computes and caches the same artifacts.
-    assert len(set(entries_by_stage.values())) == 1
+    # Every worker count and round computes and caches the same artifacts.
+    assert len(cached_counts) == 1
     if cpu_count < 2:
         assert report["speedup_multiworker_cold"] is None
         assert all(value is None for value in report["saturation"].values())

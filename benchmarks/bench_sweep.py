@@ -7,20 +7,21 @@ Two measurements around :mod:`repro.sweep`, landing in
   informational: absolute rates track the CI machine and are not
   gated);
 * **resume overhead** — a sweep interrupted after half its cells and
-  resumed, versus one uninterrupted run: the resumed path must
-  recompute **zero** cells, produce a byte-identical artifact, and cost
-  only checkpoint-reload overhead;
+  run again on the same checkpoint directory, versus one uninterrupted
+  run: a third run on the complete directory must recompute **zero**
+  cells, the artifact must be byte-identical, and the interruption may
+  cost only cache-reload overhead;
 * **``R_A`` construction** — over the n=3 fair agreement functions,
   Definition 9 folded face by face (``RABuilder.facet_allowed``) versus
   ``RABuilder.build``'s fold of the once-per-``n`` contention table
   (warm): ``ra_speedup_vs_definition`` is the first time over the
   second, and ``ra_facets_total`` the facets both keep;
 * **the process pool on paper work** — ``repro sweep --grid
-  n4-sampled`` with no cache, at ``--jobs 1`` and ``--jobs 2`` in
-  alternated rounds, each run a fresh process whose artifact must be
-  byte-identical to ``examples/landscape_n4_sampled.json``:
-  ``n4_sampled_speedup_jobs2`` is the median ``--jobs 1`` time over the
-  median ``--jobs 2`` time.  It must exceed 1 wherever there are two
+  n4-sampled`` in a fresh checkpoint directory, at ``--jobs 1`` and
+  ``--jobs 2`` in alternated rounds, each run a fresh process whose
+  artifact must be byte-identical to
+  ``examples/landscape_n4_sampled.json``: ``n4_sampled_speedup_jobs2``
+  is the median ``--jobs 1`` time over the median ``--jobs 2`` time.  It must exceed 1 wherever there are two
   CPUs to run on; the gate checks it only in the multi-core lane.
 
 Verdict counts are parity-gated: the grid is content-addressed and the
@@ -136,12 +137,12 @@ def bench_sweep(tmp_path):
     reference = straight.write_artifact(tmp_path / "straight.json")
     summary = status["artifact"]["summary"]
 
-    # Resume: interrupt after half the grid, then continue.
+    # Resume: interrupt after half the grid, then run it again.
     half = cells // 2
 
     def interrupted():
         SweepDriver(GRID, tmp_path / "resumed").run(limit=half)
-        return SweepDriver(GRID, tmp_path / "resumed").run(resume=True)
+        return SweepDriver(GRID, tmp_path / "resumed").run()
 
     resumed_status, t_resumed = _timed(interrupted)
     assert resumed_status["complete"]
@@ -152,7 +153,7 @@ def bench_sweep(tmp_path):
     assert resumed_bytes == reference  # byte-identical, kill or no kill
 
     # A third pass over a complete checkpoint recomputes nothing.
-    replay = SweepDriver(GRID, tmp_path / "resumed").run(resume=True)
+    replay = SweepDriver(GRID, tmp_path / "resumed").run()
     assert replay["complete"]
 
     t_definition, t_table, ra_facets = _ra_construction()
@@ -194,7 +195,7 @@ def bench_sweep(tmp_path):
     print(render_mapping("sweep economics:", report))
     print(f"wrote {OUTPUT}")
 
-    # Resuming replays stubs instead of recomputing cells.
+    # Resuming replays cached cells instead of recomputing them.
     assert report["resume"]["recomputed_cells"] == 0
     if cpu_count >= 2:
         assert report["n4_sampled_speedup_jobs2"] > 1.0

@@ -20,16 +20,18 @@ Commands regenerate the paper's artifacts from the terminal:
   plans derived from an adversary (``repro.sim``);
 * ``oracle``     — differential oracle: simulator verdicts versus
   FACT, with replayable disagreement artifacts;
-* ``sweep``      — run or resume a checkpointed landscape sweep
+* ``sweep``      — run or continue a checkpointed landscape sweep
   (``repro.sweep``): ``--grid`` names a preset or a grid JSON file,
-  progress persists after every completed cell, ``--resume`` continues
-  a killed run, ``--limit`` bounds one slice;
+  every completed cell is cached under ``--checkpoint-dir``, so running
+  the same command again continues a killed run; ``--limit`` bounds one
+  slice;
 * ``trace``      — summarize a JSONL trace file (``repro.obs``).
 
 Every command that computes runs its work through one
-:class:`repro.engine.Engine` and accepts ``--jobs N`` / ``--cache-dir
-PATH`` / ``--no-cache``; the defaults (``--jobs 1``, no cache) run
-every job in this process, in submission order.
+:class:`repro.engine.Engine` and accepts ``--jobs N``; all but
+``sweep``, whose checkpoint directory is its cache, also accept
+``--cache-dir PATH`` / ``--no-cache``.  The defaults (``--jobs 1``, no
+cache) run every job in this process, in submission order.
 
 Any command accepts span tracing via ``--trace FILE.jsonl`` (where the
 engine options are available) or the ``REPRO_TRACE`` environment
@@ -274,12 +276,13 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Run or resume a checkpointed landscape sweep (``repro.sweep``).
+    """Run or continue a checkpointed landscape sweep (``repro.sweep``).
 
-    Progress persists after every completed cell, so a killed run picks
-    up where it stopped with ``--resume`` — and the final artifact is
-    byte-identical to an uninterrupted run's.  Exit 0 means the grid is
-    complete; a ``--limit`` slice that leaves cells pending exits 2.
+    Every completed cell is cached under the checkpoint directory, so
+    the same command run again picks up where a killed run stopped —
+    and the final artifact is byte-identical to an uninterrupted run's.
+    Exit 0 means the grid is complete; a ``--limit`` slice that leaves
+    cells pending exits 2.
     """
     from .sweep import SweepDriver, load_grid
 
@@ -287,18 +290,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = load_grid(args.grid)
     except ValueError as exc:
         raise SystemExit(f"repro sweep: {exc}")
-    engine = _build_engine(args)
-    driver = SweepDriver(grid, args.checkpoint_dir, engine=engine)
-    try:
-        status = driver.run(resume=args.resume, limit=args.limit)
-    except ValueError as exc:
-        driver.close()
-        raise SystemExit(f"repro sweep: {exc}")
-    if args.escalate and status["complete"]:
-        escalated = driver.escalate(args.escalate)
-        status = {**status, "escalated": escalated}
-        if escalated:
-            status["artifact"] = driver.assemble_artifact()
+    with SweepDriver(grid, args.checkpoint_dir, jobs=args.jobs) as driver:
+        status = driver.run(limit=args.limit)
     shown = {
         "grid": status["grid"],
         "digest": status["grid_digest"][:12],
@@ -307,8 +300,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "computed now": status["computed"],
         "complete": status["complete"],
     }
-    if "escalated" in status:
-        shown["escalated"] = status["escalated"]
     print(render_mapping("sweep:", shown))
     if status["complete"]:
         summary = status["artifact"]["summary"]
@@ -327,11 +318,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.output is not None:
             data = driver.write_artifact(args.output)
             print(f"wrote {args.output} ({len(data)} bytes)")
-        driver.close()
         return 0
     remaining = status["cells"] - status["done"]
-    print(f"{remaining} cell(s) pending; rerun with --resume to continue")
-    driver.close()
+    print(f"{remaining} cell(s) pending; rerun to continue")
     return 2
 
 
@@ -789,23 +778,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+def _add_engine_options(
+    parser: argparse.ArgumentParser, cache: bool = True
+) -> None:
     parser.add_argument(
         "--jobs",
         type=_positive_int,
         default=1,
         help="worker processes (1 = run in this process)",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persistent artifact cache directory",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the artifact cache",
-    )
+    if cache:
+        parser.add_argument(
+            "--cache-dir",
+            default=None,
+            help="persistent artifact cache directory",
+        )
+        parser.add_argument(
+            "--no-cache",
+            action="store_true",
+            help="disable the artifact cache",
+        )
     parser.add_argument(
         "--trace",
         default=None,
@@ -1048,7 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="run or resume a checkpointed landscape sweep (repro.sweep)",
+        help="run or continue a checkpointed landscape sweep (repro.sweep)",
     )
     sweep.add_argument(
         "--grid",
@@ -1059,12 +1051,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--checkpoint-dir",
         required=True,
-        help="directory for the grid document and per-cell resume stubs",
-    )
-    sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue from existing checkpoints instead of refusing",
+        help="artifact cache holding every completed cell; rerun with "
+        "the same directory to continue",
     )
     sweep.add_argument(
         "--limit",
@@ -1073,17 +1061,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute at most this many new cells, then exit 2",
     )
     sweep.add_argument(
-        "--escalate",
-        type=_positive_int,
-        default=None,
-        help="after completion, re-run budget cells at budget * 2^LEVEL",
-    )
-    sweep.add_argument(
         "--output",
         default=None,
         help="write the landscape artifact here once the grid completes",
     )
-    _add_engine_options(sweep)
+    _add_engine_options(sweep, cache=False)
 
     export = sub.add_parser(
         "export", help="dump all figure data as JSON"

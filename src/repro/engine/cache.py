@@ -99,7 +99,13 @@ class ArtifactCache:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(1 for _ in self._objects.glob("*/*.json"))
+        """Stored artifacts: ``<digest>.json`` entries, not the temp file
+        a writer killed mid-``put`` leaves behind."""
+        return sum(
+            1
+            for entry in self._objects.glob("*/*.json")
+            if not entry.name.startswith(".")
+        )
 
     def clear(self) -> int:
         """Delete every stored artifact; returns the number removed."""

@@ -126,19 +126,10 @@ def _compute_sweep(payload: tuple) -> Any:
     # One landscape sweep cell: classify the adversary and (when fair)
     # decide one set-consensus task on its affine task R_A under a node
     # budget.  The record is fully deterministic, so cells are safe to
-    # cache content-addressed and to persist as sweep checkpoint stubs.
+    # cache content-addressed; the cache entry is the sweep's checkpoint.
     from ..sweep.cells import compute_cell
 
     return compute_cell(payload)
-
-
-def _compute_sweep_resume(payload: tuple) -> Any:
-    # A budget-escalated re-run of a sweep cell (payload + escalation
-    # level).  Distinct kind so the escalated value gets its own cache
-    # address and never shadows the base cell's record.
-    from ..sweep.cells import compute_cell_resume
-
-    return compute_cell_resume(payload)
 
 
 #: kind -> compute function.  Worker processes resolve kinds through
@@ -154,7 +145,6 @@ JOB_KINDS: Dict[str, Callable[[tuple], Any]] = {
     "simulate": _compute_simulate,
     "oracle": _compute_oracle,
     "sweep": _compute_sweep,
-    "sweep_resume": _compute_sweep_resume,
 }
 
 

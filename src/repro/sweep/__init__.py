@@ -11,10 +11,10 @@ monolithic:
   budgeted FACT solve with engine split-retry escalation;
 * :mod:`repro.sweep.driver` — grid specs as frozen dataclasses with
   content-addressed digests, a deterministic adversary sampler for the
-  regimes where exhaustive enumeration is impossible, and a resumable
-  sweep driver that persists progress after every completed cell so a
-  killed sweep continues where it stopped and produces a byte-identical
-  artifact.
+  regimes where exhaustive enumeration is impossible, and a sweep
+  driver whose checkpoint is the engine's artifact cache: every
+  completed cell is stored as it finishes, so a killed sweep run again
+  continues where it stopped and produces a byte-identical artifact.
 """
 
 from .driver import (

@@ -5,8 +5,8 @@ the adversary (fairness, closure properties, agreement power), and —
 when it is fair with positive power — build its affine task ``R_A`` and
 decide ``k``-set consensus on it under a node budget.  The cell value
 is a JSON-safe record, so it travels unchanged through the engine's
-content-addressed cache, the sweep driver's checkpoint stubs and the
-final landscape artifact.
+content-addressed cache (the sweep's checkpoint) into the final
+landscape artifact.
 
 Budget handling reuses the engine's split-retry machinery verbatim: the
 solve runs through a private in-process :class:`~repro.engine.jobs.
@@ -32,7 +32,7 @@ from ..adversaries.agreement import agreement_function_of
 from ..adversaries.fairness import is_fair
 from ..adversaries.setcon import setcon
 
-__all__ = ["KERNEL", "compute_cell", "compute_cell_resume", "cell_payload"]
+__all__ = ["KERNEL", "compute_cell", "cell_payload"]
 
 #: The one value of a cell's ``kernel`` slot: every cell runs on the
 #: bitset kernel, whose node counts are the reference search's.  The
@@ -146,27 +146,4 @@ def compute_cell(payload: tuple) -> Dict[str, Any]:
         budget,
         split_retries,
     )
-    return record
-
-
-def compute_cell_resume(payload: tuple) -> Dict[str, Any]:
-    """Re-run a ``budget`` cell at an escalated node budget.
-
-    The payload is the original cell payload plus an escalation level;
-    the effective budget is ``budget * 2**escalation``, mirroring the
-    engine's split-retry doubling.  The record keeps the *original*
-    budget in its identity fields but reports the escalated one in the
-    solve outcome, so an artifact assembled from escalated cells remains
-    self-describing.
-    """
-    adversary, k, budget, kernel, variant, split_retries, escalation = payload
-    if escalation < 1:
-        raise ValueError("escalation must be >= 1")
-    scaled = budget * (2**escalation)
-    record = compute_cell(
-        (adversary, k, scaled, kernel, variant, split_retries)
-    )
-    if record["solve"] is not None:
-        record["solve"]["escalated_from"] = budget
-        record["solve"]["escalation"] = escalation
     return record

@@ -1,25 +1,22 @@
-"""Resumable, checkpointed sweep driver over (adversary x task) grids.
+"""Resumable landscape sweeps over (adversary x task) grids.
 
 A sweep is described by a :class:`GridSpec` — a frozen dataclass whose
 content-addressed digest identifies the grid exactly (process count,
 adversary source, task axis, budgets, kernel).  The driver expands the
-grid into deterministic cells, runs each cell as a ``sweep`` engine job
-(cached, parallelizable) and persists a *checkpoint stub* — the
-certify-style resume idiom — after **every** completed cell.  Kill the
-process at any point, rerun with ``resume=True``, and the sweep picks
-up exactly where it stopped: completed cells are loaded from their
-stubs, never recomputed, and the final artifact is byte-identical to an
-uninterrupted run's.
+grid into deterministic cells and runs each cell as a ``sweep`` engine
+job over one :class:`~repro.engine.cache.ArtifactCache` rooted at the
+checkpoint directory.  The engine stores each cell's record as soon as
+it completes, so that cache entry is the cell's checkpoint.  Kill the
+process at any point and run the same grid again: cells found in the
+cache are loaded, never recomputed, and the final artifact is
+byte-identical to an uninterrupted run's.
 
 Checkpoint layout (under the checkpoint directory)::
 
-    grid.json                      the grid document + digest
-    cells/<index>-<digest12>.json  one stub per completed cell
+    objects/<digest[:2]>/<digest>.json   one cache entry per completed cell
 
-Stubs are written atomically (temp file + ``os.replace``), so a crash
-mid-write can only ever leave a whole stub or none.  Every stub records
-the grid digest and its cell's payload digest; stubs from a different
-grid are rejected on resume rather than silently mixed in.
+A cell's key is its full engine payload, so one directory can hold any
+number of grids, and cells shared between them are computed once.
 
 For ``n >= 4`` exhaustive enumeration is impossible (``2^(2^n-1) - 1``
 adversaries), so grids can declare a *sampled* adversary source:
@@ -53,14 +50,13 @@ __all__ = [
 ]
 
 GRID_FORMAT = "repro.sweep/grid"
-CELL_FORMAT = "repro.sweep/cell"
 ARTIFACT_FORMAT = "repro.sweep/landscape"
 SWEEP_VERSION = 1
 
 #: Valid adversary sources for a grid.
 SOURCES = ("exhaustive", "sample", "explicit")
 
-#: Seconds to pause after each checkpointed cell.  A throttle for the
+#: Seconds to pause after each completed cell.  A throttle for the
 #: kill-and-resume tests (a SIGKILL must land *mid-grid* reliably) and
 #: for operators who want a long sweep to yield the machine; records
 #: are unaffected, so artifacts stay byte-identical with or without it.
@@ -300,7 +296,7 @@ def load_grid(spec: str) -> GridSpec:
 
 
 # ----------------------------------------------------------------------
-# Canonical JSON (artifact + stub bytes)
+# Canonical JSON (artifact bytes)
 # ----------------------------------------------------------------------
 def _canon_bytes(doc: Dict[str, Any]) -> bytes:
     return (
@@ -332,39 +328,30 @@ def _atomic_write(path: Path, data: bytes) -> None:
 # The driver
 # ----------------------------------------------------------------------
 class SweepDriver:
-    """Run a grid as engine jobs, checkpointing every completed cell.
+    """Run a grid as ``sweep`` engine jobs over one artifact cache.
 
     Parameters
     ----------
     grid:
         The :class:`GridSpec` to sweep.
     checkpoint_dir:
-        Where stubs live.  A fresh sweep requires the directory to hold
-        no foreign grid; resuming requires the stored grid digest to
-        match (a changed grid never silently reuses stale cells).
-    engine:
-        An optional :class:`repro.engine.Engine`; the driver installs
-        its own progress hook on it while running.  Defaults to a
-        sequential engine with no cache — cell values are still
-        persisted via checkpoint stubs, and a content-addressed
-        :class:`~repro.engine.cache.ArtifactCache` layers on top when
-        provided (cells shared between grids then never recompute).
+        The root of the :class:`~repro.engine.cache.ArtifactCache` that
+        holds every completed cell.  Any number of grids may share one
+        directory: a cell's key is its full payload, so cells common to
+        two grids are computed once.
+    jobs:
+        Worker processes for the driver's :class:`~repro.engine.Engine`
+        (``1`` runs every cell in this process).
     """
 
-    def __init__(
-        self,
-        grid: GridSpec,
-        checkpoint_dir,
-        engine=None,
-    ):
+    def __init__(self, grid: GridSpec, checkpoint_dir, jobs: int = 1):
+        from ..engine.cache import ArtifactCache
         from ..engine.jobs import Engine
 
         self.grid = grid
         self.grid_digest = grid.digest()
-        self.root = Path(checkpoint_dir)
-        self.cells_dir = self.root / "cells"
-        self.engine = engine if engine is not None else Engine()
-        self._payload_digests: Dict[int, str] = {}
+        self.cache = ArtifactCache(checkpoint_dir)
+        self.engine = Engine(jobs=jobs, cache=self.cache)
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
@@ -377,105 +364,44 @@ class SweepDriver:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # -- checkpoint plumbing ---------------------------------------------
-    def _grid_path(self) -> Path:
-        return self.root / "grid.json"
+    # -- the cache as checkpoint -----------------------------------------
+    def _spec(self, cell: CellState):
+        from ..engine.jobs import JobSpec
 
-    def _cell_path(self, index: int, payload_digest: str) -> Path:
-        return self.cells_dir / f"{index:05d}-{payload_digest[:12]}.json"
+        return JobSpec("sweep", cell.payload(self.grid))
 
-    def _write_grid_doc(self) -> None:
-        doc = dict(self.grid.to_doc())
-        doc["digest"] = self.grid_digest
-        _atomic_write(self._grid_path(), _canon_bytes(doc))
+    def _load(self, cells: List[CellState]) -> List[CellState]:
+        """Fill each cell's record from the cache; return the misses.
 
-    def _checkpoint_cell(
-        self, cell: CellState, payload_digest: str
-    ) -> None:
-        stub = {
-            "format": CELL_FORMAT,
-            "version": SWEEP_VERSION,
-            "grid_digest": self.grid_digest,
-            "index": cell.index,
-            "payload_digest": payload_digest,
-            "record": cell.record,
-        }
-        with obs.span("sweep.checkpoint", index=cell.index):
-            _atomic_write(
-                self._cell_path(cell.index, payload_digest),
-                _canon_bytes(stub),
-            )
+        A torn or corrupt entry reads as a miss, so its cell is simply
+        computed again.
+        """
+        from ..engine.cache import MISS
+        from ..engine.serialize import digest
 
-    def _load_stubs(self) -> Dict[int, Dict[str, Any]]:
-        """Completed cell records by index, validated against this grid."""
-        loaded: Dict[int, Dict[str, Any]] = {}
-        if not self.cells_dir.is_dir():
-            return loaded
-        for path in sorted(self.cells_dir.glob("*.json")):
-            try:
-                stub = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue  # torn/foreign file: recompute that cell
-            if (
-                stub.get("format") != CELL_FORMAT
-                or stub.get("version") != SWEEP_VERSION
-                or stub.get("grid_digest") != self.grid_digest
-            ):
-                continue
-            loaded[stub["index"]] = stub
-        return loaded
-
-    def checkpointed_cells(self) -> int:
-        """How many cells of *this* grid already have stubs on disk."""
-        return len(self._load_stubs())
+        missing = []
+        for cell in cells:
+            record = self.cache.get(digest(self._spec(cell).cache_key()))
+            if record is MISS:
+                missing.append(cell)
+            else:
+                cell.record = record
+        return missing
 
     # -- running ---------------------------------------------------------
-    def run(
-        self,
-        resume: bool = False,
-        limit: Optional[int] = None,
-    ) -> Dict[str, Any]:
+    def run(self, limit: Optional[int] = None) -> Dict[str, Any]:
         """Run (or continue) the sweep; return a status document.
 
-        With ``limit`` the run stops after at most that many *newly
-        computed* cells (checkpointing each), which is how tests and
-        operators split a long sweep into bounded slices.  The returned
-        document has ``complete`` plus progress counters; when complete
-        it also carries the assembled ``artifact``.
+        Cells already in the cache are ``resumed``, never recomputed.
+        With ``limit`` the run computes at most that many of the rest,
+        which is how tests and operators split a long sweep into bounded
+        slices.  The returned document has ``complete`` plus progress
+        counters; when complete it also carries the assembled
+        ``artifact``.
         """
         cells = self.grid.cells()
-        existing_grid = None
-        if self._grid_path().exists():
-            try:
-                existing_grid = json.loads(
-                    self._grid_path().read_text(encoding="utf-8")
-                )
-            except ValueError:
-                existing_grid = None
-        if existing_grid is not None and existing_grid.get("digest") != (
-            self.grid_digest
-        ):
-            raise ValueError(
-                "checkpoint directory belongs to a different grid "
-                f"(found {existing_grid.get('digest')!r:.20}..., expected "
-                f"{self.grid_digest[:12]}...); use a fresh directory"
-            )
-        stubs = self._load_stubs()
-        if stubs and not resume:
-            raise ValueError(
-                f"checkpoint directory already holds {len(stubs)} completed "
-                "cell(s) for this grid; pass resume=True (CLI: --resume) to "
-                "continue, or use a fresh directory"
-            )
-        self._write_grid_doc()
-
-        pending: List[CellState] = []
-        for cell in cells:
-            stub = stubs.get(cell.index)
-            if stub is not None:
-                cell.record = stub["record"]
-            else:
-                pending.append(cell)
+        pending = self._load(cells)
+        resumed = len(cells) - len(pending)
         if limit is not None:
             pending = pending[: max(limit, 0)]
 
@@ -486,7 +412,7 @@ class SweepDriver:
             "grid": self.grid.name,
             "grid_digest": self.grid_digest,
             "cells": len(cells),
-            "resumed": len(stubs),
+            "resumed": resumed,
             "computed": computed,
             "done": done,
             "complete": done == len(cells),
@@ -496,102 +422,42 @@ class SweepDriver:
         return status
 
     def _run_pending(self, pending: List[CellState]) -> int:
-        """Execute pending cells, checkpointing as each one completes."""
-        from ..engine.jobs import JobSpec
-        from ..engine.serialize import digest
-
+        """Execute pending cells; the engine caches each as it completes."""
         if not pending:
             return 0
-        by_index = {cell.index: cell for cell in pending}
-        specs = []
-        slot_to_cell: List[CellState] = []
-        for cell in pending:
-            payload = cell.payload(self.grid)
-            self._payload_digests[cell.index] = digest(payload)
-            specs.append(JobSpec("sweep", payload))
-            slot_to_cell.append(cell)
-
         cell_delay = float(os.environ.get(CELL_DELAY_ENV, "0") or "0")
 
         def on_result(result) -> None:
-            cell = slot_to_cell[result.index]
             if not result.ok:
-                return  # surfaced by _value below; nothing to persist
-            cell.record = result.value
+                return  # raised below once the batch is over
+            cell = pending[result.index]
             with obs.span(
                 "sweep.cell",
                 index=cell.index,
                 k=cell.k,
                 cache_hit=result.cache_hit,
             ):
-                self._checkpoint_cell(
-                    cell, self._payload_digests[cell.index]
-                )
+                cell.record = result.value
             if cell_delay > 0:
                 time.sleep(cell_delay)
 
+        self.engine.progress = on_result
         with obs.span(
             "sweep.run",
             grid=self.grid.name,
             cells=len(pending),
         ):
-            previous_progress = self.engine.progress
-            self.engine.progress = on_result
-            try:
-                results = self.engine.run_jobs(specs)
-            finally:
-                self.engine.progress = previous_progress
+            results = self.engine.run_jobs(
+                [self._spec(cell) for cell in pending]
+            )
         for result in results:
             if not result.ok:
-                cell = by_index[slot_to_cell[result.index].index]
+                cell = pending[result.index]
                 raise RuntimeError(
                     f"sweep cell {cell.index} (k={cell.k}) failed: "
                     f"{result.error}"
                 )
         return len(pending)
-
-    # -- escalation ------------------------------------------------------
-    def escalate(self, escalation: int = 1) -> int:
-        """Re-run every checkpointed ``budget`` cell at a doubled budget.
-
-        Uses the ``sweep_resume`` engine job kind (content-addressed
-        separately from the base cells) and overwrites the escalated
-        cells' stubs.  Returns how many cells were escalated.
-        """
-        from ..engine.jobs import JobSpec
-        from ..engine.serialize import digest
-
-        cells = self.grid.cells()
-        stubs = self._load_stubs()
-        targets: List[CellState] = []
-        for cell in cells:
-            stub = stubs.get(cell.index)
-            if stub is None:
-                continue
-            record = stub["record"]
-            solve = record.get("solve") if isinstance(record, dict) else None
-            if solve and solve.get("verdict") == "budget":
-                cell.record = record
-                targets.append(cell)
-        if not targets:
-            return 0
-        specs = []
-        for cell in targets:
-            payload = cell.payload(self.grid) + (escalation,)
-            self._payload_digests[cell.index] = digest(
-                cell.payload(self.grid)
-            )
-            specs.append(JobSpec("sweep_resume", payload))
-        results = self.engine.run_jobs(specs)
-        for cell, result in zip(targets, results):
-            if not result.ok:
-                raise RuntimeError(
-                    f"sweep escalation for cell {cell.index} failed: "
-                    f"{result.error}"
-                )
-            cell.record = result.value
-            self._checkpoint_cell(cell, self._payload_digests[cell.index])
-        return len(targets)
 
     # -- artifact --------------------------------------------------------
     def assemble_artifact(
@@ -600,11 +466,7 @@ class SweepDriver:
         """The canonical landscape artifact for a fully swept grid."""
         if cells is None:
             cells = self.grid.cells()
-            stubs = self._load_stubs()
-            for cell in cells:
-                stub = stubs.get(cell.index)
-                if stub is not None:
-                    cell.record = stub["record"]
+            self._load(cells)
         missing = [cell.index for cell in cells if cell.record is None]
         if missing:
             raise ValueError(

@@ -106,12 +106,8 @@ def test_sweep_cli_runs_resumes_and_writes_artifact(capsys, tmp_path):
     base = ["sweep", "--grid", "n3-smoke", "--checkpoint-dir", checkpoint]
     assert main(base + ["--limit", "3"]) == 2
     assert "pending" in capsys.readouterr().out
-    # a populated checkpoint dir without --resume is refused
-    import pytest
-
-    with pytest.raises(SystemExit):
-        main(base)
-    assert main(base + ["--resume", "--output", artifact]) == 0
+    # the same command again continues from the cached cells
+    assert main(base + ["--output", artifact]) == 0
     out = capsys.readouterr().out
     assert "resumed from checkpoint: 3" in out
     assert "wrote" in out

@@ -99,6 +99,18 @@ def test_cache_clear_removes_every_artifact(tmp_path):
     assert cache.get(keys[0]) == (0,)
 
 
+def test_cache_len_skips_a_killed_writers_temp_file(tmp_path):
+    # A put SIGKILLed between mkstemp and os.replace leaves its temp
+    # file beside the entries; it is not a stored artifact.
+    cache = ArtifactCache(tmp_path)
+    key = digest(("kept", 0))
+    cache.put(key, (0,))
+    cache._path(key).with_name(".tmp-killed.json").write_text("(0", encoding="utf-8")
+    assert len(cache) == 1
+    cache.clear()
+    assert not list((tmp_path / "objects").glob("*/*"))
+
+
 def test_engine_second_call_hits_cache(tmp_path, ra_1res, task23):
     first = Engine(cache=ArtifactCache(tmp_path))
     mapping, nodes = first.solve_many([(ra_1res, task23, None)])[0]

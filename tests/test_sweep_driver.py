@@ -1,5 +1,6 @@
-"""Tests for repro.sweep.driver and the sweep engine job kinds."""
+"""Tests for repro.sweep.driver and the sweep engine job kind."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from repro.adversaries.adversary import Adversary
 from repro.engine.cache import ArtifactCache
 from repro.engine.jobs import Engine, JobSpec
-from repro.sweep.cells import cell_payload, compute_cell, compute_cell_resume
+from repro.engine.serialize import digest
+from repro.sweep.cells import cell_payload, compute_cell
 from repro.sweep.driver import (
     GRID_PRESETS,
     GridSpec,
@@ -76,8 +78,6 @@ def test_grid_doc_round_trip_preserves_digest():
 
 
 def test_grid_digest_distinguishes_fields():
-    import dataclasses
-
     assert WAIT_FREE.digest() != dataclasses.replace(WAIT_FREE, budget=9999).digest()
     assert SMOKE.digest() != dataclasses.replace(SMOKE, seed=SMOKE.seed + 1).digest()
 
@@ -158,18 +158,6 @@ def test_compute_cell_budget_verdict_is_honest():
     assert record["solve"]["budget"] == 1
 
 
-def test_compute_cell_resume_escalates_budget():
-    wait_free = Adversary(2, [[0], [1], [0, 1]])
-    base = cell_payload(wait_free, 2, 1, "bitset", "union", 0)
-    assert compute_cell(base)["solve"]["verdict"] == "budget"
-    escalated = compute_cell_resume(base + (4,))
-    assert escalated["solve"]["verdict"] == "solvable"
-    assert escalated["solve"]["escalated_from"] == 1
-    assert escalated["solve"]["escalation"] == 4
-    with pytest.raises(ValueError):
-        compute_cell_resume(base + (0,))
-
-
 def test_sweep_job_kind_is_cacheable(tmp_path):
     engine = Engine(cache=ArtifactCache(tmp_path))
     payload = cell_payload(Adversary(2, [[0], [1], [0, 1]]), 2, 5000, "bitset", "union", 1)
@@ -180,17 +168,21 @@ def test_sweep_job_kind_is_cacheable(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Driver: checkpointing, resume, limits, artifact
+# Driver: the artifact cache as checkpoint, limits, artifact
 # ----------------------------------------------------------------------
+def _cell_key(grid, cell):
+    return digest(JobSpec("sweep", cell.payload(grid)).cache_key())
+
+
 def test_fresh_run_completes_and_checkpoints(tmp_path):
     driver = SweepDriver(WAIT_FREE, tmp_path / "ckpt")
     status = driver.run()
     assert status["complete"]
     assert status["computed"] == len(WAIT_FREE.cells())
-    stubs = sorted((tmp_path / "ckpt" / "cells").glob("*.json"))
-    assert len(stubs) == status["cells"]
-    grid_doc = json.loads((tmp_path / "ckpt" / "grid.json").read_text())
-    assert grid_doc["digest"] == WAIT_FREE.digest()
+    cache = ArtifactCache(tmp_path / "ckpt")
+    assert len(cache) == status["cells"]
+    for cell, record in zip(WAIT_FREE.cells(), status["artifact"]["cells"]):
+        assert cache.get(_cell_key(WAIT_FREE, cell)) == record
 
 
 def test_limit_bounds_new_computation(tmp_path):
@@ -198,12 +190,12 @@ def test_limit_bounds_new_computation(tmp_path):
     partial = driver.run(limit=3)
     assert not partial["complete"]
     assert partial["computed"] == 3
-    assert len(list((tmp_path / "ckpt" / "cells").glob("*.json"))) == 3
+    assert len(ArtifactCache(tmp_path / "ckpt")) == 3
 
 
 def test_resume_skips_checkpointed_cells(tmp_path):
     SweepDriver(SMOKE, tmp_path / "ckpt").run(limit=3)
-    resumed = SweepDriver(SMOKE, tmp_path / "ckpt").run(resume=True)
+    resumed = SweepDriver(SMOKE, tmp_path / "ckpt").run()
     assert resumed["complete"]
     assert resumed["resumed"] == 3
     assert resumed["computed"] == len(SMOKE.cells()) - 3
@@ -214,32 +206,36 @@ def test_resumed_artifact_is_byte_identical(tmp_path):
     straight.run()
     interrupted = SweepDriver(SMOKE, tmp_path / "b")
     interrupted.run(limit=2)
-    SweepDriver(SMOKE, tmp_path / "b").run(resume=True)
+    SweepDriver(SMOKE, tmp_path / "b").run()
     a = straight.write_artifact(tmp_path / "a.json")
     b = SweepDriver(SMOKE, tmp_path / "b").write_artifact(tmp_path / "b.json")
     assert a == b
 
 
-def test_unresumed_rerun_on_populated_dir_is_refused(tmp_path):
-    SweepDriver(SMOKE, tmp_path / "ckpt").run(limit=1)
-    with pytest.raises(ValueError, match="resume"):
-        SweepDriver(SMOKE, tmp_path / "ckpt").run()
-
-
-def test_checkpoint_dir_is_bound_to_its_grid(tmp_path):
-    SweepDriver(SMOKE, tmp_path / "ckpt").run(limit=1)
-    with pytest.raises(ValueError, match="different grid"):
-        SweepDriver(WAIT_FREE, tmp_path / "ckpt").run(resume=True)
+def test_completed_rerun_computes_nothing_and_writes_identical_bytes(tmp_path):
+    first = SweepDriver(SMOKE, tmp_path / "ckpt")
+    first.run()
+    before = first.write_artifact(tmp_path / "first.json")
+    again = SweepDriver(SMOKE, tmp_path / "ckpt")
+    status = again.run()
+    assert status["complete"]
+    assert status["computed"] == 0
+    assert status["resumed"] == len(SMOKE.cells())
+    assert again.write_artifact(tmp_path / "again.json") == before
 
 
 def test_torn_stub_is_recomputed_not_fatal(tmp_path):
     SweepDriver(SMOKE, tmp_path / "ckpt").run(limit=2)
-    stub = sorted((tmp_path / "ckpt" / "cells").glob("*.json"))[0]
-    stub.write_text("{ torn")
-    driver = SweepDriver(SMOKE, tmp_path / "ckpt")
-    assert driver.checkpointed_cells() == 1
-    status = driver.run(resume=True)
+    cache = ArtifactCache(tmp_path / "ckpt")
+    first = SMOKE.cells()[0]
+    path = cache._path(_cell_key(SMOKE, first))
+    path.write_text("{ torn", encoding="utf-8")
+    status = SweepDriver(SMOKE, tmp_path / "ckpt").run()
     assert status["complete"]
+    assert status["resumed"] == 1
+    assert status["computed"] == len(SMOKE.cells()) - 1
+    # The recomputation repaired the corrupt entry in place.
+    assert cache.get(_cell_key(SMOKE, first)) == status["artifact"]["cells"][0]
 
 
 def test_artifact_requires_completion(tmp_path):
@@ -262,43 +258,26 @@ def test_artifact_shape_and_summary(tmp_path):
     assert sum(summary["verdicts"].values()) == summary["cells"]
 
 
-def test_driver_restores_engine_progress_hook(tmp_path):
-    seen = []
-
-    def hook(result):
-        seen.append(result)
-
-    engine = Engine(progress=hook)
-    SweepDriver(WAIT_FREE, tmp_path / "ckpt", engine=engine).run()
-    assert engine.progress is hook
-    assert not seen  # the driver's own hook was in place during the run
-
-
 def test_driver_rides_the_artifact_cache(tmp_path):
-    engine = Engine(cache=ArtifactCache(tmp_path / "cache"))
-    SweepDriver(WAIT_FREE, tmp_path / "one", engine=engine).run()
-    second = SweepDriver(WAIT_FREE, tmp_path / "two", engine=engine)
-    status = second.run()
-    assert status["complete"]
-    # fresh checkpoint dir, but the cells came from the shared cache
-    assert status["computed"] == len(WAIT_FREE.cells())
-
-
-def test_escalate_reruns_budget_cells(tmp_path):
-    tight = GridSpec(
-        name="tight",
-        n=2,
-        source="explicit",
-        live_sets=(((0,), (1,), (0, 1)),),
-        ks=(2,),
-        budget=1,
-        split_retries=0,
+    # Two grids in one directory: the second computes only the cells
+    # the first did not, and each artifact matches its straight run.
+    wider = dataclasses.replace(
+        WAIT_FREE,
+        name="wider",
+        live_sets=WAIT_FREE.live_sets + (((1,), (0, 1)),),
     )
-    driver = SweepDriver(tight, tmp_path / "ckpt")
-    status = driver.run()
-    assert status["artifact"]["summary"]["verdicts"]["budget"] == 1
-    escalated = SweepDriver(tight, tmp_path / "ckpt").escalate(escalation=4)
-    assert escalated == 1
-    final = SweepDriver(tight, tmp_path / "ckpt").assemble_artifact()
-    assert final["summary"]["verdicts"]["budget"] == 0
-    assert final["cells"][0]["solve"]["escalated_from"] == 1
+    shared = SweepDriver(WAIT_FREE, tmp_path / "shared")
+    assert shared.run()["computed"] == len(WAIT_FREE.cells())
+    status = SweepDriver(wider, tmp_path / "shared").run()
+    assert status["complete"]
+    assert status["resumed"] == len(WAIT_FREE.cells())
+    assert status["computed"] == len(wider.cells()) - len(WAIT_FREE.cells())
+    assert len(ArtifactCache(tmp_path / "shared")) == len(wider.cells())
+    for grid in (WAIT_FREE, wider):
+        SweepDriver(grid, tmp_path / grid.name).run()
+        straight = SweepDriver(grid, tmp_path / grid.name).write_artifact(
+            tmp_path / f"{grid.name}.json"
+        )
+        assert SweepDriver(grid, tmp_path / "shared").write_artifact(
+            tmp_path / f"{grid.name}-shared.json"
+        ) == straight

@@ -1,14 +1,15 @@
-"""Kill-and-resume: SIGKILL a sweep mid-grid, resume, compare artifacts.
+"""Kill-and-resume: SIGKILL a sweep mid-grid, rerun it, compare artifacts.
 
 This is the acceptance test for the sweep subsystem's central promise:
-progress persists after every completed cell, so even an uncatchable
-SIGKILL loses at most the in-flight cell, and the artifact a resumed
-run finally produces is byte-for-byte identical to an uninterrupted
-run's.  The sweep runs as a real ``python -m repro sweep`` subprocess —
-no in-process shortcuts — throttled via ``REPRO_SWEEP_CELL_DELAY`` so
-the kill reliably lands mid-grid, at ``--jobs 1`` and on the process
-pool at ``--jobs 2``.  A second test kills a sweep from inside one
-cell's job, mid-batch, and counts the stubs the cells before it left.
+the engine caches every cell as it completes, so even an uncatchable
+SIGKILL loses at most the in-flight cells, and the artifact the same
+command run again finally produces is byte-for-byte identical to an
+uninterrupted run's.  The sweep runs as a real ``python -m repro
+sweep`` subprocess — no in-process shortcuts — throttled via
+``REPRO_SWEEP_CELL_DELAY`` so the kill reliably lands mid-grid, at
+``--jobs 1`` and on the process pool at ``--jobs 2``.  A second test
+kills a sweep from inside one cell's job, mid-batch, and checks that
+the cache holds exactly the entries of the cells before it.
 """
 
 import os
@@ -19,6 +20,11 @@ import time
 from pathlib import Path
 
 import pytest
+
+from repro.engine.cache import ArtifactCache
+from repro.engine.jobs import JobSpec
+from repro.engine.serialize import digest
+from repro.sweep import load_grid
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GRID = "n3-smoke"
@@ -89,10 +95,9 @@ def test_sigkilled_sweep_resumes_to_byte_identical_artifact(tmp_path, jobs):
     reference = straight_art.read_bytes()
 
     # 2. The victim: same grid, throttled, SIGKILLed once >= 2 cells
-    #    (but not all of them) are checkpointed.
+    #    (but not all of them) are cached.
     killed_dir = tmp_path / "killed"
     killed_art = tmp_path / "killed.json"
-    stub_dir = killed_dir / "cells"
     victim = subprocess.Popen(
         _sweep_command(killed_dir, killed_art, "--jobs", jobs),
         env=_env(cell_delay=0.5),
@@ -102,8 +107,7 @@ def test_sigkilled_sweep_resumes_to_byte_identical_artifact(tmp_path, jobs):
     try:
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
-            stubs = list(stub_dir.glob("*.json")) if stub_dir.is_dir() else []
-            if len(stubs) >= 2:
+            if killed_dir.is_dir() and len(ArtifactCache(killed_dir)) >= 2:
                 break
             assert victim.poll() is None, "sweep finished before the kill"
             time.sleep(0.05)
@@ -116,20 +120,20 @@ def test_sigkilled_sweep_resumes_to_byte_identical_artifact(tmp_path, jobs):
             victim.kill()
     assert victim.returncode == -signal.SIGKILL
     _assert_no_process_outlives(str(killed_dir))
-    survivors = len(list(stub_dir.glob("*.json")))
+    survivors = len(ArtifactCache(killed_dir))
     assert 2 <= survivors < GRID_CELLS
     assert not killed_art.exists()
 
-    # 3. Resume from the checkpoint; the artifact must match byte for byte.
+    # 3. Run the same command again; the artifact must match byte for byte.
     resumed = subprocess.run(
-        _sweep_command(killed_dir, killed_art, "--resume", "--jobs", jobs),
+        _sweep_command(killed_dir, killed_art, "--jobs", jobs),
         env=_env(),
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert resumed.returncode == 0, resumed.stdout + resumed.stderr
-    assert "resumed from checkpoint" in resumed.stdout
+    assert f"resumed from checkpoint: {survivors}" in resumed.stdout
     assert killed_art.read_bytes() == reference
 
 
@@ -139,7 +143,6 @@ def test_sigkilled_sweep_resumes_to_byte_identical_artifact(tmp_path, jobs):
 #: sweep is gone, so exactly the cells before ``KILLED_AT`` complete.
 _KILL_MID_BATCH = """
 import os, signal, sys, time
-from repro.engine import Engine
 from repro.engine.jobs import JOB_KINDS
 from repro.sweep import SweepDriver, load_grid
 
@@ -161,7 +164,7 @@ def cell(payload):
     return compute_cell(payload)
 
 JOB_KINDS["sweep"] = cell
-SweepDriver(grid, checkpoint_dir, engine=Engine(jobs=jobs)).run()
+SweepDriver(grid, checkpoint_dir, jobs=jobs).run()
 """
 
 
@@ -185,25 +188,11 @@ def test_sweep_killed_mid_batch_keeps_one_stub_per_completed_cell(
         timeout=300,
     )
     assert victim.returncode == -signal.SIGKILL, victim.stderr
-    stubs = sorted(path.name for path in (tmp_path / "cells").glob("*.json"))
-    assert [int(name[:5]) for name in stubs] == list(range(killed_at))
-
-
-def test_rerun_without_resume_flag_is_refused(tmp_path):
-    first = subprocess.run(
-        _sweep_command(tmp_path / "ckpt", tmp_path / "a.json", "--limit", "1"),
-        env=_env(),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert first.returncode == 2, first.stdout + first.stderr
-    again = subprocess.run(
-        _sweep_command(tmp_path / "ckpt", tmp_path / "a.json"),
-        env=_env(),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert again.returncode != 0
-    assert "--resume" in again.stdout + again.stderr
+    grid = load_grid(GRID)
+    expected = {
+        digest(JobSpec("sweep", cell.payload(grid)).cache_key())
+        for cell in grid.cells()[:killed_at]
+    }
+    entries = (tmp_path / "objects").glob("*/*.json")
+    assert {path.stem for path in entries} == expected
+    assert len(ArtifactCache(tmp_path)) == killed_at
