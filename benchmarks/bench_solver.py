@@ -12,7 +12,7 @@ three ways:
   measurement;
 * bitset warm — the same queries with the setup cache primed, which is
   the steady state of every real consumer (the engine's split-retry
-  escalations, the service's repeated-query traffic, resume).
+  escalations, the service's repeated-query traffic).
 
 Honest accounting: the kernel's win is *not* a faster tree walk alone —
 it is that setup (vertex ordering, domain construction, constraint

@@ -24,8 +24,8 @@ carrier inclusion (the image lies in ``Delta`` of the independently
 recomputed carrier).  Negative certificates are replayed: an exhaustive
 backtrack over the recomputed domains, in the certificate's vertex
 order, must find no map and must visit exactly the traced node count.
-Budget stubs are checked for internal consistency of the partial
-assignment, and report an ``undecided`` verdict.
+Budget stubs report an ``undecided`` verdict; the ``partial``
+assignment that older stubs carry is checked for internal consistency.
 
 The result is always a structured :class:`CheckReport`; the checker
 never raises on malformed input.
@@ -820,7 +820,7 @@ def _check_budget(cert: Dict[str, Any], statement: _Statement) -> CheckReport:
         kind="budget",
         verdict="undecided",
         reason="ok",
-        detail="resumable stub; not a solvability verdict",
+        detail="stub; not a solvability verdict",
         vertices_checked=len(partial),
         simplices_checked=checked,
     )

@@ -1,15 +1,14 @@
-"""Certificate extraction: instrument the FACT search, resume stubs.
+"""Certificate extraction: instrument the FACT search.
 
 The decision procedure already computes everything a certificate needs
 — the map (positive), the vertex order / domains / node count
-(negative), the consistent prefix (budget) — so extraction is a cheap
-read-out of searcher state after one ``search()`` call, never a second
-search.
+(negative), the node count at the budget (budget) — so extraction is a
+cheap read-out of searcher state after one ``search()`` call, never a
+second search.
 
 The search is the bitset kernel, which walks the reference
 ``MapSearch`` tree node for node: an unsolvable certificate embeds the
-exact ``nodes_explored`` the independent checker replays node-for-node,
-and a budget stub's prefix encodes a position in that tree.
+exact ``nodes_explored`` the independent checker replays node-for-node.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ def certified_search(
 
     * a carried map was found — ``(mapping, SolvableCert)``;
     * the search exhausted — ``(None, UnsolvableCert)``;
-    * the node budget fired — ``(None, budget stub)`` carrying the
-      resumable partial assignment (the stub's ``kind`` is ``budget``;
-      it is *not* a verdict).
+    * the node budget fired — ``(None, budget stub)`` (the stub's
+      ``kind`` is ``budget``; it is *not* a verdict).
     """
     search = make_searcher(SolveRequest(affine=affine, task=task))
     try:
@@ -60,30 +58,3 @@ def certificate_for(
     """Just the certificate (the engine's ``certify`` job body)."""
     _, cert = certified_search(affine, task, budget)
     return cert
-
-
-def resume_from_stub(
-    stub: Cert,
-    affine: AffineTask,
-    task: Task,
-    budget: Optional[int] = None,
-) -> Tuple[Optional[Dict[ChrVertex, OutputVertex]], int]:
-    """Continue a budget-interrupted search from its stub.
-
-    Seeds a fresh searcher with the stub's partial assignment, so only
-    the unexplored remainder of the space is visited.  Raises
-    ``ValueError`` when the stub does not belong to ``(affine, task)``
-    (digest check) or its prefix is not consistent.  Returns
-    ``(mapping_or_None, nodes_explored_in_resume)``.
-    """
-    from ..engine.serialize import digest
-
-    statement = stub.get("statement", {})
-    if statement.get("affine_digest") != digest(affine) or statement.get(
-        "task_digest"
-    ) != digest(task):
-        raise ValueError("stub statement digests do not match (affine, task)")
-    partial = witness.partial_assignment_of(stub)
-    search = make_searcher(SolveRequest(affine=affine, task=task))
-    mapping = search.search(budget, resume_from=partial)
-    return mapping, search.nodes_explored

@@ -9,9 +9,9 @@ procedure emits has a finite witness:
 * *unsolvable* — the search's vertex order, the per-vertex candidate
   domains, and a trace proving the backtrack was exhaustive (replayable
   node-for-node);
-* *budget* — a resumable stub: the consistent partial assignment a
-  :class:`~repro.tasks.solvability.SearchBudgetExceeded` carried, so a
-  re-issued query can seed the search instead of restarting.
+* *budget* — a stub, not a verdict: the search ran out of nodes
+  (:class:`~repro.tasks.solvability.SearchBudgetExceeded`) before
+  deciding.
 
 A certificate is a plain JSON document (dict of strings, ints and
 tagged vertex encodings) and therefore travels unchanged through the
@@ -36,7 +36,6 @@ from ..engine.serialize import SharedCodec, _canon_text, decode, digest, encode
 from ..tasks.solvability import search_structure
 from ..tasks.task import OutputVertex, Task
 from ..topology.chromatic import ChrVertex
-from ..topology.simplex import vertex_key
 
 #: Certificate format identifier and version.  Bump the version on any
 #: incompatible change to the document layout; the checker rejects
@@ -176,39 +175,19 @@ def budget_stub(
     exc,
     budget: Optional[int] = None,
 ) -> Cert:
-    """A resumable stub from a :class:`SearchBudgetExceeded`.
+    """A budget stub from a :class:`SearchBudgetExceeded`.
 
-    Not a verdict: it records the consistent prefix the search held when
-    the budget fired, so :func:`repro.certify.extract.resume_from_stub`
-    (or ``Engine.resume_solve``) can seed a re-issued query with it.
-    The trace field keeps its v1 name ``node_budget`` — the certificate
-    format is independent of the API's kwarg spelling.
+    Not a verdict: it records how many nodes the search explored before
+    the budget fired.  The trace field keeps its v1 name
+    ``node_budget`` — the certificate format is independent of the
+    API's kwarg spelling.
     """
     cert = _header("budget", affine, task)
-    codec = SharedCodec()
-    cert["partial"] = [
-        [codec.encoding(vertex), codec.encoding(out)]
-        for vertex, out in sorted(
-            exc.partial_assignment.items(), key=lambda kv: vertex_key(kv[0])
-        )
-    ]
     cert["trace"] = {
         "nodes_explored": exc.nodes_explored,
         "node_budget": budget,
     }
     return cert
-
-
-# ----------------------------------------------------------------------
-# Decoding the pieces callers resume from
-# ----------------------------------------------------------------------
-def partial_assignment_of(stub: Cert) -> Dict[ChrVertex, OutputVertex]:
-    """Rebuild the partial assignment carried by a budget stub."""
-    if stub.get("kind") != "budget":
-        raise ValueError(f"not a budget stub: kind={stub.get('kind')!r}")
-    return {
-        decode(vertex): decode(out) for vertex, out in stub.get("partial", [])
-    }
 
 
 def mapping_of(cert: Cert) -> Dict[ChrVertex, OutputVertex]:

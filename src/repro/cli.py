@@ -564,8 +564,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     """One certified FACT query; the certificate is the deliverable.
 
     The verdict is in the certificate's ``kind``: ``solvable`` /
-    ``unsolvable`` carry a complete witness; a ``budget`` stub is
-    resumable, not a verdict, and exits non-zero so scripts notice.
+    ``unsolvable`` carry a complete witness; a ``budget`` stub is not
+    a verdict, and exits non-zero so scripts notice.
     """
     from .certify import cert_to_bytes, write_cert
     from .tasks.set_consensus import set_consensus_task
@@ -1018,7 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="node budget; overruns yield a resumable stub (exit 2)",
+        help="node budget; overruns yield a budget stub (exit 2)",
     )
     certify.add_argument(
         "--output", default=None, help="certificate file (default: stdout)"

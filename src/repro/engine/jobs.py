@@ -70,7 +70,7 @@ def _compute_r_affine(payload: tuple) -> Any:
 
 def _compute_solve(payload: tuple) -> Any:
     # Typed payload: a 1-tuple wrapping a SolveRequest.  Legacy
-    # positional 4/5-tuples still work through the adapter below, which
+    # positional 4-tuples still work through the adapter below, which
     # emits a DeprecationWarning.
     result = run_request(as_solve_request(payload))
     return result.as_pair()
@@ -78,7 +78,7 @@ def _compute_solve(payload: tuple) -> Any:
 
 def _compute_certify(payload: tuple) -> Any:
     # One FACT query that returns the portable certificate document
-    # (solvable / unsolvable / resumable budget stub).  Budget overruns
+    # (solvable / unsolvable / budget stub).  Budget overruns
     # are part of the value — a stub, not an error — so certify jobs
     # never enter the solve split-retry path.
     affine, task, budget = payload
@@ -581,9 +581,7 @@ class Engine:
             if level > self.split_retries:
                 budget_hit = True
                 continue
-            sub_requests = split_request(current, parts=2) or [
-                replace(current, resume=None)
-            ]
+            sub_requests = split_request(current, parts=2) or [current]
             splits_done += 1
             sub_pending = [
                 (i, JobSpec("solve", (sub,)))
@@ -688,9 +686,8 @@ class Engine:
         """Batch certified FACT queries; each result is a certificate.
 
         Certificates are content-addressed-cached like ``solve`` values.
-        Budget overruns come back as resumable ``budget`` stubs (part of
-        the value, never an error), so no split-retry happens here —
-        callers hold the stub and can choose to resume.
+        Budget overruns come back as ``budget`` stubs (part of the
+        value, never an error), so no split-retry happens here.
         """
         specs = [
             JobSpec("certify", (affine, task, budget))
@@ -706,41 +703,6 @@ class Engine:
     ) -> Dict:
         """One certified FACT query; returns the certificate document."""
         return self.certify_many([(affine, task, budget)])[0]
-
-    def resume_solve(
-        self,
-        affine: AffineTask,
-        task: Task,
-        stub: Dict,
-        budget: Optional[int] = None,
-    ) -> Tuple[Optional[Dict], int]:
-        """Re-issue a budget-interrupted solve, seeded from its stub.
-
-        The stub must be a ``budget`` certificate for exactly this
-        ``(affine, task)`` pair (digest-checked); its consistent prefix
-        becomes the search's starting assignment, so only the unexplored
-        remainder of the space is visited.  Returns
-        ``(mapping_or_None, nodes_explored)``.
-        """
-        from ..certify import witness
-
-        statement = stub.get("statement", {}) if isinstance(stub, dict) else {}
-        if stub.get("kind") != "budget":
-            raise ValueError(f"not a budget stub: kind={stub.get('kind')!r}")
-        if statement.get("affine_digest") != digest(affine) or statement.get(
-            "task_digest"
-        ) != digest(task):
-            raise ValueError(
-                "stub statement digests do not match (affine, task)"
-            )
-        partial = witness.partial_assignment_of(stub)
-        request = SolveRequest(
-            affine=affine,
-            task=task,
-            budget=budget,
-            resume=partial,
-        )
-        return self._value(self.run_jobs([JobSpec("solve", (request,))])[0])
 
     def minimal_set_consensus_many(
         self,

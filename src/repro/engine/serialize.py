@@ -245,14 +245,15 @@ def _encode(obj: Any) -> Any:
     if isinstance(obj, SolveRequest):
         # Additive tag (SCHEME_VERSION unchanged): request fields are
         # already normalized to canonical order at construction, so no
-        # re-sorting happens here.
+        # re-sorting happens here.  Its arity is part of every solve
+        # digest, so a request encoded with a different arity lands on
+        # a different cache key and is never misread.
         return [
             "solvereq",
             encode(obj.affine),
             encode(obj.task),
             obj.budget,
             encode(obj.domain_overrides),
-            encode(obj.resume),
         ]
     raise SerializationError(
         f"no canonical encoding for {type(obj).__name__}: {obj!r}"
@@ -381,7 +382,6 @@ def _solve_request_text(request: SolveRequest) -> str:
         _text(request.task),
         _raw(request.budget),
         _text(request.domain_overrides),
-        _text(request.resume),
     )
     return '["solvereq",' + ",".join(fields) + "]"
 
@@ -484,17 +484,16 @@ def decode(encoded: Any) -> Any:
     if tag == "task":
         return _decode_task(encoded)
     if tag == "solvereq":
-        if len(encoded) != 6:
+        if len(encoded) != 5:
             raise SerializationError(
-                f"solvereq has 6 elements, got {len(encoded)}"
+                f"solvereq has 5 elements, got {len(encoded)}"
             )
-        _, affine_enc, task_enc, budget, overrides_enc, resume_enc = encoded
+        _, affine_enc, task_enc, budget, overrides_enc = encoded
         return SolveRequest(
             affine=decode(affine_enc),
             task=decode(task_enc),
             budget=budget,
             domain_overrides=decode(overrides_enc),
-            resume=decode(resume_enc),
         )
     raise SerializationError(f"unknown tag {tag!r}")
 

@@ -186,7 +186,7 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """One certified FACT query; returns the certificate document.
 
-        Budget overruns come back as resumable ``budget`` stubs, not as
+        Budget overruns come back as ``budget`` stubs, not as
         :class:`SearchBudgetExceeded` — the stub is the query's value.
         """
         return self.query("certify", (affine, task, budget))

@@ -24,7 +24,7 @@ Request fields::
   ``certify`` (payload ``(affine, task, budget)``, value: a
   certificate document) and ``check`` (payload ``(cert,)``, value: a
   ``CheckReport`` dict) — work with no protocol change.  ``certify``
-  returns budget overruns as resumable ``budget`` stubs in the value,
+  returns budget overruns as ``budget`` stubs in the value,
   never as a ``budget_exceeded`` error.
 * ``payload`` — (query only) canonical serialization of the job's
   payload tuple.

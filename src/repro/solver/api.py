@@ -1,16 +1,16 @@
 """Typed solve API: :class:`SolveRequest` in, :class:`SolveResult` out.
 
-The engine's ``solve`` jobs historically carried positional 4/5-element
-payload tuples ``(affine, task, budget, overrides[, resume])``.  This
-module replaces them with a frozen, hashable, canonically-normalized
+The engine's ``solve`` jobs historically carried positional 4-element
+payload tuples ``(affine, task, budget, overrides)``.  This module
+replaces them with a frozen, hashable, canonically-normalized
 :class:`SolveRequest` — the single value that flows through
-``Engine.solve``/``solve_many``/``resume_solve``, the service batcher
-and the CLI — and a :class:`SolveResult` carrying the verdict, the map
-and the node count.
+``Engine.solve``/``solve_many``, the service batcher and the CLI — and
+a :class:`SolveResult` carrying the verdict, the map and the node
+count.
 
-Normalization happens at construction: ``domain_overrides`` and
-``resume`` mappings are flattened to tuples of pairs sorted by the
-structural :func:`~repro.topology.simplex.vertex_key`, never by
+Normalization happens at construction: a ``domain_overrides`` mapping
+is flattened to a tuple of pairs sorted by the structural
+:func:`~repro.topology.simplex.vertex_key`, never by
 ``repr`` or hash order — so two requests describing the same slice are
 equal, share one cache digest, and split slices are platform-stable.
 
@@ -42,19 +42,12 @@ __all__ = [
     "solve_request_from_payload",
 ]
 
-def _normalize_pairs(value, what: str):
-    """Flatten a vertex-keyed mapping to a vertex_key-sorted pair tuple."""
+def _normalize_overrides(value):
+    """Flatten domain overrides to a vertex_key-sorted pair tuple."""
     if not value:
         return None
-    if isinstance(value, dict):
-        items = list(value.items())
-    else:
-        items = [tuple(pair) for pair in value]
-    normalized = []
-    for vertex, payload in items:
-        if what == "domain_overrides":
-            payload = tuple(payload)
-        normalized.append((vertex, payload))
+    items = value.items() if isinstance(value, dict) else value
+    normalized = [(vertex, tuple(outs)) for vertex, outs in items]
     normalized.sort(key=lambda pair: vertex_key(pair[0]))
     return tuple(normalized)
 
@@ -63,26 +56,22 @@ def _normalize_pairs(value, what: str):
 class SolveRequest:
     """One FACT solvability query, canonically normalized.
 
-    ``domain_overrides`` and ``resume`` accept either mappings or pair
-    sequences and are stored as vertex_key-sorted tuples of pairs —
-    hashable, order-independent, and stable across platforms and hash
-    seeds (this ordering *is* the split-slice stability fix).
+    ``domain_overrides`` accepts a mapping or a pair sequence and is
+    stored as a vertex_key-sorted tuple of pairs — hashable,
+    order-independent, and stable across platforms and hash seeds (this
+    ordering *is* the split-slice stability fix).
     """
 
     affine: AffineTask
     task: Task
     budget: Optional[int] = None
     domain_overrides: Optional[Tuple] = None
-    resume: Optional[Tuple] = None
 
     def __post_init__(self):
         object.__setattr__(
             self,
             "domain_overrides",
-            _normalize_pairs(self.domain_overrides, "domain_overrides"),
-        )
-        object.__setattr__(
-            self, "resume", _normalize_pairs(self.resume, "resume")
+            _normalize_overrides(self.domain_overrides),
         )
 
     # ------------------------------------------------------------------
@@ -91,12 +80,6 @@ class SolveRequest:
         if self.domain_overrides is None:
             return None
         return {vertex: outs for vertex, outs in self.domain_overrides}
-
-    def resume_dict(self):
-        """The ``search(resume_from=...)`` view of ``resume`` (or ``None``)."""
-        if self.resume is None:
-            return None
-        return {vertex: out for vertex, out in self.resume}
 
 
 @dataclass(frozen=True)
@@ -117,19 +100,17 @@ class SolveResult:
 
 
 def solve_request_from_payload(payload: Tuple) -> SolveRequest:
-    """Build a request from a positional 4/5-tuple (no deprecation)."""
-    if not 4 <= len(payload) <= 5:
+    """Build a request from a positional 4-tuple (no deprecation)."""
+    if len(payload) != 4:
         raise ValueError(
-            f"solve payload must have 4 or 5 elements, got {len(payload)}"
+            f"solve payload must have 4 elements, got {len(payload)}"
         )
-    affine, task, budget, overrides = payload[:4]
-    resume = payload[4] if len(payload) == 5 else None
+    affine, task, budget, overrides = payload
     return SolveRequest(
         affine=affine,
         task=task,
         budget=budget,
         domain_overrides=overrides or None,
-        resume=resume or None,
     )
 
 
@@ -137,7 +118,7 @@ def as_solve_request(payload, *, warn: bool = True) -> SolveRequest:
     """Coerce a solve payload — typed or legacy tuple — to a request.
 
     Accepts a :class:`SolveRequest`, a 1-tuple wrapping one (the typed
-    job payload shape), or a legacy positional 4/5-tuple.  The legacy
+    job payload shape), or a legacy positional 4-tuple.  The legacy
     form emits a ``DeprecationWarning`` unless ``warn=False`` (the
     service wire, where tuples are the v1 protocol, not a call site).
     """
@@ -175,15 +156,9 @@ def run_request(request: SolveRequest) -> SolveResult:
     """Execute one request; raises :class:`SearchBudgetExceeded` like
     :meth:`~repro.tasks.solvability.MapSearch.search`."""
     searcher = make_searcher(request)
-    with obs.span(
-        "solver.search",
-        budget=request.budget,
-        resumed=request.resume is not None,
-    ) as search_span:
+    with obs.span("solver.search", budget=request.budget) as search_span:
         try:
-            mapping = searcher.search(
-                request.budget, resume_from=request.resume_dict()
-            )
+            mapping = searcher.search(request.budget)
         finally:
             # The budget exception path still reports how far it got.
             search_span.set_attr("nodes", searcher.nodes_explored)

@@ -7,9 +7,9 @@ same verdicts, the same returned maps *and the same node counts*.  All
 the speedup comes from doing each consistency test as one bit probe
 against a memoized allowed-candidate mask instead of building and
 hashing a ``frozenset`` image per firing simplex.  Because the tree is
-identical, budget stubs, resume seeding and unsolvable certificates
-(which replay ``nodes_explored`` node-for-node) are interchangeable
-with reference ones.
+identical, budget stubs and unsolvable certificates (which replay
+``nodes_explored`` node-for-node) are interchangeable with reference
+ones.
 
 The kernel exposes the attribute surface certificate extraction reads
 (``vertices``, ``domains``, ``nodes_explored``, ``domains_overridden``)
@@ -44,8 +44,7 @@ def _shared_setup(affine: AffineTask, task: Task):
     the task object (``task._solver_setup``), so its lifetime is the
     task's own — no global registry to leak in a long-lived server —
     and repeated queries (the service traffic pattern, the engine's
-    split-retry escalations, resume) pay only the search, not the
-    setup.  The cached ``MapSearch`` and :class:`InternTable` are
+    split-retry escalations) pay only the search, not the setup.  The cached ``MapSearch`` and :class:`InternTable` are
     read-only to the kernel (per-search state lives on the kernel
     instance); the shared allowed-candidate memos are the point — they
     warm up across queries.
@@ -120,9 +119,7 @@ class BitsetKernel:
 
     # ------------------------------------------------------------------
     def search(
-        self,
-        budget: Optional[int] = None,
-        resume_from: Optional[Dict[ChrVertex, OutputVertex]] = None,
+        self, budget: Optional[int] = None
     ) -> Optional[Dict[ChrVertex, OutputVertex]]:
         """Drop-in for :meth:`MapSearch.search` (same tree, same counts)."""
         self.nodes_explored = 0
@@ -142,13 +139,6 @@ class BitsetKernel:
         ok_valid = [False] * total
 
         depth = 0
-        if resume_from:
-            depth = self._seed(choice, chosen_bit, chosen_idx, resume_from)
-            if depth == total:
-                return {
-                    vertices[i]: domain_lists[i][chosen_idx[i]]
-                    for i in range(total)
-                }
         while True:
             if not ok_valid[depth]:
                 ok_mask[depth] = self._arrival_mask(depth, chosen_bit)
@@ -164,14 +154,8 @@ class BitsetKernel:
                 nodes += 1
                 if budget is not None and nodes > budget:
                     self.nodes_explored = nodes
-                    choice[depth] = index
                     raise SearchBudgetExceeded(
-                        f"exceeded {budget} nodes",
-                        nodes_explored=nodes,
-                        partial_assignment={
-                            vertices[i]: domain_lists[i][chosen_idx[i]]
-                            for i in range(depth)
-                        },
+                        f"exceeded {budget} nodes", nodes_explored=nodes
                     )
                 if (ok >> (index - 1)) & 1:
                     chosen_bit[depth] = bits[index - 1]
@@ -210,54 +194,3 @@ class BitsetKernel:
             if not ok:
                 break
         return ok
-
-    def _seed(
-        self,
-        choice: List[int],
-        chosen_bit: List[int],
-        chosen_idx: List[int],
-        resume_from: Dict[ChrVertex, OutputVertex],
-    ) -> int:
-        """Rebuild the DFS stack from a partial assignment.
-
-        Mirrors ``MapSearch._seed`` exactly, including its error
-        messages, so stubs flow between the two searchers unchanged.
-        """
-        search = self._search
-        tables = self.tables
-        structure = tables.structure
-        vertices = search.vertices
-        depth = 0
-        for vertex in vertices:
-            if vertex not in resume_from:
-                break
-            depth += 1
-        extra = set(resume_from) - set(vertices[:depth])
-        if extra:
-            raise ValueError(
-                "resume assignment is not an initial segment of the "
-                f"vertex order ({len(extra)} stray entries)"
-            )
-        for index in range(depth):
-            vertex = vertices[index]
-            candidate = resume_from[vertex]
-            domain = search.domains[vertex]
-            if candidate not in domain:
-                raise ValueError(
-                    f"resume candidate for {vertex!r} is outside its domain"
-                )
-            position = domain.index(candidate)
-            chosen_bit[index] = tables.domain_bits[index][position]
-            chosen_idx[index] = position
-            for simplex in structure.firing[index]:
-                image = 0
-                for member in structure.simplices[simplex]:
-                    image |= chosen_bit[member]
-                if image not in tables.allowed[tables.group[simplex]]:
-                    raise ValueError(
-                        "resume assignment violates a constraint"
-                    )
-            choice[index] = position + 1
-        if depth < len(vertices):
-            choice[depth] = 0
-        return depth

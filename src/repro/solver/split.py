@@ -8,8 +8,7 @@ assignments in exactly the order the undivided search would, so the
 first slice that finds a map returns the same map the full search
 returns — the property the engine's split-retry relies on.
 
-Slices keep the parent's budget and drop any ``resume`` seed (a
-resume prefix encodes the *unsliced* tree).  Because sub-requests are
+Slices keep the parent's budget.  Because sub-requests are
 ``SolveRequest`` instances, their override tuples are normalized to
 structural ``vertex_key`` order at construction — never ``repr`` or
 dict insertion order — which is what makes split slices platform- and
@@ -41,6 +40,6 @@ def split_request(request: SolveRequest, parts: int = 2) -> List[SolveRequest]:
         domain_overrides=request.overrides_dict(),
     )
     return [
-        replace(request, domain_overrides=overrides, resume=None)
+        replace(request, domain_overrides=overrides)
         for overrides in sub_spaces
     ]

@@ -47,28 +47,14 @@ __all__ = [
 class SearchBudgetExceeded(Exception):
     """The backtracking search hit its node budget before deciding.
 
-    Carries the search state at the moment the budget ran out, so
-    callers (notably the engine's split-retry in
-    :mod:`repro.engine.jobs`) can partition the remaining domain or
-    report progress:
-
-    * ``nodes_explored`` — assignments tried before giving up;
-    * ``partial_assignment`` — the consistent prefix held when the
-      budget fired (a copy; never mutated afterwards).
+    ``nodes_explored`` counts the assignments tried before giving up;
+    the engine's split-retry (:mod:`repro.engine.jobs`) reads it to
+    report the budget it burned.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        nodes_explored: int = 0,
-        partial_assignment: Optional[Dict[ChrVertex, OutputVertex]] = None,
-    ):
+    def __init__(self, message: str, *, nodes_explored: int = 0):
         super().__init__(message)
         self.nodes_explored = nodes_explored
-        self.partial_assignment: Dict[ChrVertex, OutputVertex] = dict(
-            partial_assignment or {}
-        )
 
 
 DomainOverrides = Dict[ChrVertex, Tuple[OutputVertex, ...]]
@@ -312,24 +298,12 @@ class MapSearch:
 
     # ------------------------------------------------------------------
     def search(
-        self,
-        budget: Optional[int] = None,
-        resume_from: Optional[Dict[ChrVertex, OutputVertex]] = None,
+        self, budget: Optional[int] = None
     ) -> Optional[Dict[ChrVertex, OutputVertex]]:
         """Find a carried map, or return ``None`` when none exists.
 
         Raises :class:`SearchBudgetExceeded` if ``budget`` assignments
         are exhausted before the search concludes.
-
-        ``resume_from`` seeds the search with the partial assignment a
-        previous run's :class:`SearchBudgetExceeded` carried (see
-        ``repro.certify``'s budget stubs): the DFS stack is rebuilt so
-        every branch the interrupted run already exhausted is skipped,
-        and the remaining space is explored in the identical order — a
-        resumed search finds exactly the map a fresh, unbudgeted run
-        would.  ``nodes_explored`` counts only the resumed portion.
-        Raises ``ValueError`` when the prefix is not a consistent
-        assignment of an initial segment of the vertex order.
         """
         assignment: Dict[ChrVertex, OutputVertex] = {}
         self.nodes_explored = 0
@@ -357,10 +331,6 @@ class MapSearch:
             return {}
         choice_index = [0] * total
         depth = 0
-        if resume_from:
-            depth = self._seed(assignment, choice_index, resume_from, consistent)
-            if depth == total:
-                return dict(assignment)
         while True:
             vertex = self.vertices[depth]
             domain = self.domains[vertex]
@@ -373,7 +343,6 @@ class MapSearch:
                     raise SearchBudgetExceeded(
                         f"exceeded {budget} nodes",
                         nodes_explored=self.nodes_explored,
-                        partial_assignment=assignment,
                     )
                 assignment[vertex] = candidate
                 if consistent(depth):
@@ -392,47 +361,6 @@ class MapSearch:
                 if depth < 0:
                     return None
                 assignment.pop(self.vertices[depth], None)
-
-    def _seed(
-        self,
-        assignment: Dict[ChrVertex, OutputVertex],
-        choice_index: List[int],
-        resume_from: Dict[ChrVertex, OutputVertex],
-        consistent,
-    ) -> int:
-        """Rebuild the DFS stack from a partial assignment.
-
-        The prefix must assign exactly ``self.vertices[:d]`` for some
-        ``d``; each choice index is set one *past* the assigned
-        candidate, which is precisely the "next branch on backtrack"
-        state of the interrupted search.  Returns ``d``.
-        """
-        depth = 0
-        for vertex in self.vertices:
-            if vertex not in resume_from:
-                break
-            depth += 1
-        extra = set(resume_from) - set(self.vertices[:depth])
-        if extra:
-            raise ValueError(
-                "resume assignment is not an initial segment of the "
-                f"vertex order ({len(extra)} stray entries)"
-            )
-        for index in range(depth):
-            vertex = self.vertices[index]
-            candidate = resume_from[vertex]
-            domain = self.domains[vertex]
-            if candidate not in domain:
-                raise ValueError(
-                    f"resume candidate for {vertex!r} is outside its domain"
-                )
-            assignment[vertex] = candidate
-            if not consistent(index):
-                raise ValueError("resume assignment violates a constraint")
-            choice_index[index] = domain.index(candidate) + 1
-        if depth < len(self.vertices):
-            choice_index[depth] = 0
-        return depth
 
 
 def split_search_domains(

@@ -12,7 +12,8 @@ The important invariants:
   its bytes gets one report, and the E11 reports are pinned by digest;
 * the checker's per-vertex carrier folds agree with the direct fold;
 * the negative verdict agrees with the Sperner counting obstruction;
-* budget stubs resume to the same map a fresh search finds;
+* a budget stub carries no partial assignment, and the ``partial``
+  of a legacy stub (written before it was dropped) is still checked;
 * the checker is genuinely independent (stdlib-only, AST-enforced) yet
   stays in sync with the engine's digest scheme (test-enforced).
 """
@@ -47,7 +48,6 @@ from repro.certify import (
     check_bytes,
     mapping_of,
     read_cert,
-    resume_from_stub,
     unsolvable_cert,
     write_cert,
 )
@@ -293,19 +293,37 @@ TAMPERS = {
 }
 
 
+def _legacy_budget_stub(affine, task, prefix=5):
+    """A budget stub in its legacy form, which also carried ``partial``:
+    a fresh stub plus the first ``prefix`` vertices, in search order, of
+    the map ``MapSearch`` finds (a consistent prefix), listed in
+    ``vertex_key`` order as legacy stubs listed them."""
+    from repro.topology.simplex import vertex_key
+
+    search = MapSearch(affine, task)
+    mapping = search.search()
+    assert mapping is not None
+    _, stub = certified_search(affine, task, budget=20)
+    assert stub["kind"] == "budget" and "partial" not in stub
+    encode = serialize_module._encode
+    stub["partial"] = [
+        [encode(vertex), encode(mapping[vertex])]
+        for vertex in sorted(search.vertices[:prefix], key=vertex_key)
+    ]
+    return stub
+
+
 @pytest.fixture(scope="module")
 def tamper_bases(solvable_pair, unsolvable_cert_wf, ra_1res):
     task = set_consensus_task(3, 2)
     # An "unsolvable" certificate written for a search that found a map.
     search = MapSearch(ra_1res, task)
     assert search.search() is not None
-    _, stub = certified_search(ra_1res, task, budget=20)
-    assert stub["kind"] == "budget" and stub["partial"]
     return {
         "solvable": solvable_pair[1],
         "unsolvable": unsolvable_cert_wf,
         "found_map": unsolvable_cert(ra_1res, task, search),
-        "budget": stub,
+        "budget": _legacy_budget_stub(ra_1res, task),
     }
 
 
@@ -341,9 +359,9 @@ def test_tampered_reports_agree_in_memory_and_parsed(tamper_bases, name):
 
 
 #: SHA-256 of the 129 E11 reports (``to_dict``, in table order, as
-#: sorted-key JSON), recorded from the checker before its carrier folds
-#: and canonical texts were shared per vertex: the reports must not move.
-E11_REPORTS_SHA256 = "fa93c9054e08f450fb28cc825cdc286dc08ea53de9e09464164024dc80851b34"
+#: sorted-key JSON): the reports must not move.  The one budget row
+#: carries no partial assignment, so it checks 0 vertices and simplices.
+E11_REPORTS_SHA256 = "21ce9db0b02f34bf6a75c375386049eb0296c7fbb0d7f739cc74a8564f56547e"
 
 
 def test_e11_reports_agree_in_memory_and_parsed_and_are_pinned():
@@ -668,30 +686,27 @@ def test_unsolvable_agrees_with_sperner(unsolvable_cert_wf, chr1):
     )
 
 
-# ---------------------------------------------------------------- resume
-def test_budget_stub_resumes_to_same_map(ra_1res):
-    task = set_consensus_task(3, 2)
-    fresh = MapSearch(ra_1res, task)
-    expected = fresh.search()
-    assert expected is not None
-
-    mapping, stub = certified_search(ra_1res, task, budget=20)
-    assert mapping is None and stub["kind"] == "budget"
-    report = check(stub)
-    assert report.valid and report.verdict == "undecided"
-
-    resumed, nodes = resume_from_stub(stub, ra_1res, task)
-    assert resumed == expected
-    # The resume skips the already-explored prefix.
-    assert nodes < fresh.nodes_explored
-
-
-def test_resume_rejects_foreign_stub(ra_1res):
-    _, stub = certified_search(
+# ---------------------------------------------------------------- budget
+def test_fresh_budget_stub_has_no_partial_and_is_undecided(ra_1res):
+    mapping, stub = certified_search(
         ra_1res, set_consensus_task(3, 2), budget=20
     )
-    with pytest.raises(ValueError):
-        resume_from_stub(stub, ra_1res, set_consensus_task(3, 1))
+    assert mapping is None and stub["kind"] == "budget"
+    assert "partial" not in stub
+    assert stub["trace"] == {"nodes_explored": 21, "node_budget": 20}
+    report = check(stub)
+    assert report.valid and report.verdict == "undecided"
+    assert report.vertices_checked == report.simplices_checked == 0
+
+
+def test_legacy_budget_stub_partial_is_still_checked(tamper_bases):
+    stub = tamper_bases["budget"]
+    assert len(stub["partial"]) == 5
+    report = check(stub)
+    assert report.valid and report.verdict == "undecided"
+    assert report.vertices_checked == len(stub["partial"])
+    assert report.simplices_checked > 0
+    # Its tampers reject with ``inconsistent_partial`` (TAMPERS, above).
 
 
 def test_unsolvable_cert_refuses_restricted_domains(wf_affine):
@@ -833,20 +848,6 @@ def test_engine_parallel_certify(ra_1res, wf_affine):
         ]
     )
     assert [cert["kind"] for cert in certs] == ["solvable", "unsolvable"]
-
-
-def test_engine_resume_solve(ra_1res):
-    task = set_consensus_task(3, 2)
-    engine = Engine()
-    stub = engine.certify(ra_1res, task, 20)
-    assert stub["kind"] == "budget"
-    mapping, nodes = engine.resume_solve(ra_1res, task, stub)
-    assert mapping == engine.solve(ra_1res, task)
-    assert nodes > 0
-    with pytest.raises(ValueError):
-        engine.resume_solve(ra_1res, set_consensus_task(3, 1), stub)
-    with pytest.raises(ValueError):
-        engine.resume_solve(ra_1res, task, {"kind": "solvable"})
 
 
 def test_engine_solve_budget_still_raises(wf_affine):

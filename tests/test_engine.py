@@ -167,7 +167,6 @@ def test_budget_exception_carries_state(ra_1res, task23):
     with pytest.raises(SearchBudgetExceeded) as info:
         MapSearch(ra_1res, task23).search(budget=20)
     assert info.value.nodes_explored == 21
-    assert 0 < len(info.value.partial_assignment) <= 21
 
 
 def test_split_domains_cover_the_space(ra_1res, task23):

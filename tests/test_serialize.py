@@ -294,14 +294,6 @@ _requests = st.builds(
     task=st.sampled_from(_TASKS),
     budget=st.one_of(st.none(), st.integers(min_value=1)),
     domain_overrides=st.one_of(st.none(), _overrides),
-    resume=st.one_of(
-        st.none(),
-        st.dictionaries(
-            st.sampled_from(_CHR2_VERTICES),
-            st.builds(OutputVertex, _ids, _ids),
-            max_size=3,
-        ),
-    ),
 )
 
 

@@ -374,16 +374,29 @@ def test_wire_error_codes(server, client, ra_1of):
         client.request("query", kind="chr", payload=serialize([3, 1]))
     assert info.value.code == "bad_payload"  # decodes, but not a tuple
     # A typed solve in the old 7-element form, which named a kernel in
-    # its last slot, does not decode.
+    # its last slot, and in the old 6-element form, which carried a
+    # resume prefix there, does not decode.
     text = serialize(
         (SolveRequest(affine=ra_1of, task=set_consensus_task(3, 2)),)
     )
-    assert text.endswith(",null,null,null]]]")
+    assert text.endswith(",null,null]]]")
+    for old_tail in (',null,"bitset"]]]', ",null]]]"):
+        with pytest.raises(ServiceError) as info:
+            client.request(
+                "query", kind="solve", payload=text[:-3] + old_tail
+            )
+        assert info.value.code == "bad_payload"
+    # Nor does a positional solve payload with the old fifth (resume)
+    # slot; the 4-tuple is the wire form.
     with pytest.raises(ServiceError) as info:
-        client.request(
-            "query", kind="solve", payload=text[:-3] + ',"bitset"]]]'
+        client.query(
+            "solve", (ra_1of, set_consensus_task(3, 2), None, None, None)
         )
     assert info.value.code == "bad_payload"
+    mapping, _ = client.query(
+        "solve", (ra_1of, set_consensus_task(3, 2), None, None)
+    )
+    assert mapping is not None
     with pytest.raises(ServiceError) as info:
         client.query("chr", (3, "not-a-depth"))
     assert info.value.code == "job_error"

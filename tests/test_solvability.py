@@ -188,8 +188,7 @@ def _quadratic_domains(structure, task):
 
 def _quadratic_search(structure, domains, task, budget):
     """The reference backtrack over the oracle's set-up: the returned
-    map (or ``None``) and its node count, or the budget's node count
-    and partial assignment."""
+    map (or ``None``) and its node count, or the budget's node count."""
     _, participation, order, firing = structure
     assignment, nodes = {}, 0
     choice = [0] * len(order)
@@ -202,7 +201,7 @@ def _quadratic_search(structure, domains, task, budget):
             choice[depth] += 1
             nodes += 1
             if nodes > budget:
-                return "budget", nodes, dict(assignment)
+                return "budget", nodes, None
             assignment[vertex] = candidate
             if all(
                 frozenset(assignment[v] for v in sigma)
@@ -244,7 +243,7 @@ def _outcome(search, budget):
     try:
         mapping = search.search(budget)
     except SearchBudgetExceeded as exc:
-        return "budget", exc.nodes_explored, exc.partial_assignment
+        return "budget", exc.nodes_explored, None
     return ("none" if mapping is None else "map"), search.nodes_explored, mapping
 
 

@@ -5,8 +5,8 @@ The load-bearing guarantees:
 * the ``bitset`` kernel is **tree-identical** to the reference
   :class:`~repro.tasks.solvability.MapSearch` oracle: same verdicts,
   same returned maps *and the same node counts*, fuzzed over randomly
-  thinned tasks (so certificates, budget stubs and resume seeds are
-  interchangeable between the two);
+  thinned tasks (so certificates and budget stubs are interchangeable
+  between the two);
 * :class:`SolveRequest` normalization makes equal queries equal values
   with one cache digest, regardless of override insertion order;
 * the deprecated positional payload tuples warn but keep working.
@@ -133,49 +133,24 @@ def test_differential_fuzz_thinned_tasks(wf_affine):
     assert verdicts == {True, False}
 
 
-def test_budget_semantics_are_identical(wf_affine):
+def test_budget_semantics_are_identical():
+    # ``Chr^2 s`` for 2-set agreement: a refutation far past the
+    # largest budget, so every budget fires mid-tree.
+    affine = full_affine_task(3, 2)
     task = set_consensus_task(3, 2)
-    for budget in (1, 7, 20):
-        oracle = MapSearch(wf_affine, task)
+    for budget in (1, 7, 20, 100, 1000):
+        oracle = MapSearch(affine, task)
         with pytest.raises(SearchBudgetExceeded) as legacy_info:
             oracle.search(budget=budget)
-        kernel = BitsetKernel(wf_affine, task)
+        kernel = BitsetKernel(affine, task)
         with pytest.raises(SearchBudgetExceeded) as bitset_info:
             kernel.search(budget=budget)
         assert str(bitset_info.value) == str(legacy_info.value)
         assert (
             bitset_info.value.nodes_explored
             == legacy_info.value.nodes_explored
+            == budget + 1
         )
-        assert (
-            bitset_info.value.partial_assignment
-            == legacy_info.value.partial_assignment
-        )
-
-
-def test_resume_parity(ra_1res):
-    task = set_consensus_task(3, 2)
-    expected = MapSearch(ra_1res, task).search()
-    assert expected is not None
-    with pytest.raises(SearchBudgetExceeded) as info:
-        MapSearch(ra_1res, task).search(budget=20)
-    partial = info.value.partial_assignment
-
-    oracle = MapSearch(ra_1res, task)
-    kernel = BitsetKernel(ra_1res, task)
-    assert oracle.search(resume_from=partial) == expected
-    assert kernel.search(resume_from=partial) == expected
-    assert kernel.nodes_explored == oracle.nodes_explored
-
-
-def test_bitset_seed_rejects_what_legacy_rejects(ra_1res):
-    task = set_consensus_task(3, 2)
-    oracle = MapSearch(ra_1res, task)
-    kernel = BitsetKernel(ra_1res, task)
-    stray = {oracle.vertices[-1]: oracle.domains[oracle.vertices[-1]][0]}
-    for searcher in (oracle, kernel):
-        with pytest.raises(ValueError, match="initial segment"):
-            searcher.search(resume_from=stray)
 
 
 # ------------------------------------------------------------ the typed API
